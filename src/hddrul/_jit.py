@@ -1,40 +1,7 @@
-"""Numba shim for the hot numeric kernels.
+"""Backend flag kept for the benchmark's environment line.
 
-Kernels are written as plain NumPy code and compiled with ``@njit`` when
-numba is available. Set ``HDDRUL_DISABLE_JIT=1`` (before import) to skip
-compilation and run the identical source as pure NumPy; the flag exists for
-debugging and for benchmarking the compiled speedup (see benchmarks/).
+Every kernel is plain vectorized NumPy; no compiler is used. The flag stays
+because ``perfbench/run.py`` reads it when it prints the environment.
 """
-from __future__ import annotations
 
-import os
-
-
-def _jit_disabled_by_env() -> bool:
-    return os.environ.get("HDDRUL_DISABLE_JIT", "").strip().lower() in {"1", "true", "yes", "on"}
-
-
-try:
-    import numba as _numba
-except ImportError:  # pragma: no cover - exercised only on numba-free installs
-    _numba = None
-
-JIT_ENABLED = _numba is not None and not _jit_disabled_by_env()
-
-if JIT_ENABLED:
-    def njit(*args, **kwargs):
-        return _numba.njit(*args, **kwargs)
-else:
-    def njit(*args, **kwargs):
-        if args and callable(args[0]) and not kwargs:
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
-
-
-def python_impl(kernel):
-    """Return the uncompiled Python implementation behind a kernel."""
-    return getattr(kernel, "py_func", kernel)
+JIT_ENABLED = False

@@ -215,7 +215,10 @@ def _read_cohort(out: Path, name: str):
     path = out / "cohorts" / f"{name}.csv"
     if not path.exists():
         raise ConfigError(f"cohort file {path} not found; run `synth` or `ingest` first")
-    return ds.read_cohort_csv(path)
+    frames = ds.read_cohort_csv(path)
+    if not frames:
+        raise DataError(f"{path}: the {name} cohort holds no drives")
+    return frames
 
 
 # ---------------------------------------------------------------------------
@@ -259,36 +262,51 @@ def _read_snapshots(config: RunConfig) -> list[ds.DriveRecord]:
     return records
 
 
-def cmd_ingest(config: RunConfig) -> int:
-    out = Path(config.out)
-    (out / "cohorts").mkdir(parents=True, exist_ok=True)
-    records = _read_snapshots(config)
+def _split_events(config: RunConfig, records: list[ds.DriveRecord]):
+    """Failures of ``model_filter`` drives, split into train and test drives.
+
+    Returns ``(records by serial, train events, test events)``, or None when
+    no drive of the model failed. The split is the seeded
+    ``ingest_train_frac`` draw, so ``ingest`` and ``features`` agree on it.
+    """
     events = ds.scan_failures(records, config.model_filter)
     if not events:
-        print("ingest: no matching failures found; wrote empty manifest", file=sys.stderr)
-        _write_manifest(out / "cohorts" / "manifest.csv", [])
-        _write_run_config(config, out)
-        return 0
-
+        return None
     by_serial: dict[str, list[ds.DriveRecord]] = {}
     for rec in records:
         by_serial.setdefault(rec.serial, []).append(rec)
-
     perm = np.random.default_rng(derive_seed(config.seed, "ingest/split")).permutation(len(events))
     n_train = max(1, min(len(events) - 1, round(len(events) * config.ingest_train_frac)))
     train_events = [events[i] for i in sorted(perm[:n_train])]
     test_events = [events[i] for i in sorted(perm[n_train:])]
+    return by_serial, train_events, test_events
+
+
+def _labeled_series(command: str, by_serial, events, lookback: int) -> list[ds.LabeledSeries]:
+    """Uncapped labeled series of the failed drives; an inconsistent drive is skipped and reported."""
+    series = []
+    for event in events:
+        try:
+            series.append(ds.build_labeled_series(by_serial[event.serial], event, lookback))
+        except DataError as exc:
+            print(f"{command}: skipping drive {event.serial}: {exc}", file=sys.stderr)
+    return series
+
+
+def cmd_ingest(config: RunConfig) -> int:
+    out = Path(config.out)
+    (out / "cohorts").mkdir(parents=True, exist_ok=True)
+    split = _split_events(config, _read_snapshots(config))
+    if split is None:
+        print("ingest: no matching failures found; wrote empty manifest", file=sys.stderr)
+        _write_manifest(out / "cohorts" / "manifest.csv", [])
+        _write_run_config(config, out)
+        return 0
+    by_serial, train_events, test_events = split
 
     def build(event_list, lookback):
-        series = []
-        for event in event_list:
-            try:
-                labeled = ds.build_labeled_series(by_serial[event.serial], event, lookback)
-            except DataError as exc:
-                print(f"ingest: skipping drive {event.serial}: {exc}", file=sys.stderr)
-                continue
-            series.append(ds.cap_rul(labeled, config.cap))
-        return series
+        labeled = _labeled_series("ingest", by_serial, event_list, lookback)
+        return [ds.cap_rul(s, config.cap) for s in labeled]
 
     cohorts = {
         "train": build(train_events, config.lookback_train),
@@ -330,20 +348,14 @@ def cmd_ingest(config: RunConfig) -> int:
 def _scoring_series(config: RunConfig):
     """Uncapped training-cohort series for attribute scoring."""
     if config.snapshot_dir:
-        records = _read_snapshots(config)
-        events = ds.scan_failures(records, config.model_filter)
-        if not events:
+        split = _split_events(config, _read_snapshots(config))
+        if split is None:
             raise DataError("no matching failures found for feature scoring")
-        by_serial: dict[str, list[ds.DriveRecord]] = {}
-        for rec in records:
-            by_serial.setdefault(rec.serial, []).append(rec)
-        perm = np.random.default_rng(derive_seed(config.seed, "ingest/split")).permutation(len(events))
-        n_train = max(1, min(len(events) - 1, round(len(events) * config.ingest_train_frac)))
-        train_events = [events[i] for i in sorted(perm[:n_train])]
-        return [
-            ds.build_labeled_series(by_serial[e.serial], e, config.lookback_train)
-            for e in train_events
-        ]
+        by_serial, train_events, _ = split
+        series = _labeled_series("features", by_serial, train_events, config.lookback_train)
+        if not series:
+            raise DataError("every train-split drive was skipped; nothing to score")
+        return series
     return _synth_series(
         config, "train", config.synth_train_drives, config.lookback_train, "TRN"
     )
@@ -560,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
     ]:
         p = sub.add_parser(name, help=text)
         _add_common_flags(p)
-        if name == "ingest":
+        if name in ("ingest", "features"):
             p.add_argument("--snapshot-dir", dest="snapshot_dir", help="directory of snapshot CSVs")
         if name == "predict":
             p.add_argument("--model", required=True, help="model file")

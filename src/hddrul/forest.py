@@ -20,7 +20,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ._jit import njit
 from .errors import DataError
 from .seeding import rng_for
 
@@ -29,12 +28,46 @@ from .seeding import rng_for
 GAIN_RTOL = 1e-9
 GAIN_ATOL = 1e-12
 
-_LEAF = -1
+
+def _best_split(X, y, s, s2, sse):
+    """Winning (feature, threshold) at one node under the tie rule, or None.
+
+    The rows of every feature are sorted at once (stably), and the left sums
+    come from a sequential ``cumsum``, so each gain has the bits of a scalar
+    scan. The tie rule is replayed only over the gains that beat every earlier
+    gain in feature-major order. That is exact: a winner must beat the
+    incumbent by more than the tolerance, and any earlier gain that lost was
+    within the tolerance of an incumbent no larger, so it is below the winner.
+    """
+    m = len(y)
+    order = np.argsort(X, axis=0, kind="stable")
+    xs = np.take_along_axis(X, order, axis=0)
+    ys = y[order]
+    sl = np.cumsum(ys, axis=0)[:-1]
+    sl2 = np.cumsum(ys * ys, axis=0)[:-1]
+    nl = np.arange(1, m, dtype=np.float64)[:, None]
+    sr = s - sl
+    sse_l = np.maximum(sl2 - sl * sl / nl, 0.0)
+    sse_r = np.maximum((s2 - sl2) - sr * sr / (m - nl), 0.0)
+    gain = sse - sse_l - sse_r
+    gain[xs[:-1] == xs[1:]] = -np.inf  # no threshold between equal values
+    flat = gain.T.ravel()
+    earlier_max = np.maximum.accumulate(np.concatenate(([-np.inf], flat[:-1])))
+    best_gain = 0.0
+    best = None
+    for j in np.flatnonzero(flat > earlier_max):
+        if flat[j] > best_gain + GAIN_RTOL * best_gain + GAIN_ATOL:
+            best_gain = flat[j]
+            best = j
+    if best is None:
+        return None
+    f, k = divmod(int(best), m - 1)
+    return f, 0.5 * (xs[k, f] + xs[k + 1, f])
 
 
-@njit(cache=True, nogil=True)
 def _grow_tree_arrays(X, y, min_samples_split):
-    n, n_features = X.shape
+    """Depth-first growth; a split numbers its two children next, left first."""
+    n = X.shape[0]
     max_nodes = 2 * n + 1
     feature = np.full(max_nodes, -1, dtype=np.int64)
     threshold = np.zeros(max_nodes)
@@ -44,38 +77,15 @@ def _grow_tree_arrays(X, y, min_samples_split):
     impurity = np.zeros(max_nodes)
     counts = np.zeros(max_nodes, dtype=np.int64)
 
-    idx = np.arange(n)
-    stack_node = np.empty(max_nodes, dtype=np.int64)
-    stack_lo = np.empty(max_nodes, dtype=np.int64)
-    stack_hi = np.empty(max_nodes, dtype=np.int64)
-    stack_node[0] = 0
-    stack_lo[0] = 0
-    stack_hi[0] = n
-    top = 1
+    stack = [(0, np.arange(n))]
     n_nodes = 1
-
-    xf = np.empty(n)
-    buf = np.empty(n, dtype=np.int64)
-
-    while top > 0:
-        top -= 1
-        node = stack_node[top]
-        lo = stack_lo[top]
-        hi = stack_hi[top]
-        m = hi - lo
-
-        s = 0.0
-        s2 = 0.0
-        ymin = np.inf
-        ymax = -np.inf
-        for k in range(lo, hi):
-            yi = y[idx[k]]
-            s += yi
-            s2 += yi * yi
-            if yi < ymin:
-                ymin = yi
-            if yi > ymax:
-                ymax = yi
+    while stack:
+        node, rows = stack.pop()
+        ys = y[rows]
+        m = len(rows)
+        # sequential sums, as the split scan adds its left sums
+        s = np.cumsum(ys)[-1]
+        s2 = np.cumsum(ys * ys)[-1]
         sse = s2 - s * s / m
         if sse < 0.0:
             sse = 0.0
@@ -83,77 +93,20 @@ def _grow_tree_arrays(X, y, min_samples_split):
         impurity[node] = sse / m
         counts[node] = m
 
-        if m < min_samples_split or ymin == ymax:
+        if m < min_samples_split or ys.min() == ys.max():
             continue
-
-        best_gain = 0.0
-        best_feature = -1
-        best_threshold = 0.0
-        for f in range(n_features):
-            for k in range(m):
-                xf[k] = X[idx[lo + k], f]
-            order = np.argsort(xf[:m], kind="mergesort")
-            sl = 0.0
-            sl2 = 0.0
-            for k in range(m - 1):
-                yi = y[idx[lo + order[k]]]
-                sl += yi
-                sl2 += yi * yi
-                xk = xf[order[k]]
-                xk1 = xf[order[k + 1]]
-                if xk == xk1:
-                    continue
-                nl = k + 1
-                nr = m - nl
-                sr = s - sl
-                sr2 = s2 - sl2
-                sse_l = sl2 - sl * sl / nl
-                sse_r = sr2 - sr * sr / nr
-                if sse_l < 0.0:
-                    sse_l = 0.0
-                if sse_r < 0.0:
-                    sse_r = 0.0
-                gain = sse - sse_l - sse_r
-                if gain > best_gain + GAIN_RTOL * best_gain + GAIN_ATOL:
-                    best_gain = gain
-                    best_feature = f
-                    best_threshold = 0.5 * (xk + xk1)
-        if best_feature < 0:
+        split = _best_split(X[rows], ys, s, s2, sse)
+        if split is None:
             continue
-
-        # stable partition of idx[lo:hi] around the chosen threshold
-        nl = 0
-        for k in range(lo, hi):
-            if X[idx[k], best_feature] <= best_threshold:
-                nl += 1
-        a = 0
-        b = 0
-        for k in range(lo, hi):
-            i = idx[k]
-            if X[i, best_feature] <= best_threshold:
-                buf[a] = i
-                a += 1
-            else:
-                buf[nl + b] = i
-                b += 1
-        for k in range(m):
-            idx[lo + k] = buf[k]
-
-        feature[node] = best_feature
-        threshold[node] = best_threshold
-        left_id = n_nodes
-        right_id = n_nodes + 1
+        f, thr = split
+        goes_left = X[rows, f] <= thr
+        feature[node] = f
+        threshold[node] = thr
+        left[node] = n_nodes
+        right[node] = n_nodes + 1
         n_nodes += 2
-        left[node] = left_id
-        right[node] = right_id
-        stack_node[top] = right_id
-        stack_lo[top] = lo + nl
-        stack_hi[top] = hi
-        top += 1
-        stack_node[top] = left_id
-        stack_lo[top] = lo
-        stack_hi[top] = lo + nl
-        top += 1
+        stack.append((right[node], rows[~goes_left]))
+        stack.append((left[node], rows[goes_left]))
 
     return (
         feature[:n_nodes],
@@ -166,19 +119,16 @@ def _grow_tree_arrays(X, y, min_samples_split):
     )
 
 
-@njit(cache=True, nogil=True)
 def _predict_tree_arrays(feature, threshold, left, right, value, X):
-    n = X.shape[0]
-    out = np.empty(n)
-    for i in range(n):
-        node = 0
-        while feature[node] >= 0:
-            if X[i, feature[node]] <= threshold[node]:
-                node = left[node]
-            else:
-                node = right[node]
-        out[i] = value[node]
-    return out
+    """All rows descend together, one tree level per step."""
+    node = np.zeros(X.shape[0], dtype=np.int64)
+    rows = np.arange(X.shape[0])
+    while rows.size:
+        at = node[rows]
+        inner = feature[at] >= 0
+        rows, at = rows[inner], at[inner]
+        node[rows] = np.where(X[rows, feature[at]] <= threshold[at], left[at], right[at])
+    return value[node]
 
 
 @dataclass
@@ -333,36 +283,57 @@ def save_forest(forest: RandomForest, path: str | Path) -> None:
 
 
 def load_forest(path: str | Path) -> RandomForest:
+    """Read a forest file; a truncated or malformed one raises DataError naming it."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+        try:
+            return _parse_forest(fh.read().splitlines())
+        except (IndexError, KeyError, ValueError) as exc:
+            raise DataError(f"{path}: malformed forest file ({type(exc).__name__}: {exc})") from exc
+
+
+def _parse_forest(lines: list[str]) -> RandomForest:
     if not lines or lines[0] != _FORMAT:
-        raise DataError(f"{path}: not a {_FORMAT!r} file")
+        raise ValueError(f"not a {_FORMAT!r} file")
+    if lines[-1] != "end":
+        raise ValueError("truncated: no closing 'end' line")
     pos = 1
     meta = {}
-    while pos < len(lines) and not lines[pos].startswith("tree "):
+    while not lines[pos].startswith("tree ") and lines[pos] != "end":
         key, _, rest = lines[pos].partition(" ")
         meta[key] = rest
         pos += 1
     n_estimators = int(meta["n_estimators"])
     feature_ids = [int(tok) for tok in meta["feature_ids"].split()]
     trees = []
-    for _ in range(n_estimators):
+    for t in range(n_estimators):
         head = lines[pos].split()
+        if head[:3] != ["tree", str(t), "nodes"] or len(head) != 4:
+            raise ValueError(f"expected the header of tree {t}, found {lines[pos]!r}")
         n_nodes = int(head[3])
-        pos += 1
-        rows = [lines[pos + k].split() for k in range(n_nodes)]
-        pos += n_nodes
-        trees.append(
-            RegressionTree(
-                feature=np.array([int(r[0]) for r in rows], dtype=np.int64),
-                threshold=np.array([float(r[1]) for r in rows]),
-                left=np.array([int(r[2]) for r in rows], dtype=np.int64),
-                right=np.array([int(r[3]) for r in rows], dtype=np.int64),
-                value=np.array([float(r[4]) for r in rows]),
-                impurity=np.array([float(r[5]) for r in rows]),
-                n_node_samples=np.array([int(r[6]) for r in rows], dtype=np.int64),
-            )
+        rows = [lines[pos + 1 + k].split() for k in range(n_nodes)]
+        if any(len(r) != 7 for r in rows):
+            raise ValueError(f"tree {t} has a node row without 7 fields")
+        pos += 1 + n_nodes
+        tree = RegressionTree(
+            feature=np.array([int(r[0]) for r in rows], dtype=np.int64),
+            threshold=np.array([float(r[1]) for r in rows]),
+            left=np.array([int(r[2]) for r in rows], dtype=np.int64),
+            right=np.array([int(r[3]) for r in rows], dtype=np.int64),
+            value=np.array([float(r[4]) for r in rows]),
+            impurity=np.array([float(r[5]) for r in rows]),
+            n_node_samples=np.array([int(r[6]) for r in rows], dtype=np.int64),
         )
+        # children come after their parent, so every descent ends at a leaf
+        inner = np.flatnonzero(tree.feature >= 0)
+        f, lo = tree.feature[inner], tree.left[inner]
+        if n_nodes == 0 or np.any(
+            (f >= len(feature_ids)) | (lo <= inner) | (tree.right[inner] != lo + 1)
+            | (lo + 1 >= n_nodes)
+        ):
+            raise ValueError(f"tree {t} has inconsistent node links")
+        trees.append(tree)
+    if lines[pos] != "end":
+        raise ValueError(f"more trees than n_estimators {n_estimators}")
     return RandomForest(
         trees=trees,
         feature_ids=feature_ids,

@@ -16,8 +16,8 @@ bit-for-bit.
 
 Gradients are exact backpropagation through time for the mean-squared-error
 loss, accumulated over the full unrolled sequence and both directions. The
-hot forward/backward kernels live at the bottom of the module and run under
-numba unless HDDRUL_DISABLE_JIT is set.
+forward/backward kernels at the bottom of the module run both directions at
+once, stacked on a leading axis.
 """
 from __future__ import annotations
 
@@ -30,7 +30,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ._jit import njit
 from .errors import ConfigError, DataError, DivergenceError, NumericError
 from .preprocess import WindowedDataset
 from .seeding import rng_for
@@ -263,19 +262,53 @@ class Gradients:
                 a *= scale
 
 
-def _direction_states(cell: LstmCellParams, X_tbf: np.ndarray):
-    return _lstm_forward_tbf(X_tbf, cell.w_x, cell.w_h, cell.bias)
+def _stacked_cells(model: BiLstmModel):
+    """Cell parameters of the D directions stacked on a leading axis.
+
+    Returns w_x (D, F, 4H), w_h (D, H, 4H) and bias (D, 1, 4H); D is 1 for the
+    vanilla model and 2 (forward, backward) for the bidirectional one.
+    """
+    cells = [model.forward_cell] + ([model.backward_cell] if model.bidirectional else [])
+    return (
+        np.stack([c.w_x for c in cells]),
+        np.stack([c.w_h for c in cells]),
+        np.stack([c.bias for c in cells])[:, None, :],
+    )
+
+
+def _direction_inputs(model: BiLstmModel, X: np.ndarray) -> np.ndarray:
+    """(n, T, F) windows as the (T, D, n, F) kernel input; direction 1 runs time reversed."""
+    X_tbf = X.transpose(1, 0, 2)
+    if model.bidirectional:
+        return np.ascontiguousarray(np.stack([X_tbf, X_tbf[::-1]], axis=1))
+    return np.ascontiguousarray(X_tbf[:, None])
+
+
+def _head(model: BiLstmModel, h_last: np.ndarray) -> np.ndarray:
+    """Linear head over the final hidden states (D, n, H), one dot product per direction."""
+    hidden = model.hidden_size
+    preds = h_last[0] @ model.dense.weights[:hidden]
+    if model.bidirectional:
+        preds = preds + h_last[1] @ model.dense.weights[hidden:]
+    return preds + model.dense.bias[0]
+
+
+# most rows per forward pass in predict: bounds its working set whatever the batch size
+_PREDICT_CHUNK = 256
 
 
 def _predict_batch(model: BiLstmModel, X: np.ndarray) -> np.ndarray:
-    hidden = model.hidden_size
-    X_tbf = np.ascontiguousarray(X.transpose(1, 0, 2))
-    h_seq, _, _, _ = _direction_states(model.forward_cell, X_tbf)
-    preds = h_seq[-1] @ model.dense.weights[:hidden]
-    if model.bidirectional:
-        h_seq_b, _, _, _ = _direction_states(model.backward_cell, np.ascontiguousarray(X_tbf[::-1]))
-        preds = preds + h_seq_b[-1] @ model.dense.weights[hidden:]
-    return preds + model.dense.bias[0]
+    # near-equal chunks, so that no chunk holds a single row unless the batch
+    # does: BLAS multiplies a one-row matrix on its vector path, whose sums
+    # differ in the last bits from those of the matrix path
+    n = X.shape[0]
+    n_chunks = -(-n // _PREDICT_CHUNK)
+    bounds = [n * k // n_chunks for k in range(n_chunks + 1)]
+    w_x, w_h, bias = _stacked_cells(model)
+    h_last = np.empty((w_x.shape[0], n, model.hidden_size))
+    for lo, hi in zip(bounds, bounds[1:]):
+        h_last[:, lo:hi] = _lstm_last_state(_direction_inputs(model, X[lo:hi]), w_x, w_h, bias)
+    return _head(model, h_last)
 
 
 def _loss_and_gradients(model: BiLstmModel, windows: np.ndarray, targets: np.ndarray):
@@ -290,35 +323,18 @@ def _loss_and_gradients(model: BiLstmModel, windows: np.ndarray, targets: np.nda
     n = X.shape[0]
     hidden = model.hidden_size
 
-    X_tbf = np.ascontiguousarray(X.transpose(1, 0, 2))
-    fwd = _direction_states(model.forward_cell, X_tbf)
-    h_last_f = fwd[0][-1]
-    preds = h_last_f @ model.dense.weights[:hidden]
-    if model.bidirectional:
-        X_rev = np.ascontiguousarray(X_tbf[::-1])
-        bwd = _direction_states(model.backward_cell, X_rev)
-        h_last_b = bwd[0][-1]
-        preds = preds + h_last_b @ model.dense.weights[hidden:]
-    preds = preds + model.dense.bias[0]
+    X_dir = _direction_inputs(model, X)
+    w_x, w_h, bias = _stacked_cells(model)
+    cache = _lstm_forward(X_dir, w_x, w_h, bias)
+    h_last = cache[0][-1]
+    preds = _head(model, h_last)
 
     dy = 2.0 * (preds - y) / n
-    d_dense_b = np.array([dy.sum()])
-    names = ["forward.w_x", "forward.w_h", "forward.bias"]
-    dh_last_f = np.ascontiguousarray(np.outer(dy, model.dense.weights[:hidden]))
-    arrays = list(
-        _lstm_backward_tbf(X_tbf, model.forward_cell.w_x, model.forward_cell.w_h, *fwd, dh_last_f)
-    )
-    if model.bidirectional:
-        dh_last_b = np.ascontiguousarray(np.outer(dy, model.dense.weights[hidden:]))
-        names += ["backward.w_x", "backward.w_h", "backward.bias"]
-        arrays += list(
-            _lstm_backward_tbf(X_rev, model.backward_cell.w_x, model.backward_cell.w_h, *bwd, dh_last_b)
-        )
-        d_dense_w = np.concatenate([h_last_f.T @ dy, h_last_b.T @ dy])
-    else:
-        d_dense_w = h_last_f.T @ dy
-    names += ["dense.weights", "dense.bias"]
-    arrays += [d_dense_w, d_dense_b]
+    dh_last = dy[None, :, None] * model.dense.weights.reshape(-1, 1, hidden)
+    d_wx, d_wh, d_b = _lstm_backward(X_dir, w_h, *cache, dh_last)
+    names, _ = parameter_arrays(model)
+    arrays = [grad for d in range(len(h_last)) for grad in (d_wx[d], d_wh[d], d_b[d])]
+    arrays += [np.concatenate([h.T @ dy for h in h_last]), np.array([dy.sum()])]
 
     for name, arr in zip(names, arrays):
         if not np.all(np.isfinite(arr)):
@@ -468,13 +484,22 @@ def save_model(model: BiLstmModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> BiLstmModel:
+    """Read a model file; a truncated or malformed one raises DataError naming it."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+        try:
+            return _parse_model(fh.read().splitlines())
+        except (IndexError, KeyError, ValueError) as exc:
+            raise DataError(f"{path}: malformed model file ({type(exc).__name__}: {exc})") from exc
+
+
+def _parse_model(lines: list[str]) -> BiLstmModel:
     if not lines or lines[0] != _FORMAT:
-        raise DataError(f"{path}: not a {_FORMAT!r} file")
+        raise ValueError(f"not a {_FORMAT!r} file")
+    if lines[-1] != "end":
+        raise ValueError("truncated: no closing 'end' line")
     meta = {}
     pos = 1
-    while pos < len(lines) and not lines[pos].startswith("param "):
+    while not lines[pos].startswith("param ") and lines[pos] != "end":
         key, _, rest = lines[pos].partition(" ")
         meta[key] = rest
         pos += 1
@@ -489,29 +514,35 @@ def load_model(path: str | Path) -> BiLstmModel:
         grad_clip=None if meta["grad_clip"] == "none" else float(meta["grad_clip"]),
     )
     blocks: dict[str, np.ndarray] = {}
-    while pos < len(lines) and lines[pos] != "end":
-        head = lines[pos].split()
-        name, rows, cols = head[1], int(head[2]), int(head[3])
-        pos += 1
-        mat = np.array([[float(tok) for tok in lines[pos + r].split()] for r in range(rows)])
-        pos += rows
+    while lines[pos] != "end":
+        _, name, rows, cols = lines[pos].split()
+        rows, cols = int(rows), int(cols)
+        mat = np.array([[float(tok) for tok in lines[pos + 1 + r].split()] for r in range(rows)])
+        if mat.shape != (rows, cols):
+            raise ValueError(f"param {name} is not {rows} x {cols}")
         blocks[name] = mat
-    forward_cell = LstmCellParams(
-        w_x=blocks["forward.w_x"],
-        w_h=blocks["forward.w_h"],
-        bias=blocks["forward.bias"].ravel(),
-    )
-    backward_cell = None
-    if bidirectional:
-        backward_cell = LstmCellParams(
-            w_x=blocks["backward.w_x"],
-            w_h=blocks["backward.w_h"],
-            bias=blocks["backward.bias"].ravel(),
+        pos += 1 + rows
+    hidden, n_features = settings.hidden_size, int(meta["n_features"])
+    expected = {"dense.weights": (1, hidden * (2 if bidirectional else 1)), "dense.bias": (1, 1)}
+    for prefix in ("forward", "backward") if bidirectional else ("forward",):
+        expected[f"{prefix}.w_x"] = (n_features, 4 * hidden)
+        expected[f"{prefix}.w_h"] = (hidden, 4 * hidden)
+        expected[f"{prefix}.bias"] = (1, 4 * hidden)
+    shapes = {name: mat.shape for name, mat in blocks.items()}
+    if shapes != expected:
+        raise ValueError(f"parameter shapes {shapes} differ from {expected}")
+
+    def cell(prefix: str) -> LstmCellParams:
+        return LstmCellParams(
+            w_x=blocks[f"{prefix}.w_x"],
+            w_h=blocks[f"{prefix}.w_h"],
+            bias=blocks[f"{prefix}.bias"].ravel(),
         )
+
     dense = DenseParams(weights=blocks["dense.weights"].ravel(), bias=blocks["dense.bias"].ravel())
     return BiLstmModel(
-        forward_cell=forward_cell,
-        backward_cell=backward_cell,
+        forward_cell=cell("forward"),
+        backward_cell=cell("backward") if bidirectional else None,
         dense=dense,
         bidirectional=bidirectional,
         timesteps=int(meta["timesteps"]),
@@ -521,60 +552,86 @@ def load_model(path: str | Path) -> BiLstmModel:
 
 
 # ---------------------------------------------------------------------------
-# Hot kernels (numba unless HDDRUL_DISABLE_JIT=1; X is laid out (T, B, F))
+# Kernels over D stacked directions: X is laid out (T, D, B, F), so each time
+# step is one batched matmul per product whatever the number of directions
 
 
-@njit(cache=True)
-def _lstm_forward_tbf(X, w_x, w_h, bias):
-    T, B, F = X.shape
-    H = w_h.shape[0]
-    h_seq = np.zeros((T + 1, B, H))
-    c_seq = np.zeros((T + 1, B, H))
-    gates = np.empty((T, B, 4 * H))
-    tanh_c = np.empty((T, B, H))
-    for t in range(T):
-        z = np.dot(X[t], w_x) + np.dot(h_seq[t], w_h) + bias
-        i = 1.0 / (1.0 + np.exp(-z[:, :H]))
-        f = 1.0 / (1.0 + np.exp(-z[:, H : 2 * H]))
-        g = np.tanh(z[:, 2 * H : 3 * H])
-        o = 1.0 / (1.0 + np.exp(-z[:, 3 * H :]))
-        c = f * c_seq[t] + i * g
-        tc = np.tanh(c)
-        h_seq[t + 1] = o * tc
-        c_seq[t + 1] = c
-        gates[t, :, :H] = i
-        gates[t, :, H : 2 * H] = f
-        gates[t, :, 2 * H : 3 * H] = g
-        gates[t, :, 3 * H :] = o
-        tanh_c[t] = tc
+def _cell_step(x_t, h, c, w_x, w_h, bias):
+    """One step of the stacked cells.
+
+    Returns the gate activations laid out (4, D, B, H) in i, f, g, o order,
+    so each gate is one contiguous block, then c_t, tanh(c_t) and h_t.
+    """
+    D, B, H = h.shape
+    z = np.matmul(x_t, w_x)
+    z += np.matmul(h, w_h)
+    z += bias
+    # sigmoid 1 / (1 + exp(-z)) over all four gates, in place; then tanh for g
+    gates = np.empty((4, D, B, H))
+    np.negative(z.reshape(D, B, 4, H).transpose(2, 0, 1, 3), out=gates)
+    np.exp(gates, out=gates)
+    gates += 1.0
+    np.divide(1.0, gates, out=gates)
+    i, f, g, o = gates
+    np.tanh(z[..., 2 * H : 3 * H], out=g)
+    c = f * c
+    c += i * g
+    tanh_c = np.tanh(c)
+    return gates, c, tanh_c, o * tanh_c
+
+
+def _lstm_last_state(X, w_x, w_h, bias):
+    """Final hidden state (D, B, H) from the zero state; keeps nothing but h and c."""
+    h = c = np.zeros(X.shape[1:3] + (w_h.shape[1],))
+    for x_t in X:
+        _, c, _, h = _cell_step(x_t, h, c, w_x, w_h, bias)
+    return h
+
+
+def _lstm_forward(X, w_x, w_h, bias):
+    """Forward pass from the zero state, with what backprop needs.
+
+    Returns per-step lists: h and c for steps 0..T (each (D, B, H)), the gate
+    activations (4, D, B, H) and tanh(c_t) (D, B, H) for steps 1..T.
+    """
+    h = c = np.zeros(X.shape[1:3] + (w_h.shape[1],))
+    h_seq, c_seq, gates, tanh_c = [h], [c], [], []
+    for x_t in X:
+        a, c, tc, h = _cell_step(x_t, h, c, w_x, w_h, bias)
+        h_seq.append(h)
+        c_seq.append(c)
+        gates.append(a)
+        tanh_c.append(tc)
     return h_seq, c_seq, gates, tanh_c
 
 
-@njit(cache=True)
-def _lstm_backward_tbf(X, w_x, w_h, h_seq, c_seq, gates, tanh_c, dh_last):
-    T, B, F = X.shape
-    H = w_h.shape[0]
-    d_wx = np.zeros_like(w_x)
-    d_wh = np.zeros_like(w_h)
-    d_b = np.zeros(4 * H)
-    dh = dh_last.copy()
-    dc = np.zeros((B, H))
-    dz = np.empty((B, 4 * H))
+def _lstm_backward(X, w_h, h_seq, c_seq, gates, tanh_c, dh_last):
+    """Backprop through time; gradients w_x (D, F, 4H), w_h (D, H, 4H), bias (D, 4H).
+
+    Each step's contribution is added as it is computed, newest step first.
+    """
+    T, D, B, F = X.shape
+    H = w_h.shape[1]
+    d_wx = np.zeros((D, F, 4 * H))
+    d_wh = np.zeros((D, H, 4 * H))
+    d_b = np.zeros((D, 4 * H))
+    w_h_t = w_h.transpose(0, 2, 1)
+    dh = dh_last
+    dc = np.zeros((D, B, H))
+    dz = np.empty((D, B, 4 * H))
+    dz_gates = dz.reshape(D, B, 4, H).transpose(2, 0, 1, 3)
     for t in range(T - 1, -1, -1):
-        i = gates[t][:, :H]
-        f = gates[t][:, H : 2 * H]
-        g = gates[t][:, 2 * H : 3 * H]
-        o = gates[t][:, 3 * H :]
+        i, f, g, o = gates[t]
         tc = tanh_c[t]
         do = dh * tc
         dc = dc + dh * o * (1.0 - tc * tc)
-        dz[:, :H] = (dc * g) * i * (1.0 - i)
-        dz[:, H : 2 * H] = (dc * c_seq[t]) * f * (1.0 - f)
-        dz[:, 2 * H : 3 * H] = (dc * i) * (1.0 - g * g)
-        dz[:, 3 * H :] = do * o * (1.0 - o)
-        d_wx += np.dot(X[t].T, dz)
-        d_wh += np.dot(h_seq[t].T, dz)
-        d_b += dz.sum(axis=0)
-        dh = np.dot(dz, w_h.T)
+        dz_gates[0] = (dc * g) * i * (1.0 - i)
+        dz_gates[1] = (dc * c_seq[t]) * f * (1.0 - f)
+        dz_gates[2] = (dc * i) * (1.0 - g * g)
+        dz_gates[3] = do * o * (1.0 - o)
+        d_wx += np.matmul(X[t].transpose(0, 2, 1), dz)
+        d_wh += np.matmul(h_seq[t].transpose(0, 2, 1), dz)
+        d_b += dz.sum(axis=1)
+        dh = np.matmul(dz, w_h_t)
         dc = dc * f
     return d_wx, d_wh, d_b

@@ -159,21 +159,19 @@ def window(cohort: Sequence[DriveFrame], timesteps: int) -> WindowedDataset:
             feature_ids=[],
         )
     feature_ids = frames[0].feature_ids
+    # row (d, k) of a drive's gather is the day at step k of day d's window
+    offsets = np.arange(1 - timesteps, 1)
     blocks = []
-    targets = []
     provenance = []
     for frame in frames:
         if frame.feature_ids != feature_ids:
             raise DataError("all frames must share the same feature columns")
-        n = len(frame.dates)
-        for d in range(n):
-            rows = np.maximum(np.arange(d - timesteps + 1, d + 1), 0)
-            blocks.append(frame.values[rows])
-            targets.append(float(frame.rul[d]))
-            provenance.append((frame.serial, frame.dates[d]))
+        days = np.arange(len(frame.dates))[:, None]
+        blocks.append(frame.values[np.maximum(days + offsets, 0)])
+        provenance += [(frame.serial, day) for day in frame.dates]
     return WindowedDataset(
-        windows=np.ascontiguousarray(np.stack(blocks)),
-        targets=np.array(targets),
+        windows=np.concatenate(blocks),
+        targets=np.concatenate([frame.rul for frame in frames]).astype(np.float64),
         provenance=provenance,
         feature_ids=list(feature_ids),
     )

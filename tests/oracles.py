@@ -1,9 +1,11 @@
 """Independent reference implementations used to cross-check the library.
 
-Everything here is deliberately written with different algorithms than the
+Most of it is deliberately written with different algorithms than the
 package: exhaustive enumeration instead of incremental scans, arbitrary
 precision instead of float accumulation, sorted compensated summation instead
-of vectorized means.
+of vectorized means. The scalar kernels at the bottom are the loop versions
+that the vectorized library kernels replaced; the library must match them bit
+for bit.
 """
 from __future__ import annotations
 
@@ -98,3 +100,210 @@ def brute_force_predictions(X, y, queries) -> np.ndarray:
     tree = brute_force_tree(X, y)
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     return np.array([tree.predict(row) for row in queries])
+
+
+# ---------------------------------------------------------------------------
+# Scalar kernels: the per-direction LSTM passes and the per-feature tree
+# growth and descent loops the library used before it was vectorized, kept
+# unchanged as bit-exact references (X is laid out (T, B, F))
+
+
+def _lstm_forward_tbf(X, w_x, w_h, bias):
+    T, B, F = X.shape
+    H = w_h.shape[0]
+    h_seq = np.zeros((T + 1, B, H))
+    c_seq = np.zeros((T + 1, B, H))
+    gates = np.empty((T, B, 4 * H))
+    tanh_c = np.empty((T, B, H))
+    for t in range(T):
+        z = np.dot(X[t], w_x) + np.dot(h_seq[t], w_h) + bias
+        i = 1.0 / (1.0 + np.exp(-z[:, :H]))
+        f = 1.0 / (1.0 + np.exp(-z[:, H : 2 * H]))
+        g = np.tanh(z[:, 2 * H : 3 * H])
+        o = 1.0 / (1.0 + np.exp(-z[:, 3 * H :]))
+        c = f * c_seq[t] + i * g
+        tc = np.tanh(c)
+        h_seq[t + 1] = o * tc
+        c_seq[t + 1] = c
+        gates[t, :, :H] = i
+        gates[t, :, H : 2 * H] = f
+        gates[t, :, 2 * H : 3 * H] = g
+        gates[t, :, 3 * H :] = o
+        tanh_c[t] = tc
+    return h_seq, c_seq, gates, tanh_c
+
+
+def _lstm_backward_tbf(X, w_x, w_h, h_seq, c_seq, gates, tanh_c, dh_last):
+    T, B, F = X.shape
+    H = w_h.shape[0]
+    d_wx = np.zeros_like(w_x)
+    d_wh = np.zeros_like(w_h)
+    d_b = np.zeros(4 * H)
+    dh = dh_last.copy()
+    dc = np.zeros((B, H))
+    dz = np.empty((B, 4 * H))
+    for t in range(T - 1, -1, -1):
+        i = gates[t][:, :H]
+        f = gates[t][:, H : 2 * H]
+        g = gates[t][:, 2 * H : 3 * H]
+        o = gates[t][:, 3 * H :]
+        tc = tanh_c[t]
+        do = dh * tc
+        dc = dc + dh * o * (1.0 - tc * tc)
+        dz[:, :H] = (dc * g) * i * (1.0 - i)
+        dz[:, H : 2 * H] = (dc * c_seq[t]) * f * (1.0 - f)
+        dz[:, 2 * H : 3 * H] = (dc * i) * (1.0 - g * g)
+        dz[:, 3 * H :] = do * o * (1.0 - o)
+        d_wx += np.dot(X[t].T, dz)
+        d_wh += np.dot(h_seq[t].T, dz)
+        d_b += dz.sum(axis=0)
+        dh = np.dot(dz, w_h.T)
+        dc = dc * f
+    return d_wx, d_wh, d_b
+
+
+def _grow_tree_arrays(X, y, min_samples_split):
+    n, n_features = X.shape
+    max_nodes = 2 * n + 1
+    feature = np.full(max_nodes, -1, dtype=np.int64)
+    threshold = np.zeros(max_nodes)
+    left = np.full(max_nodes, -1, dtype=np.int64)
+    right = np.full(max_nodes, -1, dtype=np.int64)
+    value = np.zeros(max_nodes)
+    impurity = np.zeros(max_nodes)
+    counts = np.zeros(max_nodes, dtype=np.int64)
+
+    idx = np.arange(n)
+    stack_node = np.empty(max_nodes, dtype=np.int64)
+    stack_lo = np.empty(max_nodes, dtype=np.int64)
+    stack_hi = np.empty(max_nodes, dtype=np.int64)
+    stack_node[0] = 0
+    stack_lo[0] = 0
+    stack_hi[0] = n
+    top = 1
+    n_nodes = 1
+
+    xf = np.empty(n)
+    buf = np.empty(n, dtype=np.int64)
+
+    while top > 0:
+        top -= 1
+        node = stack_node[top]
+        lo = stack_lo[top]
+        hi = stack_hi[top]
+        m = hi - lo
+
+        s = 0.0
+        s2 = 0.0
+        ymin = np.inf
+        ymax = -np.inf
+        for k in range(lo, hi):
+            yi = y[idx[k]]
+            s += yi
+            s2 += yi * yi
+            if yi < ymin:
+                ymin = yi
+            if yi > ymax:
+                ymax = yi
+        sse = s2 - s * s / m
+        if sse < 0.0:
+            sse = 0.0
+        value[node] = s / m
+        impurity[node] = sse / m
+        counts[node] = m
+
+        if m < min_samples_split or ymin == ymax:
+            continue
+
+        best_gain = 0.0
+        best_feature = -1
+        best_threshold = 0.0
+        for f in range(n_features):
+            for k in range(m):
+                xf[k] = X[idx[lo + k], f]
+            order = np.argsort(xf[:m], kind="mergesort")
+            sl = 0.0
+            sl2 = 0.0
+            for k in range(m - 1):
+                yi = y[idx[lo + order[k]]]
+                sl += yi
+                sl2 += yi * yi
+                xk = xf[order[k]]
+                xk1 = xf[order[k + 1]]
+                if xk == xk1:
+                    continue
+                nl = k + 1
+                nr = m - nl
+                sr = s - sl
+                sr2 = s2 - sl2
+                sse_l = sl2 - sl * sl / nl
+                sse_r = sr2 - sr * sr / nr
+                if sse_l < 0.0:
+                    sse_l = 0.0
+                if sse_r < 0.0:
+                    sse_r = 0.0
+                gain = sse - sse_l - sse_r
+                if gain > best_gain + GAIN_RTOL * best_gain + GAIN_ATOL:
+                    best_gain = gain
+                    best_feature = f
+                    best_threshold = 0.5 * (xk + xk1)
+        if best_feature < 0:
+            continue
+
+        # stable partition of idx[lo:hi] around the chosen threshold
+        nl = 0
+        for k in range(lo, hi):
+            if X[idx[k], best_feature] <= best_threshold:
+                nl += 1
+        a = 0
+        b = 0
+        for k in range(lo, hi):
+            i = idx[k]
+            if X[i, best_feature] <= best_threshold:
+                buf[a] = i
+                a += 1
+            else:
+                buf[nl + b] = i
+                b += 1
+        for k in range(m):
+            idx[lo + k] = buf[k]
+
+        feature[node] = best_feature
+        threshold[node] = best_threshold
+        left_id = n_nodes
+        right_id = n_nodes + 1
+        n_nodes += 2
+        left[node] = left_id
+        right[node] = right_id
+        stack_node[top] = right_id
+        stack_lo[top] = lo + nl
+        stack_hi[top] = hi
+        top += 1
+        stack_node[top] = left_id
+        stack_lo[top] = lo
+        stack_hi[top] = lo + nl
+        top += 1
+
+    return (
+        feature[:n_nodes],
+        threshold[:n_nodes],
+        left[:n_nodes],
+        right[:n_nodes],
+        value[:n_nodes],
+        impurity[:n_nodes],
+        counts[:n_nodes],
+    )
+
+
+def _predict_tree_arrays(feature, threshold, left, right, value, X):
+    n = X.shape[0]
+    out = np.empty(n)
+    for i in range(n):
+        node = 0
+        while feature[node] >= 0:
+            if X[i, feature[node]] <= threshold[node]:
+                node = left[node]
+            else:
+                node = right[node]
+        out[i] = value[node]
+    return out

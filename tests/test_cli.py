@@ -311,3 +311,54 @@ def test_ingest_malformed_snapshot_is_data_error(tmp_path):
     out = tmp_path / "out"
     cfg = _config_file(tmp_path, out, extra=f"snapshot_dir {snapshot_dir}\n")
     assert main(["ingest", "--config", cfg]) == 2
+
+
+@pytest.mark.parametrize("name", ["lstm_t3.model", "forest.model"])
+def test_evaluate_truncated_model_is_data_error(tmp_path, capsys, name):
+    out = tmp_path / "out"
+    cfg = _config_file(tmp_path, out)
+    assert main(["synth", "--config", cfg]) == 0
+    assert main(["train", "--config", cfg]) == 0
+    path = out / "models" / name
+    path.write_bytes(path.read_bytes()[:200])
+    capsys.readouterr()
+    assert main(["evaluate", "--config", cfg]) == 2
+    assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,cohort", [("train", "train"), ("evaluate", "test60")])
+def test_header_only_cohort_is_data_error(tmp_path, capsys, command, cohort):
+    out = tmp_path / "out"
+    cfg = _config_file(tmp_path, out)
+    assert main(["synth", "--config", cfg]) == 0
+    if command == "evaluate":
+        assert main(["train", "--config", cfg]) == 0
+    path = out / "cohorts" / f"{cohort}.csv"
+    path.write_text(path.read_text().splitlines()[0] + "\n")
+    capsys.readouterr()
+    assert main([command, "--config", cfg]) == 2
+    assert str(path) in capsys.readouterr().err
+
+
+def test_features_skips_inconsistent_drive_like_ingest(tmp_path, capsys):
+    config = ds.SynthConfig(n_drives=6, lookback_days=25, jump_day=4, seed=5)
+    snapshot_dir = _write_snapshots(tmp_path, ds.generate_synthetic(config))
+    out = tmp_path / "out"
+    cfg = _config_file(tmp_path, out, extra=f"model_filter {ds.SYNTHETIC_MODEL}\n")
+    assert main(["ingest", "--config", cfg, "--snapshot-dir", str(snapshot_dir)]) == 0
+    serial = ds.read_cohort_csv(out / "cohorts" / "train.csv")[0].serial
+    # repeat one of that train-split drive's healthy days inside its lookback
+    parts = sorted(snapshot_dir.glob("*.csv"))
+    rows = [line for p in parts for line in p.read_text().splitlines()[1:]]
+    healthy = [r for r in rows if r.split(",")[1] == serial and r.split(",")[4] == "0"]
+    with open(parts[-1], "a") as fh:
+        fh.write(healthy[-1] + "\n")
+    capsys.readouterr()
+
+    assert main(["features", "--config", cfg, "--snapshot-dir", str(snapshot_dir)]) == 0
+    err = capsys.readouterr().err
+    assert f"features: skipping drive {serial}: " in err and "duplicate" in err
+    assert (out / "features" / "selected.txt").exists()
+    assert main(["ingest", "--config", cfg, "--snapshot-dir", str(snapshot_dir)]) == 0
+    assert f"ingest: skipping drive {serial}: " in capsys.readouterr().err
+    assert serial not in {f.serial for f in ds.read_cohort_csv(out / "cohorts" / "train.csv")}

@@ -6,6 +6,7 @@ import pytest
 from hddrul import neural
 from hddrul import preprocess as pp
 from hddrul.errors import ConfigError, DivergenceError, NumericError
+import oracles
 
 
 def _scalar_cell(w_xi, w_xf, w_xg, w_xo, w_hi, w_hf, w_hg, w_ho, b):
@@ -366,21 +367,49 @@ def test_model_file_roundtrip_bitwise(rng, tmp_path):
     assert loaded.settings == model.settings
 
 
-def test_kernels_jit_and_python_agree(rng):
-    from hddrul._jit import python_impl
-    from hddrul.neural import _lstm_backward_tbf, _lstm_forward_tbf
+def test_lstm_kernels_match_scalar_oracle(rng):
+    # each direction of the stacked kernels has the bits of the scalar kernel
+    # run on that direction alone, B=1 included
+    for T, B, F, H, D in [(3, 6, 2, 4, 1), (3, 6, 2, 4, 2), (4, 1, 3, 4, 2), (5, 64, 5, 8, 2)]:
+        X = rng.normal(size=(T, B, F))
+        inputs = [X, np.ascontiguousarray(X[::-1])][:D]
+        cells = [(rng.normal(size=(F, 4 * H)), rng.normal(size=(H, 4 * H)), rng.normal(size=4 * H))
+                 for _ in range(D)]
+        X_dir = np.ascontiguousarray(np.stack(inputs, axis=1))
+        w_x, w_h, bias = (np.stack(ws) for ws in zip(*cells))
+        bias = bias[:, None, :]
+        cache = neural._lstm_forward(X_dir, w_x, w_h, bias)
+        last = neural._lstm_last_state(X_dir, w_x, w_h, bias)
+        dh = rng.normal(size=(D, B, H))
+        grads = neural._lstm_backward(X_dir, w_h, *cache, dh)
+        h_seq, c_seq, gates, tanh_c = (np.stack(a) for a in cache)
+        for d in range(D):
+            ref = oracles._lstm_forward_tbf(inputs[d], *cells[d])
+            gates_d = gates[:, :, d].transpose(0, 2, 1, 3).reshape(T, B, 4 * H)  # as (T, B, 4H)
+            for got, want in zip((h_seq[:, d], c_seq[:, d], gates_d, tanh_c[:, d]), ref):
+                assert np.array_equal(got, want)
+            assert np.array_equal(last[d], ref[0][-1])
+            ref_grads = oracles._lstm_backward_tbf(
+                inputs[d], cells[d][0], cells[d][1], *ref, np.ascontiguousarray(dh[d])
+            )
+            for got, want in zip(grads, ref_grads):
+                assert np.array_equal(got[d], want)
 
-    X = np.ascontiguousarray(rng.normal(size=(3, 6, 2)))
-    w_x = rng.normal(size=(2, 16))
-    w_h = rng.normal(size=(4, 16))
-    bias = rng.normal(size=16)
-    jit_out = _lstm_forward_tbf(X, w_x, w_h, bias)
-    py_out = python_impl(_lstm_forward_tbf)(X, w_x, w_h, bias)
-    for a, b in zip(jit_out, py_out):
-        assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
 
-    dh = rng.normal(size=(6, 4))
-    jit_grads = _lstm_backward_tbf(X, w_x, w_h, *jit_out, dh)
-    py_grads = python_impl(_lstm_backward_tbf)(X, w_x, w_h, *py_out, dh)
-    for a, b in zip(jit_grads, py_grads):
-        assert a == pytest.approx(b, rel=1e-11, abs=1e-12)
+@pytest.mark.parametrize("bidirectional", [False, True])
+def test_chunked_predict_matches_one_pass_oracle(rng, bidirectional):
+    # 257 rows split into chunks: none may hold a lone row, whose BLAS vector
+    # path would change the last bits
+    H = 8
+    settings = neural.TrainSettings(bidirectional=bidirectional, hidden_size=H, seed=4)
+    model = neural.init_model(settings, n_features=3, timesteps=4)
+    windows = rng.normal(size=(257, 4, 3))
+    X_tbf = np.ascontiguousarray(windows.transpose(1, 0, 2))
+    cells = [model.forward_cell, model.backward_cell][: 2 if bidirectional else 1]
+    inputs = [X_tbf, np.ascontiguousarray(X_tbf[::-1])]
+    want = 0.0
+    for d, cell in enumerate(cells):
+        h_last = oracles._lstm_forward_tbf(inputs[d], cell.w_x, cell.w_h, cell.bias)[0][-1]
+        want = want + h_last @ model.dense.weights[d * H : (d + 1) * H]
+    want = want + model.dense.bias[0]
+    assert np.array_equal(model.predict(windows), want)
