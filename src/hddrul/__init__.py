@@ -20,7 +20,7 @@ from .dataset import (
 )
 from .evaluation import EvalReport, accuracy_rounded, evaluate, mae, r2, run_matrix
 from .features import FeatureScoreTable, correlation_scores, pearson, select_features, tree_importances
-from .forest import RandomForest, RegressionTree, fit_forest, fit_tree, forest_importances
+from .forest import RandomForest, RegressionTree, fit_forest, fit_tree
 from .neural import (
     AdamState,
     BiLstmModel,
@@ -28,13 +28,10 @@ from .neural import (
     TrainTrace,
     adam_step,
     backward,
-    bilstm_forward,
-    lstm_cell_forward,
-    lstm_forward,
     mse_loss,
     train,
 )
-from .preprocess import WindowedDataset, standardize_global, standardize_per_device, window
+from .preprocess import WindowedDataset, standardize_per_device, window
 
 __version__ = "0.1.0"
 
@@ -64,20 +61,15 @@ __all__ = [
     "RegressionTree",
     "fit_forest",
     "fit_tree",
-    "forest_importances",
     "AdamState",
     "BiLstmModel",
     "TrainSettings",
     "TrainTrace",
     "adam_step",
     "backward",
-    "bilstm_forward",
-    "lstm_cell_forward",
-    "lstm_forward",
     "mse_loss",
     "train",
     "WindowedDataset",
-    "standardize_global",
     "standardize_per_device",
     "window",
     "__version__",

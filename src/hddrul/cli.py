@@ -68,14 +68,16 @@ class RunConfig:
     def validate(self) -> None:
         if any(t < 1 or t > self.lookback_train for t in self.timesteps):
             raise ConfigError("timesteps must lie in 1..lookback_train")
-        if self.cap < 1:
-            raise ConfigError("cap must be >= 1")
+        for name in ("lookback_train", "lookback_test", "lookback_extrap", "cap",
+                     "hidden_size", "batch_size", "rf_estimators", "threads"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
+        if self.epochs < 0:
+            raise ConfigError("epochs must be >= 0")
         if self.rf_features not in ("all", "selected"):
             raise ConfigError("rf_features must be 'all' or 'selected'")
         if not 0.0 < self.ingest_train_frac < 1.0:
             raise ConfigError("ingest_train_frac must lie in (0, 1)")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -111,39 +113,34 @@ def _parse_value(name: str, ftype: str, text: str):
     return text
 
 
-_FIELD_TYPES = {
-    "out": "str", "snapshot_dir": "str", "model_filter": "str", "features": "special",
-    "timesteps": "special", "lookback_train": "int", "lookback_test": "int",
-    "lookback_extrap": "int", "cap": "int", "hidden_size": "int", "epochs": "int",
-    "batch_size": "int", "learning_rate": "float", "grad_clip": "special",
-    "clip_predictions": "bool", "seed": "int", "rf_estimators": "int",
-    "rf_features": "str", "rf_bootstrap": "bool", "synth_train_drives": "int",
-    "synth_test_drives": "int", "synth_extrap_drives": "int", "synth_features": "int",
-    "synth_jump_day": "int", "synth_noise": "float", "ingest_train_frac": "float",
-    "threads": "int",
-}
+# annotation strings; features, timesteps and grad_clip are parsed by name
+_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
 def load_config(path: str | Path) -> RunConfig:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read the config file ({exc})") from exc
     config = RunConfig()
     seen_version = False
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition(" ")
-            if key == "schema_version":
-                if value.strip() != str(SCHEMA_VERSION):
-                    raise ConfigError(f"unsupported schema_version {value.strip()!r}")
-                seen_version = True
-                continue
-            if key not in _FIELD_TYPES:
-                raise ConfigError(f"{path}:{ln}: unknown config key {key!r}")
-            try:
-                setattr(config, key, _parse_value(key, _FIELD_TYPES[key], value))
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{ln}: bad value for {key}: {exc}") from exc
+    for ln, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, value = line.partition(" ")
+        if key == "schema_version":
+            if value.strip() != str(SCHEMA_VERSION):
+                raise ConfigError(f"{path}:{ln}: unsupported schema_version {value.strip()!r}")
+            seen_version = True
+            continue
+        if key not in _FIELD_TYPES:
+            raise ConfigError(f"{path}:{ln}: unknown config key {key!r}")
+        try:
+            setattr(config, key, _parse_value(key, _FIELD_TYPES[key], value))
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{ln}: bad value for {key}: {exc}") from exc
     if not seen_version:
         raise ConfigError(f"{path}: missing schema_version")
     return config
@@ -169,23 +166,32 @@ def _selected_features(config: RunConfig) -> list[int]:
     return list(config.features) if config.features is not None else list(feat.DEFAULT_FEATURES)
 
 
-def _synth_series(config: RunConfig, name: str, n_drives: int, lookback: int, prefix: str):
-    synth = ds.SynthConfig(
-        n_drives=n_drives,
-        lookback_days=lookback,
-        n_features=config.synth_features,
-        jump_day=config.synth_jump_day,
-        noise_scale=config.synth_noise,
-        seed=derive_seed(config.seed, f"synth/{name}"),
-    )
-    return ds.generate_synthetic(synth, serial_prefix=prefix)
-
-
+# (cohort, drive-count key, lookback key, serial prefix) of each synthetic cohort
 _SYNTH_COHORTS = [
     ("train", "synth_train_drives", "lookback_train", "TRN"),
     ("test60", "synth_test_drives", "lookback_test", "T60"),
     ("test120", "synth_extrap_drives", "lookback_extrap", "T12"),
 ]
+
+
+def _synth_series(config: RunConfig, name: str, drives_key: str, lookback_key: str, prefix: str):
+    synth = ds.SynthConfig(
+        n_drives=getattr(config, drives_key),
+        lookback_days=getattr(config, lookback_key),
+        n_features=config.synth_features,
+        jump_day=config.synth_jump_day,
+        noise_scale=config.synth_noise,
+        seed=derive_seed(config.seed, f"synth/{name}"),
+    )
+    try:
+        synth.validate()
+    except ValueError as exc:
+        raise ConfigError(
+            f"synthetic {name} cohort: {exc} ({drives_key} {synth.n_drives}, "
+            f"{lookback_key} {synth.lookback_days}, synth_features {synth.n_features}, "
+            f"synth_jump_day {synth.jump_day}, synth_noise {synth.noise_scale!r})"
+        ) from exc
+    return ds.generate_synthetic(synth, serial_prefix=prefix)
 
 
 def _write_manifest(path: Path, rows: list[dict]) -> None:
@@ -230,9 +236,7 @@ def cmd_synth(config: RunConfig) -> int:
     (out / "cohorts").mkdir(parents=True, exist_ok=True)
     manifest = []
     for name, drives_key, lookback_key, prefix in _SYNTH_COHORTS:
-        series = _synth_series(
-            config, name, getattr(config, drives_key), getattr(config, lookback_key), prefix
-        )
+        series = _synth_series(config, name, drives_key, lookback_key, prefix)
         capped = [ds.cap_rul(s, config.cap) for s in series]
         ids = ds.synthetic_attribute_ids(config.synth_features)
         frames = ds.materialize_cohort(capped, ids)
@@ -356,9 +360,7 @@ def _scoring_series(config: RunConfig):
         if not series:
             raise DataError("every train-split drive was skipped; nothing to score")
         return series
-    return _synth_series(
-        config, "train", config.synth_train_drives, config.lookback_train, "TRN"
-    )
+    return _synth_series(config, *_SYNTH_COHORTS[0])
 
 
 def cmd_features(config: RunConfig) -> int:
@@ -442,7 +444,10 @@ def cmd_train(config: RunConfig) -> int:
     )
     rf.save_forest(model, out / "models" / "forest.model")
     print(f"train: forest with {model.n_estimators} trees on {len(rf_ids)} features")
-    if len(holdout_rows):
+    # a set, not np.unique, which would import numpy.ma (about 1.7 MB)
+    if len(set(y[holdout_rows].tolist())) < 2:
+        print("train: no forest holdout report: under two distinct RUL values", file=sys.stderr)
+    else:
         holdout = ev.evaluate_pairs(
             y[holdout_rows], model.predict(X[holdout_rows]),
             model_id="forest", cohort_id="holdout",
@@ -468,6 +473,9 @@ def cmd_evaluate(config: RunConfig) -> int:
         "forest": rf.load_forest(out / "models" / "forest.model"),
     }
     cohorts = {name: _read_cohort(out, name) for name in ("test60", "test120")}
+    for name, frames in cohorts.items():
+        if len({int(v) for f in frames for v in f.rul}) < 2:
+            raise DataError(f"{out / 'cohorts' / name}.csv: one RUL on every day, R2 undefined")
     clip = (0.0, float(config.cap)) if config.clip_predictions else None
     reports = ev.run_matrix(models, cohorts, clip=clip)
     for report in reports:
@@ -549,7 +557,8 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="run configuration file")
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--seed", type=int, help="root seed")
-    parser.add_argument("--timesteps", help="comma-separated lookback steps, e.g. 5,10,15,30")
+    parser.add_argument("--timesteps", type=_parse_int_list,
+                        help="comma-separated lookback steps, e.g. 5,10,15,30")
     parser.add_argument("--lookback", type=int, help="train/test window length in days")
     parser.add_argument("--cap", type=int, help="RUL cap in days")
     parser.add_argument("--model-filter", dest="model_filter", help="drive model to ingest")
@@ -585,24 +594,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     config = load_config(args.config) if args.config else RunConfig()
-    overrides = {}
-    if args.out is not None:
-        overrides["out"] = args.out
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.timesteps is not None:
-        overrides["timesteps"] = _parse_int_list(args.timesteps)
+    # a flag named after a field overrides it; --lookback sets two fields
+    overrides = {
+        f.name: getattr(args, f.name)
+        for f in fields(RunConfig)
+        if getattr(args, f.name, None) is not None
+    }
     if args.lookback is not None:
-        overrides["lookback_train"] = args.lookback
-        overrides["lookback_test"] = args.lookback
-    if args.cap is not None:
-        overrides["cap"] = args.cap
-    if args.model_filter is not None:
-        overrides["model_filter"] = args.model_filter
-    if args.threads is not None:
-        overrides["threads"] = args.threads
-    if getattr(args, "snapshot_dir", None) is not None:
-        overrides["snapshot_dir"] = args.snapshot_dir
+        overrides["lookback_train"] = overrides["lookback_test"] = args.lookback
     config = replace(config, **overrides)
     config.validate()
     return config

@@ -82,6 +82,8 @@ class SynthConfig:
             raise ValueError("n_drives, lookback_days and n_features must be >= 1")
         if not 0 <= self.jump_day < self.lookback_days:
             raise ValueError("jump_day must satisfy 0 <= jump_day < lookback_days")
+        if not self.noise_scale >= 0.0:
+            raise ValueError("noise_scale must be >= 0")
         if self.n_features > len(_SYNTH_ID_POOL):
             raise ValueError(f"at most {len(_SYNTH_ID_POOL)} synthetic features supported")
 
@@ -424,6 +426,42 @@ def write_cohort_csv(path: str | Path, frames: Sequence[DriveFrame]) -> None:
                 fh.write(",".join(cells) + "\n")
 
 
+def _feature_columns(path, names: Sequence[str]) -> list[int]:
+    feature_ids = []
+    for name in names:
+        if not name.startswith("smart_") or not name[len("smart_"):].isdigit():
+            raise DataError(f"{path}: unexpected column {name!r}")
+        feature_ids.append(int(name[len("smart_"):]))
+    return feature_ids
+
+
+def _data_rows(path, reader, width: int) -> list[list[str]]:
+    """The non-blank rows left in ``reader``; one of another width is a DataError."""
+    rows = []
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != width:
+            raise DataError(f"{path}:{reader.line_num}: {len(row)} fields, expected {width}")
+        rows.append(row)
+    return rows
+
+
+def _frame_from_rows(path, rows, feature_ids: list[int], has_rul: bool) -> DriveFrame:
+    """One drive's frame; a bad date or number is a DataError naming the file."""
+    first_feature = 3 if has_rul else 2
+    try:
+        return DriveFrame(
+            serial=rows[0][0],
+            dates=[Date.fromisoformat(r[1]) for r in rows],
+            feature_ids=list(feature_ids),
+            values=np.array([[float(c) for c in r[first_feature:]] for r in rows]),
+            rul=np.array([int(r[2]) if has_rul else 0 for r in rows], dtype=np.int64),
+        )
+    except ValueError as exc:
+        raise DataError(f"{path}: drive {rows[0][0]}: {exc}") from exc
+
+
 def read_history_csv(path: str | Path) -> DriveFrame:
     """Read one drive's history: ``serial,date[,rul],smart_<n>,...``.
 
@@ -439,29 +477,22 @@ def read_history_csv(path: str | Path) -> DriveFrame:
         if header[:2] != ["serial", "date"]:
             raise DataError(f"{path}: history must start with serial,date columns")
         has_rul = len(header) > 2 and header[2] == "rul"
-        first_feature = 3 if has_rul else 2
-        feature_ids = []
-        for name in header[first_feature:]:
-            if not name.startswith("smart_") or not name[len("smart_"):].isdigit():
-                raise DataError(f"{path}: unexpected column {name!r}")
-            feature_ids.append(int(name[len("smart_"):]))
-        rows = [row for row in reader if row]
+        feature_ids = _feature_columns(path, header[3 if has_rul else 2 :])
+        rows = _data_rows(path, reader, len(header))
     if not rows:
         raise DataError(f"{path}: history has no rows")
     serials = {row[0] for row in rows}
     if len(serials) > 1:
         raise DataError(f"{path}: history mixes drives {sorted(serials)}")
-    return DriveFrame(
-        serial=rows[0][0],
-        dates=[Date.fromisoformat(r[1]) for r in rows],
-        feature_ids=feature_ids,
-        values=np.array([[float(c) for c in r[first_feature:]] for r in rows]),
-        rul=np.array([int(r[2]) if has_rul else 0 for r in rows], dtype=np.int64),
-    )
+    return _frame_from_rows(path, rows, feature_ids, has_rul)
 
 
 def read_cohort_csv(path: str | Path) -> list[DriveFrame]:
-    """Parse a cohort CSV back into per-drive frames (inverse of write)."""
+    """Parse a cohort CSV back into per-drive frames (inverse of write).
+
+    A row of the wrong width, a bad date or a bad number raises DataError
+    naming the file.
+    """
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -469,32 +500,10 @@ def read_cohort_csv(path: str | Path) -> list[DriveFrame]:
         except StopIteration:
             return []
         if header[:3] != ["serial", "date", "rul"]:
-            raise DataError(f"not a cohort CSV: unexpected header {header[:3]}")
-        feature_ids = []
-        for name in header[3:]:
-            if not name.startswith("smart_") or not name[len("smart_"):].isdigit():
-                raise DataError(f"not a cohort CSV: unexpected column {name!r}")
-            feature_ids.append(int(name[len("smart_"):]))
-        by_serial: dict[str, list] = {}
-        order: list[str] = []
-        for row in reader:
-            if not row:
-                continue
-            serial = row[0]
-            if serial not in by_serial:
-                by_serial[serial] = []
-                order.append(serial)
-            by_serial[serial].append(row)
-    frames = []
-    for serial in order:
-        rows = by_serial[serial]
-        frames.append(
-            DriveFrame(
-                serial=serial,
-                dates=[Date.fromisoformat(r[1]) for r in rows],
-                feature_ids=list(feature_ids),
-                values=np.array([[float(c) for c in r[3:]] for r in rows]),
-                rul=np.array([int(r[2]) for r in rows], dtype=np.int64),
-            )
-        )
-    return frames
+            raise DataError(f"{path}: not a cohort CSV: unexpected header {header[:3]}")
+        feature_ids = _feature_columns(path, header[3:])
+        rows = _data_rows(path, reader, len(header))
+    by_serial: dict[str, list] = {}
+    for row in rows:
+        by_serial.setdefault(row[0], []).append(row)
+    return [_frame_from_rows(path, group, feature_ids, True) for group in by_serial.values()]

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import preprocess
 from .dataset import DriveFrame
-from .errors import ConfigError, UndefinedMetricError
+from .errors import ConfigError, DataError, UndefinedMetricError
 from .neural import BiLstmModel
 from .preprocess import WindowedDataset
 
@@ -202,26 +202,32 @@ def write_report_csv(report: EvalReport, path: str | Path) -> None:
 
 
 def read_report_csv(path: str | Path) -> EvalReport:
+    """Inverse of write_report_csv; a malformed or truncated file raises DataError naming it."""
     meta: dict[str, str] = {}
     pairs = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if line.startswith("# "):
-                key, _, rest = line[2:].partition(" ")
-                meta[key] = rest
-            elif line and line != "actual,predicted":
-                a, _, p = line.partition(",")
-                pairs.append((float(a), float(p)))
-    return EvalReport(
-        model_id=meta["model"],
-        timesteps=None if meta["timesteps"] == "NA" else int(meta["timesteps"]),
-        cohort_id=meta["cohort"],
-        accuracy=float(meta["accuracy"]),
-        r2=float(meta["r2"]),
-        mae=float(meta["mae"]),
-        pairs=np.array(pairs).reshape(-1, 2),
-    )
+        try:
+            for line in fh:
+                line = line.rstrip("\n")
+                if line.startswith("# "):
+                    key, _, rest = line[2:].partition(" ")
+                    meta[key] = rest
+                elif line and line != "actual,predicted":
+                    a, _, p = line.partition(",")
+                    pairs.append((float(a), float(p)))
+            if len(pairs) != int(meta["samples"]):
+                raise ValueError(f"{len(pairs)} rows, but the header says {meta['samples']}")
+            return EvalReport(
+                model_id=meta["model"],
+                timesteps=None if meta["timesteps"] == "NA" else int(meta["timesteps"]),
+                cohort_id=meta["cohort"],
+                accuracy=float(meta["accuracy"]),
+                r2=float(meta["r2"]),
+                mae=float(meta["mae"]),
+                pairs=np.array(pairs).reshape(-1, 2),
+            )
+        except (KeyError, ValueError) as exc:
+            raise DataError(f"{path}: malformed report file ({type(exc).__name__}: {exc})") from exc
 
 
 _ARCH_RANK = {"lstm": 0, "bilstm": 1, "forest": 2}

@@ -192,10 +192,6 @@ class RandomForest:
             acc += tree.predict(X)
         return acc / len(self.trees)
 
-    def tree_predictions(self, X: np.ndarray) -> np.ndarray:
-        X = np.ascontiguousarray(np.atleast_2d(X), dtype=np.float64)
-        return np.stack([tree.predict(X) for tree in self.trees])
-
 
 def fit_forest(
     X: np.ndarray,
@@ -228,27 +224,6 @@ def fit_forest(
         trees = [one(i) for i in range(n_estimators)]
     ids = list(feature_ids) if feature_ids is not None else list(range(X.shape[1]))
     return RandomForest(trees=trees, feature_ids=ids, seed=seed, bootstrap=bootstrap)
-
-
-def forest_importances(forest: RandomForest) -> tuple[np.ndarray, bool]:
-    """Mean of per-tree normalized impurity decreases, re-normalized to sum 1.
-
-    Returns ``(importances, degenerate)``; degenerate means no tree ever
-    split (constant target) and the vector is all zeros.
-    """
-    n_features = len(forest.feature_ids)
-    acc = np.zeros(n_features)
-    contributing = 0
-    for tree in forest.trees:
-        raw = tree.importance_raw(n_features)
-        total = raw.sum()
-        if total > 0.0:
-            acc += raw / total
-            contributing += 1
-    if contributing == 0:
-        return np.zeros(n_features), True
-    out = acc / contributing
-    return out / out.sum(), False
 
 
 # ---------------------------------------------------------------------------

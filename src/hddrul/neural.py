@@ -21,7 +21,6 @@ once, stacked on a leading axis.
 """
 from __future__ import annotations
 
-import hashlib
 import math
 import time
 from dataclasses import dataclass, field
@@ -33,10 +32,6 @@ import numpy as np
 from .errors import ConfigError, DataError, DivergenceError, NumericError
 from .preprocess import WindowedDataset
 from .seeding import rng_for
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-z))
 
 
 @dataclass
@@ -126,51 +121,10 @@ class BiLstmModel:
 class TrainTrace:
     losses: list[float] = field(default_factory=list)
     seconds: list[float] = field(default_factory=list)
-    snapshot_id: str = ""
 
 
 # ---------------------------------------------------------------------------
-# Reference forward passes (single window; mirror the batched kernels)
-
-
-def lstm_cell_forward(params: LstmCellParams, x_t, h_prev, c_prev):
-    """One cell step; returns (h_t, c_t, gate cache for backprop)."""
-    x_t = np.asarray(x_t, dtype=np.float64)
-    h_prev = np.asarray(h_prev, dtype=np.float64)
-    c_prev = np.asarray(c_prev, dtype=np.float64)
-    if not (np.all(np.isfinite(x_t)) and np.all(np.isfinite(h_prev)) and np.all(np.isfinite(c_prev))):
-        raise NumericError("non-finite input to the cell")
-    hidden = params.hidden_size
-    z = x_t @ params.w_x + h_prev @ params.w_h + params.bias
-    i = _sigmoid(z[..., :hidden])
-    f = _sigmoid(z[..., hidden : 2 * hidden])
-    g = np.tanh(z[..., 2 * hidden : 3 * hidden])
-    o = _sigmoid(z[..., 3 * hidden :])
-    c_t = f * c_prev + i * g
-    tanh_c = np.tanh(c_t)
-    h_t = o * tanh_c
-    cache = {"i": i, "f": f, "g": g, "o": o, "c_prev": c_prev, "tanh_c": tanh_c, "x": x_t, "h_prev": h_prev}
-    return h_t, c_t, cache
-
-
-def lstm_forward(params: LstmCellParams, window: np.ndarray) -> np.ndarray:
-    """Run the cell left to right from zero state; returns the last hidden state."""
-    window = np.asarray(window, dtype=np.float64)
-    if window.ndim != 2:
-        raise ValueError("window must be (timesteps, features)")
-    h = np.zeros(params.hidden_size)
-    c = np.zeros(params.hidden_size)
-    for t in range(window.shape[0]):
-        h, c, _ = lstm_cell_forward(params, window[t], h, c)
-    return h
-
-
-def bilstm_forward(model: BiLstmModel, window: np.ndarray) -> float:
-    """Prediction for one window; delegates to the batched path."""
-    window = np.asarray(window, dtype=np.float64)
-    if window.ndim != 2:
-        raise ConfigError("window must be (timesteps, features)")
-    return float(model.predict(window[None, :, :])[0])
+# Loss
 
 
 def mse_loss(predictions, targets) -> float:
@@ -247,9 +201,6 @@ def parameter_arrays(model: BiLstmModel) -> tuple[list[str], list[np.ndarray]]:
 class Gradients:
     names: list[str]
     arrays: list[np.ndarray]
-
-    def by_name(self, name: str) -> np.ndarray:
-        return self.arrays[self.names.index(name)]
 
     def global_norm(self) -> float:
         return math.sqrt(sum(float((a * a).sum()) for a in self.arrays))
@@ -425,21 +376,16 @@ def train(settings: TrainSettings, dataset: WindowedDataset) -> tuple[BiLstmMode
             try:
                 grads, preds = _loss_and_gradients(model, X[sel], y[sel])
             except NumericError as exc:
-                trace.snapshot_id = model_fingerprint(model)
                 raise DivergenceError(f"epoch {epoch}: {exc}", trace=trace) from exc
-            batch_loss = float(np.mean((preds - y[sel]) ** 2))
+            batch_loss = mse_loss(preds, y[sel])
             if not math.isfinite(batch_loss):
-                trace.snapshot_id = model_fingerprint(model)
-                raise DivergenceError(
-                    f"non-finite loss in epoch {epoch}", trace=trace
-                )
+                raise DivergenceError(f"non-finite loss in epoch {epoch}", trace=trace)
             sse += batch_loss * len(sel)
             if settings.grad_clip:
                 grads.clip_global_norm(settings.grad_clip)
             adam_step(state, params, grads.arrays)
         trace.losses.append(sse / n)
         trace.seconds.append(time.perf_counter() - started)
-    trace.snapshot_id = model_fingerprint(model)
     return model, trace
 
 
@@ -472,10 +418,6 @@ def serialize_model(model: BiLstmModel) -> str:
             lines.append(" ".join("%.17g" % v for v in row))
     lines.append("end")
     return "\n".join(lines) + "\n"
-
-
-def model_fingerprint(model: BiLstmModel) -> str:
-    return hashlib.sha256(serialize_model(model).encode("utf-8")).hexdigest()
 
 
 def save_model(model: BiLstmModel, path: str | Path) -> None:

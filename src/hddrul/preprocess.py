@@ -1,10 +1,9 @@
-"""Standardization schemes and sliding-window dataset construction.
+"""Per-device standardization and sliding-window dataset construction.
 
-Two scalings: the per-device scheme z-scores each (drive, feature) with that
-drive's own statistics, so no scaler is ever shared between drives (train or
-test); the traditional global scheme pools the whole cohort into one reusable
-scaler. Standard deviations are population (ddof=0) so the transformed
-variance is exactly 1; a constant feature maps to all zeros.
+Each (drive, feature) is z-scored with that drive's own statistics, so no
+scaler is ever shared between drives (train or test). Standard deviations are
+population (ddof=0) so the transformed variance is exactly 1; a constant
+feature maps to all zeros.
 
 Windowing turns standardized frames into a ``samples x timesteps x features``
 block with one window per drive-day, newest day last. Days with too little
@@ -13,26 +12,14 @@ per-drive sample count equal to the series length and fabricates no trend.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from datetime import date as Date
-from pathlib import Path
 from typing import Sequence
-import warnings
 
 import numpy as np
 
 from .dataset import DriveFrame
 from .errors import DataError
-
-
-def _zscore_columns(values: np.ndarray) -> np.ndarray:
-    mean = values.mean(axis=0)
-    std = np.sqrt(((values - mean) ** 2).mean(axis=0))
-    out = np.zeros_like(values)
-    nz = std > 0.0
-    out[:, nz] = (values[:, nz] - mean[nz]) / std[nz]
-    return out
 
 
 def standardize_per_device(
@@ -47,77 +34,19 @@ def standardize_per_device(
         frame = frame.select(feature_ids)
     if len(frame.dates) == 0:
         raise ValueError("cannot standardize an empty series")
+    values = frame.values
+    mean = values.mean(axis=0)
+    std = np.sqrt(((values - mean) ** 2).mean(axis=0))
+    out = np.zeros_like(values)
+    nz = std > 0.0
+    out[:, nz] = (values[:, nz] - mean[nz]) / std[nz]
     return DriveFrame(
         serial=frame.serial,
         dates=list(frame.dates),
         feature_ids=list(frame.feature_ids),
-        values=_zscore_columns(frame.values),
+        values=out,
         rul=frame.rul.copy(),
     )
-
-
-@dataclass
-class GlobalScaler:
-    """Pooled per-feature mean/std, reusable on new data."""
-
-    feature_ids: list[int]
-    mean: np.ndarray
-    std: np.ndarray
-
-    def transform(self, frame: DriveFrame) -> DriveFrame:
-        if frame.feature_ids != self.feature_ids:
-            raise DataError("frame columns do not match the scaler's features")
-        out = np.zeros_like(frame.values)
-        nz = self.std > 0.0
-        out[:, nz] = (frame.values[:, nz] - self.mean[nz]) / self.std[nz]
-        return DriveFrame(
-            serial=frame.serial,
-            dates=list(frame.dates),
-            feature_ids=list(frame.feature_ids),
-            values=out,
-            rul=frame.rul.copy(),
-        )
-
-    def save(self, path: str | Path) -> None:
-        with open(path, "w", newline="\n", encoding="utf-8") as fh:
-            fh.write("hddrul-scaler 1\n")
-            fh.write("feature_ids " + " ".join(str(f) for f in self.feature_ids) + "\n")
-            fh.write("mean " + " ".join("%.17g" % v for v in self.mean) + "\n")
-            fh.write("std " + " ".join("%.17g" % v for v in self.std) + "\n")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "GlobalScaler":
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-        if not lines or lines[0] != "hddrul-scaler 1":
-            raise DataError(f"{path}: not a scaler file")
-        fields = {}
-        for line in lines[1:]:
-            key, _, rest = line.partition(" ")
-            fields[key] = rest
-        return cls(
-            feature_ids=[int(t) for t in fields["feature_ids"].split()],
-            mean=np.array([float(t) for t in fields["mean"].split()]),
-            std=np.array([float(t) for t in fields["std"].split()]),
-        )
-
-
-def standardize_global(
-    cohort: Sequence[DriveFrame], feature_ids: Sequence[int] | None = None
-) -> tuple[list[DriveFrame], GlobalScaler]:
-    """One mean/std per feature over the pooled cohort; returns the scaler too."""
-    if not cohort:
-        raise ValueError("cannot standardize an empty cohort")
-    if feature_ids is not None:
-        cohort = [f.select(feature_ids) for f in cohort]
-    pooled = np.concatenate([f.values for f in cohort], axis=0)
-    mean = pooled.mean(axis=0)
-    std = np.sqrt(((pooled - mean) ** 2).mean(axis=0))
-    if np.any(std == 0.0):
-        flat = [cohort[0].feature_ids[j] for j in np.flatnonzero(std == 0.0)]
-        warnings.warn(f"constant pooled features {flat} standardize to zeros")
-    scaler = GlobalScaler(feature_ids=list(cohort[0].feature_ids), mean=mean, std=std)
-    return [scaler.transform(f) for f in cohort], scaler
 
 
 @dataclass
@@ -174,40 +103,4 @@ def window(cohort: Sequence[DriveFrame], timesteps: int) -> WindowedDataset:
         targets=np.concatenate([frame.rul for frame in frames]).astype(np.float64),
         provenance=provenance,
         feature_ids=list(feature_ids),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Textual serialization (manifest line + one CSV row per sample)
-
-
-def save_windows(dataset: WindowedDataset, path: str | Path) -> None:
-    n, t, f = dataset.windows.shape
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write(f"hddrul-windows 1 {n} {t} {f}\n")
-        fh.write("feature_ids " + " ".join(str(fid) for fid in dataset.feature_ids) + "\n")
-        for i in range(n):
-            serial, day = dataset.provenance[i]
-            cells = [serial, day.isoformat(), "%.17g" % dataset.targets[i]]
-            cells += ["%.17g" % v for v in dataset.windows[i].ravel()]
-            fh.write(",".join(cells) + "\n")
-
-
-def load_windows(path: str | Path) -> WindowedDataset:
-    with open(path, "r", encoding="utf-8") as fh:
-        head = fh.readline().split()
-        if head[:2] != ["hddrul-windows", "1"]:
-            raise DataError(f"{path}: not a windows file")
-        n, t, f = int(head[2]), int(head[3]), int(head[4])
-        id_line = fh.readline().split()
-        feature_ids = [int(tok) for tok in id_line[1:]]
-        windows = np.empty((n, t, f))
-        targets = np.empty(n)
-        provenance = []
-        for i, row in enumerate(csv.reader(fh)):
-            provenance.append((row[0], Date.fromisoformat(row[1])))
-            targets[i] = float(row[2])
-            windows[i] = np.array([float(c) for c in row[3:]]).reshape(t, f)
-    return WindowedDataset(
-        windows=windows, targets=targets, provenance=provenance, feature_ids=feature_ids
     )

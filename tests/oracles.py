@@ -3,7 +3,8 @@
 Most of it is deliberately written with different algorithms than the
 package: exhaustive enumeration instead of incremental scans, arbitrary
 precision instead of float accumulation, sorted compensated summation instead
-of vectorized means. The scalar kernels at the bottom are the loop versions
+of vectorized means. The single-window LSTM reference runs one cell step at
+a time over one window. The scalar kernels at the bottom are the loop versions
 that the vectorized library kernels replaced; the library must match them bit
 for bit.
 """
@@ -100,6 +101,39 @@ def brute_force_predictions(X, y, queries) -> np.ndarray:
     tree = brute_force_tree(X, y)
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     return np.array([tree.predict(row) for row in queries])
+
+
+# ---------------------------------------------------------------------------
+# Single-window LSTM reference: one cell step at a time from the zero state,
+# with the gate order (i, f, g, o) of the library's stacked weights
+
+
+def _sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+def lstm_cell_forward(params, x_t, h_prev, c_prev):
+    """One cell step; returns (h_t, c_t, gate cache)."""
+    hidden = params.hidden_size
+    z = x_t @ params.w_x + h_prev @ params.w_h + params.bias
+    i = _sigmoid(z[..., :hidden])
+    f = _sigmoid(z[..., hidden : 2 * hidden])
+    g = np.tanh(z[..., 2 * hidden : 3 * hidden])
+    o = _sigmoid(z[..., 3 * hidden :])
+    c_t = f * c_prev + i * g
+    tanh_c = np.tanh(c_t)
+    h_t = o * tanh_c
+    cache = {"i": i, "f": f, "g": g, "o": o, "c_prev": c_prev, "tanh_c": tanh_c, "x": x_t, "h_prev": h_prev}
+    return h_t, c_t, cache
+
+
+def lstm_forward(params, window) -> np.ndarray:
+    """Run the cell over a (timesteps, features) window; returns the last hidden state."""
+    h = np.zeros(params.hidden_size)
+    c = np.zeros(params.hidden_size)
+    for x_t in np.asarray(window, dtype=np.float64):
+        h, c, _ = lstm_cell_forward(params, x_t, h, c)
+    return h
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
+import shutil
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hddrul import dataset as ds
 from hddrul import evaluation as ev
@@ -28,10 +32,26 @@ synth_jump_day 4
 """
 
 
-def _config_file(tmp_path, out_dir, extra=""):
-    path = tmp_path / "run.cfg"
+def _config_file(tmp_path, out_dir, extra="", name="run.cfg"):
+    path = tmp_path / name
     path.write_text(TINY + f"out {out_dir}\n" + extra)
     return str(path)
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    """A directory holding run.cfg and the out/ of synth, train and evaluate on it."""
+    root = tmp_path_factory.mktemp("tiny_run")
+    cfg = _config_file(root, root / "out")
+    for command in ("synth", "train", "evaluate"):
+        assert main([command, "--config", cfg]) == 0
+    return root
+
+
+def _copy_run(tiny_run, dest):
+    """A copy of the tiny run and the arguments that point a command at it."""
+    shutil.copytree(tiny_run, dest)
+    return ["--config", str(dest / "run.cfg"), "--out", str(dest / "out")]
 
 
 def test_load_config_and_roundtrip(tmp_path):
@@ -200,7 +220,7 @@ def test_predict_matches_library_forward(tmp_path):
     model = neural.load_model(out / "models" / "bilstm_t3.model")
     standardized = pp.standardize_per_device(frames[0].select(model.feature_ids))
     windows = pp.window([standardized], model.timesteps)
-    expected = [neural.bilstm_forward(model, w) for w in windows.windows]
+    expected = [model.predict(w[None])[0] for w in windows.windows]
     lines = pred_file.read_text().splitlines()
     assert lines[0] == "date,predicted_rul"
     got = [float(line.split(",")[1]) for line in lines[1:]]
@@ -340,6 +360,17 @@ def test_header_only_cohort_is_data_error(tmp_path, capsys, command, cohort):
     assert str(path) in capsys.readouterr().err
 
 
+def test_train_skips_holdout_report_without_r2(tiny_run, tmp_path):
+    # three drive-days: the forest fits two and holds out one, whose R2 is undefined
+    args = _copy_run(tiny_run, tmp_path / "run")
+    out = tmp_path / "run" / "out"
+    shutil.rmtree(out / "traces")
+    path = out / "cohorts" / "train.csv"
+    path.write_text("\n".join(path.read_text().splitlines()[:4]) + "\n")
+    assert main(["train", *args]) == 0
+    assert not (out / "traces" / "forest_holdout.csv").exists()
+
+
 def test_features_skips_inconsistent_drive_like_ingest(tmp_path, capsys):
     config = ds.SynthConfig(n_drives=6, lookback_days=25, jump_day=4, seed=5)
     snapshot_dir = _write_snapshots(tmp_path, ds.generate_synthetic(config))
@@ -362,3 +393,74 @@ def test_features_skips_inconsistent_drive_like_ingest(tmp_path, capsys):
     assert main(["ingest", "--config", cfg, "--snapshot-dir", str(snapshot_dir)]) == 0
     assert f"ingest: skipping drive {serial}: " in capsys.readouterr().err
     assert serial not in {f.serial for f in ds.read_cohort_csv(out / "cohorts" / "train.csv")}
+
+
+@pytest.mark.parametrize("command,extra,named", [
+    ("train", "batch_size 0\n", "batch_size"),
+    ("train", "hidden_size 0\n", "hidden_size"),
+    ("train", "rf_estimators 0\n", "rf_estimators"),
+    ("train", "epochs -1\n", "epochs"),
+    ("synth", "lookback_test 0\n", "lookback_test"),
+    ("synth", "lookback_train 10\nsynth_jump_day 15\n", "synth_jump_day"),
+    ("synth", "synth_features 40\n", "synth_features"),
+    ("synth", "synth_noise -1\n", "synth_noise"),
+    ("synth", None, "missing.cfg"),
+], ids=["batch_size", "hidden_size", "rf_estimators", "epochs", "lookback_test", "jump_day",
+        "synth_features", "synth_noise", "missing_file"])
+def test_bad_config_exits_one(tmp_path, capsys, command, extra, named):
+    out = tmp_path / "out"
+    assert main(["synth", "--config", _config_file(tmp_path, out)]) == 0
+    if extra is None:
+        cfg = str(tmp_path / "missing.cfg")
+    else:
+        cfg = _config_file(tmp_path, out, extra=extra, name="bad.cfg")
+    capsys.readouterr()
+    assert main([command, "--config", cfg]) == 1
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row", [
+    "T60-0000,2020-01-01",  # short
+    "T60-0000,2020-01-01,3,1.0,2.0,3.0,4.0,5.0,6.0",  # one field too many
+    "T60-0000,2020-13-01,3,1.0,2.0,3.0,4.0,5.0",  # no such date
+    "T60-0000,2020-01-01,3,1.0,2.0,x,4.0,5.0",  # not a number
+], ids=["short", "long", "bad_date", "bad_number"])
+def test_malformed_cohort_is_data_error(tiny_run, tmp_path, capsys, row):
+    args = _copy_run(tiny_run, tmp_path / "run")
+    path = tmp_path / "run" / "out" / "cohorts" / "test60.csv"
+    with open(path, "a") as fh:
+        fh.write(row + "\n")
+    capsys.readouterr()
+    assert main(["evaluate", *args]) == 2
+    assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda text: text.replace("# model lstm_t3\n", ""),
+    lambda text: text + "3,four\n",
+    lambda text: text.rsplit("\n", 2)[0] + "\n",  # last row cut off
+], ids=["no_model_line", "bad_number", "missing_row"])
+def test_malformed_report_is_data_error(tiny_run, tmp_path, capsys, edit):
+    args = _copy_run(tiny_run, tmp_path / "run")
+    path = tmp_path / "run" / "out" / "reports" / "lstm_t3_test60.csv"
+    path.write_text(edit(path.read_text()))
+    capsys.readouterr()
+    assert main(["report", *args]) == 2
+    assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,command", [
+    ("run.cfg", "evaluate"),
+    ("out/cohorts/test60.csv", "evaluate"),
+    ("out/reports/lstm_t3_test60.csv", "report"),
+    ("out/models/lstm_t3.model", "evaluate"),
+    ("out/models/forest.model", "evaluate"),
+])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_truncated_input_ends_in_exit_code(tiny_run, tmp_path_factory, name, command, data):
+    dest = tmp_path_factory.mktemp("truncated") / "run"
+    args = _copy_run(tiny_run, dest)
+    raw = (dest / name).read_bytes()
+    (dest / name).write_bytes(raw[: data.draw(st.integers(0, len(raw)), label="size")])
+    assert main([command, *args]) in (0, 1, 2, 3)

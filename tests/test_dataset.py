@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hddrul import dataset as ds
-from hddrul.errors import InconsistentCorpusError, SnapshotParseError
+from hddrul.errors import DataError, InconsistentCorpusError, SnapshotParseError
 
 HEADER = [
     "date", "serial_number", "model", "capacity_bytes", "failure",
@@ -236,6 +236,15 @@ def test_history_csv_rejects_mixed_drives(tmp_path):
     path = tmp_path / "history.csv"
     path.write_text("serial,date,smart_7\nA,2020-01-01,1\nB,2020-01-02,2\n")
     with pytest.raises(Exception):
+        ds.read_history_csv(path)
+
+
+@pytest.mark.parametrize("row", ["A,2020-01-02", "A,2020-01-02,1,2", "A,2020-02-30,1", "A,2020-01-02,x"],
+                         ids=["short", "long", "bad_date", "bad_number"])
+def test_history_csv_malformed_row_is_data_error(tmp_path, row):
+    path = tmp_path / "history.csv"
+    path.write_text(f"serial,date,smart_7\nA,2020-01-01,1\n{row}\n")
+    with pytest.raises(DataError, match="history.csv"):
         ds.read_history_csv(path)
 
 

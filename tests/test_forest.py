@@ -49,7 +49,7 @@ def test_forest_is_mean_of_trees(rng):
     y = X[:, 0] + rng.normal(size=30) * 0.1
     model = forest.fit_forest(X, y, n_estimators=7, seed=5)
     queries = rng.normal(size=(10, 2))
-    per_tree = model.tree_predictions(queries)
+    per_tree = np.stack([t.predict(queries) for t in model.trees])
     assert model.predict(queries) == pytest.approx(per_tree.mean(axis=0), rel=1e-12)
 
 
@@ -92,33 +92,6 @@ def test_forest_predictions_within_target_range(rng):
     preds = model.predict(queries)
     assert preds.min() >= y.min() - 1e-12
     assert preds.max() <= y.max() + 1e-12
-
-
-def test_importances_sum_and_unused_zero(rng):
-    X = np.column_stack([rng.normal(size=50), np.ones(50)])
-    y = X[:, 0] * 3.0
-    model = forest.fit_forest(X, y, n_estimators=10, seed=3, feature_ids=[7, 9])
-    imp, degenerate = forest.forest_importances(model)
-    assert not degenerate
-    assert imp.sum() == pytest.approx(1.0, abs=1e-9)
-    assert imp[1] == 0.0  # constant feature never used in a split
-
-
-def test_importances_single_tree_equals_tree(rng):
-    X = rng.normal(size=(30, 3))
-    y = X[:, 1] + 0.2 * X[:, 2] + rng.normal(size=30) * 0.05
-    model = forest.fit_forest(X, y, n_estimators=1, seed=6, bootstrap=False)
-    imp, _ = forest.forest_importances(model)
-    raw = model.trees[0].importance_raw(3)
-    assert imp == pytest.approx(raw / raw.sum(), rel=1e-12)
-
-
-def test_importances_degenerate_forest():
-    X = np.arange(10.0).reshape(5, 2)
-    model = forest.fit_forest(X, np.full(5, 2.0), n_estimators=3, seed=1)
-    imp, degenerate = forest.forest_importances(model)
-    assert degenerate
-    assert np.array_equal(imp, np.zeros(2))
 
 
 def test_forest_serialization_roundtrip(rng, tmp_path):

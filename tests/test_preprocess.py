@@ -1,4 +1,3 @@
-import warnings
 from datetime import date, timedelta
 
 import numpy as np
@@ -56,49 +55,6 @@ def test_zscore_untouched_by_other_drives(small_frames):
     with_others = [pp.standardize_per_device(f) for f in small_frames]
     assert np.array_equal(alone.values, with_others[0].values)
     assert np.array_equal(alone.rul, small_frames[0].rul)
-
-
-def test_global_scaler_moments_and_reapply(small_frames, tmp_path):
-    standardized, scaler = pp.standardize_global(small_frames)
-    pooled = np.concatenate([f.values for f in standardized])
-    assert np.abs(pooled.mean(axis=0)).max() < 1e-9
-    assert np.abs(pooled.var(axis=0) - 1.0).max() < 1e-6
-
-    again = [scaler.transform(f) for f in small_frames]
-    for a, b in zip(standardized, again):
-        assert np.array_equal(a.values, b.values)
-
-    path = tmp_path / "scaler.txt"
-    scaler.save(path)
-    loaded = pp.GlobalScaler.load(path)
-    third = [loaded.transform(f) for f in small_frames]
-    for a, b in zip(standardized, third):
-        assert np.array_equal(a.values, b.values)
-
-
-def test_global_keeps_spikes_per_device_tames_them():
-    quiet = _frame("A", [[v] for v in [10.0, 10.1, 9.9, 10.05, 9.95, 10.0]])
-    spiky_vals = [10.0, 10.1, 9.9, 500.0, 480.0, 10.05]
-    spiky = _frame("B", [[v] for v in spiky_vals])
-    globalized, _ = pp.standardize_global([quiet, spiky])
-    per_device = pp.standardize_per_device(spiky)
-    assert np.abs(globalized[1].values).max() > 2.0
-    assert np.abs(per_device.values).max() < 2.0
-
-
-def test_global_constant_feature_warns():
-    frames = [_frame("A", [[1.0], [1.0]]), _frame("B", [[1.0], [1.0]])]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        standardized, _ = pp.standardize_global(frames)
-    assert any("constant" in str(w.message) for w in caught)
-    assert all(np.array_equal(f.values, np.zeros_like(f.values)) for f in standardized)
-
-
-def test_global_preserves_order(rng):
-    values = rng.normal(size=(50, 1)) * 7 + 3
-    frames, _ = pp.standardize_global([_frame("A", values)])
-    assert np.array_equal(np.argsort(values[:, 0]), np.argsort(frames[0].values[:, 0]))
 
 
 def test_window_timesteps_one_is_identity(small_frames):
@@ -162,14 +118,3 @@ def test_window_targets_within_cap(small_frames):
     assert wd.targets.min() >= 0.0
     assert wd.targets.max() <= 12.0  # fixture cohort capped at 12
 
-
-def test_windows_serialization_roundtrip(small_frames, tmp_path):
-    std = [pp.standardize_per_device(f) for f in small_frames]
-    wd = pp.window(std, 6)
-    path = tmp_path / "windows.txt"
-    pp.save_windows(wd, path)
-    back = pp.load_windows(path)
-    assert np.array_equal(back.windows, wd.windows)
-    assert np.array_equal(back.targets, wd.targets)
-    assert back.provenance == wd.provenance
-    assert back.feature_ids == wd.feature_ids
