@@ -18,7 +18,7 @@ from .dataset import (
     parse_snapshot_row,
     scan_failures,
 )
-from .evaluation import EvalReport, accuracy_rounded, evaluate, mae, r2, run_matrix
+from .evaluation import EvalReport, accuracy_rounded, mae, predict_frames, r2, run_matrix
 from .features import FeatureScoreTable, correlation_scores, pearson, select_features, tree_importances
 from .forest import RandomForest, RegressionTree, fit_forest, fit_tree
 from .neural import (
@@ -48,8 +48,8 @@ __all__ = [
     "scan_failures",
     "EvalReport",
     "accuracy_rounded",
-    "evaluate",
     "mae",
+    "predict_frames",
     "r2",
     "run_matrix",
     "FeatureScoreTable",

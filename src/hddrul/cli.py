@@ -66,6 +66,8 @@ class RunConfig:
     threads: int = 1
 
     def validate(self) -> None:
+        if not self.timesteps:
+            raise ConfigError("timesteps must list at least one window length")
         if any(t < 1 or t > self.lookback_train for t in self.timesteps):
             raise ConfigError("timesteps must lie in 1..lookback_train")
         for name in ("lookback_train", "lookback_test", "lookback_extrap", "cap",
@@ -392,6 +394,44 @@ def _model_path(out: Path, arch: str, timesteps: int) -> Path:
     return out / "models" / f"{arch}_t{timesteps}.model"
 
 
+def _model_paths(config: RunConfig, out: Path) -> dict[str, Path]:
+    """The file of every model ``train`` writes, keyed by its report id."""
+    paths = {
+        f"{arch}_t{t}": _model_path(out, arch, t)
+        for arch in ("lstm", "bilstm")
+        for t in sorted(config.timesteps)
+    }
+    paths["forest"] = out / "models" / "forest.model"
+    return paths
+
+
+def _load_model(path: Path):
+    """A sequence model or a forest, by the format line the file starts with."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            first = fh.readline().strip()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
+    if first.startswith("hddrul-model"):
+        return neural.load_model(path)
+    if first.startswith("hddrul-forest"):
+        return rf.load_forest(path)
+    raise DataError(f"{path}: unrecognized model format {first!r}")
+
+
+def _prediction_clip(config: RunConfig) -> tuple[float, float] | None:
+    return (0.0, float(config.cap)) if config.clip_predictions else None
+
+
+def _write_summaries(reports: list[ev.EvalReport], reports_dir: Path) -> None:
+    """summary_<cohort>.csv and a printed table per cohort, in order of first appearance."""
+    for name in dict.fromkeys(r.cohort_id for r in reports):
+        subset = [r for r in reports if r.cohort_id == name]
+        ev.write_summary_csv(subset, reports_dir / f"summary_{name}.csv")
+        print(f"\n== {name} ==")
+        print(ev.format_summary(subset))
+
+
 def cmd_train(config: RunConfig) -> int:
     out = Path(config.out)
     (out / "models").mkdir(parents=True, exist_ok=True)
@@ -461,30 +501,20 @@ def cmd_train(config: RunConfig) -> int:
 def cmd_evaluate(config: RunConfig) -> int:
     out = Path(config.out)
     (out / "reports").mkdir(parents=True, exist_ok=True)
-    expected = [_model_path(out, arch, t) for arch in ("lstm", "bilstm") for t in config.timesteps]
-    expected.append(out / "models" / "forest.model")
-    missing = [str(p) for p in expected if not p.exists()]
+    paths = _model_paths(config, out)
+    missing = [str(p) for p in paths.values() if not p.exists()]
     if missing:
         raise ConfigError("missing model files: " + ", ".join(missing))
 
-    models = {
-        "lstm": {t: neural.load_model(_model_path(out, "lstm", t)) for t in config.timesteps},
-        "bilstm": {t: neural.load_model(_model_path(out, "bilstm", t)) for t in config.timesteps},
-        "forest": rf.load_forest(out / "models" / "forest.model"),
-    }
+    models = {model_id: _load_model(path) for model_id, path in paths.items()}
     cohorts = {name: _read_cohort(out, name) for name in ("test60", "test120")}
     for name, frames in cohorts.items():
         if len({int(v) for f in frames for v in f.rul}) < 2:
             raise DataError(f"{out / 'cohorts' / name}.csv: one RUL on every day, R2 undefined")
-    clip = (0.0, float(config.cap)) if config.clip_predictions else None
-    reports = ev.run_matrix(models, cohorts, clip=clip)
+    reports = ev.run_matrix(models, cohorts, clip=_prediction_clip(config))
     for report in reports:
         ev.write_report_csv(report, out / "reports" / f"{report.model_id}_{report.cohort_id}.csv")
-    for name in cohorts:
-        subset = [r for r in reports if r.cohort_id == name]
-        ev.write_summary_csv(subset, out / "reports" / f"summary_{name}.csv")
-        print(f"\n== {name} ==")
-        print(ev.format_summary(subset))
+    _write_summaries(reports, out / "reports")
     _write_run_config(config, out)
     return 0
 
@@ -494,33 +524,13 @@ def cmd_predict(config: RunConfig, model_path: str, history_path: str, out_path:
         raise ConfigError(f"model file {model_path} not found")
     if not Path(history_path).exists():
         raise ConfigError(f"history file {history_path} not found")
-    with open(model_path, "r", encoding="utf-8") as fh:
-        first = fh.readline().strip()
+    model = _load_model(Path(model_path))
     frame = ds.read_history_csv(history_path)
-    if first.startswith("hddrul-model"):
-        model = neural.load_model(model_path)
-        try:
-            selected = frame.select(model.feature_ids)
-        except KeyError as exc:
-            raise ConfigError(str(exc)) from exc
-        standardized = pp.standardize_per_device(selected)
-        windows = pp.window([standardized], model.timesteps)
-        clip = (0.0, float(config.cap)) if config.clip_predictions else None
-        preds = model.predict(windows.windows, clip=clip)
-        days = [day for _, day in windows.provenance]
-    elif first.startswith("hddrul-forest"):
-        model = rf.load_forest(model_path)
-        try:
-            selected = frame.select(model.feature_ids)
-        except KeyError as exc:
-            raise ConfigError(str(exc)) from exc
-        preds = model.predict(selected.values)
-        days = list(selected.dates)
-    else:
-        raise DataError(f"{model_path}: unrecognized model format {first!r}")
+    # both model kinds give one estimate per day of the history
+    _, preds = ev.predict_frames(model, [frame], _prediction_clip(config))
 
     lines = ["date,predicted_rul"]
-    lines += ["%s,%.17g" % (day.isoformat(), p) for day, p in zip(days, preds)]
+    lines += ["%s,%.17g" % (day.isoformat(), p) for day, p in zip(frame.dates, preds)]
     text = "\n".join(lines) + "\n"
     if out_path:
         Path(out_path).write_text(text, encoding="utf-8", newline="\n")
@@ -541,11 +551,7 @@ def cmd_report(config: RunConfig) -> int:
         reports.append(ev.read_report_csv(path))
     if not reports:
         raise ConfigError(f"no report files under {reports_dir}")
-    for name in sorted({r.cohort_id for r in reports}):
-        subset = [r for r in reports if r.cohort_id == name]
-        ev.write_summary_csv(subset, reports_dir / f"summary_{name}.csv")
-        print(f"\n== {name} ==")
-        print(ev.format_summary(subset))
+    _write_summaries(reports, reports_dir)
     return 0
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date as Date
 from datetime import timedelta
@@ -138,6 +139,16 @@ def _header_layout(header: tuple[str, ...]):
     return names["date"], names["serial_number"], names["model"], names["failure"], tuple(smart_cols)
 
 
+@contextmanager
+def _csv_reader(path: str | Path):
+    """A csv.reader over ``path``; bytes that are not UTF-8 raise DataError naming it."""
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        try:
+            yield csv.reader(fh)
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
+
+
 def _parse_float(cell: str) -> float | None:
     cell = cell.strip()
     if not cell:
@@ -183,8 +194,7 @@ def parse_snapshot_row(header: Sequence[str], row: Sequence[str], row_index: int
 def read_snapshot_csv(path: str | Path) -> list[DriveRecord]:
     """Read one daily-snapshot CSV file into drive-day records."""
     records = []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    with _csv_reader(path) as reader:
         try:
             header = next(reader)
         except StopIteration:
@@ -468,8 +478,7 @@ def read_history_csv(path: str | Path) -> DriveFrame:
     The ``rul`` column is optional (zeros when absent) so the reader accepts
     deployment-time histories of drives that have not failed.
     """
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    with _csv_reader(path) as reader:
         try:
             header = next(reader)
         except StopIteration:
@@ -493,8 +502,7 @@ def read_cohort_csv(path: str | Path) -> list[DriveFrame]:
     A row of the wrong width, a bad date or a bad number raises DataError
     naming the file.
     """
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    with _csv_reader(path) as reader:
         try:
             header = next(reader)
         except StopIteration:

@@ -1,4 +1,4 @@
-"""Metrics, per-cohort evaluation reports, and the model-comparison matrix.
+"""Metrics, the prediction path of every model kind, reports, and the model matrix.
 
 Three metrics per (model, cohort) pair: rounded accuracy (fraction of
 predictions that land on the true day after half-away-from-zero rounding),
@@ -9,18 +9,17 @@ recomputed from the file and the dump can be plotted directly.
 from __future__ import annotations
 
 import csv
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import preprocess
 from .dataset import DriveFrame
 from .errors import ConfigError, DataError, UndefinedMetricError
+from .forest import RandomForest
 from .neural import BiLstmModel
-from .preprocess import WindowedDataset
 
 
 def round_half_away_from_zero(x) -> np.ndarray:
@@ -91,38 +90,8 @@ def evaluate_pairs(
     )
 
 
-def evaluate(
-    predictor: Callable[[np.ndarray], np.ndarray],
-    dataset: WindowedDataset,
-    *,
-    model_id: str,
-    cohort_id: str,
-    timesteps: int | None = None,
-) -> EvalReport:
-    """Run a predictor over a windowed cohort and assemble its report."""
-    predictions = np.asarray(predictor(dataset.windows), dtype=np.float64)
-    if predictions.shape != dataset.targets.shape:
-        raise ConfigError("predictor output does not align with the cohort")
-    return evaluate_pairs(
-        dataset.targets,
-        predictions,
-        model_id=model_id,
-        cohort_id=cohort_id,
-        timesteps=timesteps if timesteps is not None else dataset.timesteps,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Model x cohort matrix
-
-
-def sequence_model_inputs(
-    frames: Sequence[DriveFrame], model: BiLstmModel
-) -> WindowedDataset:
-    """Standardize per device and window a raw cohort for a sequence model."""
-    selected = [f.select(model.feature_ids) for f in frames]
-    standardized = [preprocess.standardize_per_device(f) for f in selected]
-    return preprocess.window(standardized, model.timesteps)
 
 
 def per_day_rows(
@@ -136,50 +105,50 @@ def per_day_rows(
     return X, y
 
 
+def predict_frames(
+    model: BiLstmModel | RandomForest,
+    frames: Sequence[DriveFrame],
+    clip: tuple[float, float] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Targets and estimates for every drive-day of ``frames``, by serial then date.
+
+    A sequence model reads each day's window of per-device standardized
+    attributes; the forest reads each day's raw attribute row. ``clip=(lo, hi)``
+    clamps the estimates. A frame that lacks one of the model's attributes
+    raises ConfigError.
+    """
+    try:
+        selected = [f.select(model.feature_ids) for f in frames]
+    except KeyError as exc:
+        raise ConfigError(exc.args[0]) from exc
+    if isinstance(model, BiLstmModel):
+        standardized = [preprocess.standardize_per_device(f) for f in selected]
+        dataset = preprocess.window(standardized, model.timesteps)
+        targets, predictions = dataset.targets, model.predict(dataset.windows)
+    else:
+        X, targets = per_day_rows(selected, model.feature_ids)
+        predictions = model.predict(X)
+    if clip is not None:
+        predictions = np.clip(predictions, clip[0], clip[1])
+    return targets, predictions
+
+
 def run_matrix(
-    models: dict,
+    models: dict[str, BiLstmModel | RandomForest],
     cohorts: dict[str, Sequence[DriveFrame]],
     clip: tuple[float, float] | None = None,
 ) -> list[EvalReport]:
-    """Evaluate every available model on every cohort.
-
-    ``models`` maps ``"lstm"`` / ``"bilstm"`` to ``{timesteps: BiLstmModel}``
-    and ``"forest"`` to a fitted forest (or None). Sequence models consume
-    per-device standardized windows; the forest consumes raw per-day rows.
-    Missing models are skipped with a warning. ``clip`` optionally clamps
-    every model's predictions to a range before scoring.
-    """
-
-    def clamp(preds: np.ndarray) -> np.ndarray:
-        return np.clip(preds, clip[0], clip[1]) if clip is not None else preds
-
-    reports = []
-    for cohort_id, frames in cohorts.items():
-        for arch in ("lstm", "bilstm"):
-            for timesteps, model in sorted(models.get(arch, {}).items()):
-                if model is None:
-                    warnings.warn(f"{arch} model for {timesteps} timesteps missing; skipped")
-                    continue
-                dataset = sequence_model_inputs(frames, model)
-                reports.append(
-                    evaluate(
-                        lambda w, m=model: clamp(m.predict(w)),
-                        dataset,
-                        model_id=f"{arch}_t{timesteps}",
-                        cohort_id=cohort_id,
-                        timesteps=timesteps,
-                    )
-                )
-        rf = models.get("forest")
-        if rf is None:
-            warnings.warn("forest model missing; skipped")
-        else:
-            X, y = per_day_rows(frames, rf.feature_ids)
-            report = evaluate_pairs(
-                y, clamp(rf.predict(X)), model_id="forest", cohort_id=cohort_id, timesteps=None
-            )
-            reports.append(report)
-    return reports
+    """Evaluate every model (keyed by its report id) on every cohort."""
+    return [
+        evaluate_pairs(
+            *predict_frames(model, frames, clip),
+            model_id=model_id,
+            cohort_id=cohort_id,
+            timesteps=getattr(model, "timesteps", None),
+        )
+        for cohort_id, frames in cohorts.items()
+        for model_id, model in models.items()
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -244,38 +213,30 @@ def _summary_sort_key(report: EvalReport):
     )
 
 
+def _summary_rows(reports: Sequence[EvalReport]) -> list[tuple]:
+    """(model, timesteps, accuracy, r2, mae) of each report, in table order."""
+    return [
+        (
+            _DISPLAY.get(r.model_id.split("_")[0], r.model_id),
+            "NA" if r.timesteps is None else r.timesteps,
+            r.accuracy,
+            r.r2,
+            r.mae,
+        )
+        for r in sorted(reports, key=_summary_sort_key)
+    ]
+
+
 def write_summary_csv(reports: Sequence[EvalReport], path: str | Path) -> None:
     """Comparison table: model, timesteps, accuracy, r2, mae."""
-    rows = sorted(reports, key=_summary_sort_key)
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["model", "timesteps", "accuracy", "r2", "mae"])
-        for r in rows:
-            arch = r.model_id.split("_")[0]
-            writer.writerow(
-                [
-                    _DISPLAY.get(arch, r.model_id),
-                    "NA" if r.timesteps is None else r.timesteps,
-                    "%.3f" % r.accuracy,
-                    "%.3f" % r.r2,
-                    "%.3f" % r.mae,
-                ]
-            )
+        for model, timesteps, *metrics in _summary_rows(reports):
+            writer.writerow([model, timesteps, *("%.3f" % m for m in metrics)])
 
 
 def format_summary(reports: Sequence[EvalReport]) -> str:
-    rows = sorted(reports, key=_summary_sort_key)
     lines = ["%-10s %-9s %-9s %-9s %-9s" % ("model", "timesteps", "accuracy", "r2", "mae")]
-    for r in rows:
-        arch = r.model_id.split("_")[0]
-        lines.append(
-            "%-10s %-9s %-9.3f %-9.3f %-9.3f"
-            % (
-                _DISPLAY.get(arch, r.model_id),
-                "NA" if r.timesteps is None else r.timesteps,
-                r.accuracy,
-                r.r2,
-                r.mae,
-            )
-        )
+    lines += ["%-10s %-9s %-9.3f %-9.3f %-9.3f" % row for row in _summary_rows(reports)]
     return "\n".join(lines)

@@ -96,14 +96,8 @@ class BiLstmModel:
     def n_features(self) -> int:
         return self.forward_cell.input_size
 
-    def predict(
-        self, windows: np.ndarray, clip: tuple[float, float] | None = None
-    ) -> np.ndarray:
-        """RUL estimates for a (n, timesteps, features) block.
-
-        Estimates are raw regression outputs; pass ``clip=(lo, hi)`` to clamp
-        them.
-        """
+    def predict(self, windows: np.ndarray) -> np.ndarray:
+        """Raw RUL estimates for a (n, timesteps, features) block."""
         X = np.ascontiguousarray(np.asarray(windows, dtype=np.float64))
         if X.ndim != 3 or X.shape[2] != self.n_features:
             raise ConfigError(
@@ -111,10 +105,7 @@ class BiLstmModel:
             )
         if not np.all(np.isfinite(X)):
             raise NumericError("non-finite values in prediction input")
-        preds = _predict_batch(self, X)
-        if clip is not None:
-            preds = np.clip(preds, clip[0], clip[1])
-        return preds
+        return _predict_batch(self, X)
 
 
 @dataclass

@@ -22,16 +22,12 @@ from .dataset import DriveFrame
 from .errors import DataError
 
 
-def standardize_per_device(
-    frame: DriveFrame, feature_ids: Sequence[int] | None = None
-) -> DriveFrame:
+def standardize_per_device(frame: DriveFrame) -> DriveFrame:
     """Z-score every feature with this drive's own mean and population std.
 
     Independent of any other drive by construction. Constant features become
     exactly zero everywhere.
     """
-    if feature_ids is not None:
-        frame = frame.select(feature_ids)
     if len(frame.dates) == 0:
         raise ValueError("cannot standardize an empty series")
     values = frame.values

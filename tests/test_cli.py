@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hddrul import dataset as ds
 from hddrul import evaluation as ev
-from hddrul import neural
+from hddrul import forest, neural
 from hddrul import preprocess as pp
 from hddrul.cli import RunConfig, config_text, load_config, main
 from hddrul.errors import ConfigError
@@ -40,11 +40,19 @@ def _config_file(tmp_path, out_dir, extra="", name="run.cfg"):
 
 @pytest.fixture(scope="module")
 def tiny_run(tmp_path_factory):
-    """A directory holding run.cfg and the out/ of synth, train and evaluate on it."""
+    """A directory holding run.cfg and the out/ of synth, train and evaluate on it.
+
+    It also holds history.csv, one test60 drive for ``predict``, and
+    snapshots/, a small snapshot corpus for ``ingest``.
+    """
     root = tmp_path_factory.mktemp("tiny_run")
     cfg = _config_file(root, root / "out")
     for command in ("synth", "train", "evaluate"):
         assert main([command, "--config", cfg]) == 0
+    frames = ds.read_cohort_csv(root / "out" / "cohorts" / "test60.csv")
+    ds.write_cohort_csv(root / "history.csv", [frames[0]])
+    config = ds.SynthConfig(n_drives=2, lookback_days=10, jump_day=4, seed=5)
+    _write_snapshots(root, ds.generate_synthetic(config), n_files=1)
     return root
 
 
@@ -52,6 +60,17 @@ def _copy_run(tiny_run, dest):
     """A copy of the tiny run and the arguments that point a command at it."""
     shutil.copytree(tiny_run, dest)
     return ["--config", str(dest / "run.cfg"), "--out", str(dest / "out")]
+
+
+def _input_args(command, dest, model="lstm_t3.model"):
+    """The flags naming the inputs of ``predict`` or ``ingest`` in a copied tiny run."""
+    if command == "predict":
+        return ["--model", str(dest / "out" / "models" / model),
+                "--history", str(dest / "history.csv"),
+                "--prediction-out", str(dest / "prediction.csv")]
+    if command == "ingest":
+        return ["--snapshot-dir", str(dest / "snapshots")]
+    return []
 
 
 def test_load_config_and_roundtrip(tmp_path):
@@ -245,6 +264,50 @@ def test_predict_short_history_is_padded(tmp_path):
     assert len(pred_file.read_text().splitlines()) == 1 + 2
 
 
+def test_predict_forest_matches_library(tiny_run, tmp_path):
+    dest = tmp_path / "run"
+    args = _copy_run(tiny_run, dest)
+    assert main(["predict", *args, *_input_args("predict", dest, "forest.model")]) == 0
+
+    model = forest.load_forest(dest / "out" / "models" / "forest.model")
+    frame = ds.read_history_csv(dest / "history.csv")
+    expected = model.predict(frame.select(model.feature_ids).values)
+    lines = (dest / "prediction.csv").read_text().splitlines()
+    assert lines[0] == "date,predicted_rul"
+    assert [line.split(",")[0] for line in lines[1:]] == [d.isoformat() for d in frame.dates]
+    assert [float(line.split(",")[1]) for line in lines[1:]] == expected.tolist()
+
+
+def test_clip_predictions_bounds_every_estimate(tiny_run, tmp_path):
+    # cap 4 lies below the training cap of 8, so the forest's leaf means exceed it too
+    dest = tmp_path / "run"
+    args = _copy_run(tiny_run, dest) + ["--cap", "4"]
+    with open(dest / "run.cfg", "a") as fh:
+        fh.write("clip_predictions 1\n")
+    assert main(["evaluate", *args]) == 0
+    reports = [ev.read_report_csv(p) for p in (dest / "out" / "reports").glob("*.csv")
+               if not p.name.startswith("summary_")]
+    assert {r.model_id for r in reports} == {"lstm_t3", "bilstm_t3", "forest"}
+    for report in reports:
+        assert np.all((report.pairs[:, 1] >= 0.0) & (report.pairs[:, 1] <= 4.0)), report.model_id
+    for model in ("lstm_t3.model", "bilstm_t3.model", "forest.model"):
+        assert main(["predict", *args, *_input_args("predict", dest, model)]) == 0
+        lines = (dest / "prediction.csv").read_text().splitlines()[1:]
+        assert all(0.0 <= float(line.split(",")[1]) <= 4.0 for line in lines), model
+
+
+def test_evaluate_cohort_without_model_attribute_exits_one(tiny_run, tmp_path, capsys):
+    dest = tmp_path / "run"
+    args = _copy_run(tiny_run, dest)
+    path = dest / "out" / "cohorts" / "test60.csv"
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    assert rows[0][-1] == "smart_242"
+    path.write_text("".join(",".join(row[:-1]) + "\n" for row in rows))
+    capsys.readouterr()
+    assert main(["evaluate", *args]) == 1
+    assert "attribute 242 " in capsys.readouterr().err
+
+
 def test_exit_code_config_error(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("schema_version 1\nmystery 1\n")
@@ -405,8 +468,9 @@ def test_features_skips_inconsistent_drive_like_ingest(tmp_path, capsys):
     ("synth", "synth_features 40\n", "synth_features"),
     ("synth", "synth_noise -1\n", "synth_noise"),
     ("synth", None, "missing.cfg"),
+    ("train", "timesteps\n", "timesteps"),
 ], ids=["batch_size", "hidden_size", "rf_estimators", "epochs", "lookback_test", "jump_day",
-        "synth_features", "synth_noise", "missing_file"])
+        "synth_features", "synth_noise", "missing_file", "empty_timesteps"])
 def test_bad_config_exits_one(tmp_path, capsys, command, extra, named):
     out = tmp_path / "out"
     assert main(["synth", "--config", _config_file(tmp_path, out)]) == 0
@@ -455,6 +519,8 @@ def test_malformed_report_is_data_error(tiny_run, tmp_path, capsys, edit):
     ("out/reports/lstm_t3_test60.csv", "report"),
     ("out/models/lstm_t3.model", "evaluate"),
     ("out/models/forest.model", "evaluate"),
+    ("out/cohorts/train.csv", "train"),
+    ("history.csv", "predict"),
 ])
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
@@ -463,4 +529,24 @@ def test_truncated_input_ends_in_exit_code(tiny_run, tmp_path_factory, name, com
     args = _copy_run(tiny_run, dest)
     raw = (dest / name).read_bytes()
     (dest / name).write_bytes(raw[: data.draw(st.integers(0, len(raw)), label="size")])
-    assert main([command, *args]) in (0, 1, 2, 3)
+    assert main([command, *args, *_input_args(command, dest)]) in (0, 1, 2, 3)
+
+
+def _ff_in_middle(raw):
+    return raw[: len(raw) // 2] + b"\xff" + raw[len(raw) // 2 :]
+
+
+@pytest.mark.parametrize("name,command,edit", [
+    ("out/cohorts/test60.csv", "evaluate", _ff_in_middle),
+    ("snapshots/part0.csv", "ingest", _ff_in_middle),
+    ("history.csv", "predict", _ff_in_middle),
+    ("out/models/lstm_t3.model", "predict", lambda raw: b"\xff\xfe" + raw),
+], ids=["cohort", "snapshot", "history", "model"])
+def test_non_utf8_input_is_data_error(tiny_run, tmp_path, capsys, name, command, edit):
+    dest = tmp_path / "run"
+    args = _copy_run(tiny_run, dest)
+    path = dest / name
+    path.write_bytes(edit(path.read_bytes()))
+    capsys.readouterr()
+    assert main([command, *args, *_input_args(command, dest)]) == 2
+    assert str(path) in capsys.readouterr().err

@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 
@@ -60,14 +58,8 @@ def _dataset(rng, n=40):
 
 def test_evaluate_oracle_predictor(rng):
     dataset = _dataset(rng)
-    captured = {}
-
-    def oracle(windows):
-        captured["shape"] = windows.shape
-        return dataset.targets.copy()
-
-    report = ev.evaluate(oracle, dataset, model_id="oracle", cohort_id="test")
-    assert captured["shape"] == dataset.windows.shape
+    report = ev.evaluate_pairs(dataset.targets, dataset.targets.copy(),
+                               model_id="oracle", cohort_id="test")
     assert report.accuracy == 1.0
     assert report.r2 == 1.0
     assert report.mae == 0.0
@@ -77,15 +69,15 @@ def test_evaluate_oracle_predictor(rng):
 def test_evaluate_mean_predictor_r2_zero(rng):
     dataset = _dataset(rng)
     mean = dataset.targets.mean()
-    report = ev.evaluate(lambda w: np.full(len(w), mean), dataset,
-                         model_id="mean", cohort_id="test")
+    report = ev.evaluate_pairs(dataset.targets, np.full(dataset.n_samples, mean),
+                               model_id="mean", cohort_id="test")
     assert report.r2 == pytest.approx(0.0, abs=1e-9)
 
 
 def test_evaluate_shape_mismatch(rng):
     dataset = _dataset(rng)
-    with pytest.raises(ConfigError):
-        ev.evaluate(lambda w: np.zeros(3), dataset, model_id="bad", cohort_id="test")
+    with pytest.raises(ValueError):
+        ev.evaluate_pairs(dataset.targets, np.zeros(3), model_id="bad", cohort_id="test")
 
 
 def test_report_csv_roundtrip_and_recompute(rng, tmp_path):
@@ -130,14 +122,14 @@ def test_run_matrix_counts_and_summary(small_frames, tmp_path, rng):
 
     selected = small_frames[0].feature_ids
     std = [pp.standardize_per_device(f) for f in small_frames]
-    models = {"lstm": {}, "bilstm": {}}
+    models = {}
     for arch, bi in (("lstm", False), ("bilstm", True)):
         for timesteps in (2, 3):
             wd = pp.window(std, timesteps)
             settings = neural.TrainSettings(bidirectional=bi, hidden_size=3, epochs=1,
                                             batch_size=32, seed=timesteps)
             model, _ = neural.train(settings, wd)
-            models[arch][timesteps] = model
+            models[f"{arch}_t{timesteps}"] = model
     X, y = ev.per_day_rows(small_frames, selected)
     models["forest"] = forest.fit_forest(X, y, n_estimators=3, seed=0, feature_ids=selected)
 
@@ -145,6 +137,9 @@ def test_run_matrix_counts_and_summary(small_frames, tmp_path, rng):
     reports = ev.run_matrix(models, cohorts)
     assert len(reports) == 2 * (2 * 2 + 1)
     assert {r.cohort_id for r in reports} == {"test60", "test120"}
+    assert [(r.model_id, r.timesteps) for r in reports[:5]] == [
+        ("lstm_t2", 2), ("lstm_t3", 3), ("bilstm_t2", 2), ("bilstm_t3", 3), ("forest", None)
+    ]
 
     summary = tmp_path / "summary.csv"
     subset = [r for r in reports if r.cohort_id == "test60"]
@@ -154,15 +149,6 @@ def test_run_matrix_counts_and_summary(small_frames, tmp_path, rng):
     assert lines[1].startswith("LSTM,2") and lines[-1].startswith("RF,NA")
 
 
-def test_run_matrix_skips_missing_models(small_frames):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        reports = ev.run_matrix({"lstm": {}, "bilstm": {}, "forest": None},
-                                {"test60": small_frames})
-    assert reports == []
-    assert any("missing" in str(w.message) for w in caught)
-
-
 def test_per_day_rows_alignment(small_frames):
     from hddrul import preprocess as pp
 
@@ -170,3 +156,23 @@ def test_per_day_rows_alignment(small_frames):
     wd = pp.window([pp.standardize_per_device(f) for f in small_frames], 3)
     assert len(y) == wd.n_samples
     assert np.array_equal(y, wd.targets)
+
+
+def test_predict_frames_aligns_kinds_clips_and_names_missing_attribute(small_frames):
+    from hddrul import forest, neural
+    from hddrul import preprocess as pp
+
+    selected = small_frames[0].feature_ids
+    settings = neural.TrainSettings(bidirectional=False, hidden_size=3, epochs=1, seed=0)
+    lstm, _ = neural.train(settings, pp.window([pp.standardize_per_device(f)
+                                                for f in small_frames], 3))
+    X, y = ev.per_day_rows(small_frames, selected)
+    rf = forest.fit_forest(X, y, n_estimators=3, seed=0, feature_ids=selected)
+
+    for model in (lstm, rf):
+        targets, raw = ev.predict_frames(model, small_frames)
+        assert np.array_equal(targets, y)
+        _, clipped = ev.predict_frames(model, small_frames, clip=(1.0, 5.0))
+        assert np.array_equal(clipped, np.clip(raw, 1.0, 5.0))
+        with pytest.raises(ConfigError, match=f"attribute {selected[-1]} "):
+            ev.predict_frames(model, [f.select(selected[:-1]) for f in small_frames])
