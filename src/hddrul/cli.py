@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -70,6 +69,8 @@ class RunConfig:
             raise ConfigError("timesteps must list at least one window length")
         if any(t < 1 or t > self.lookback_train for t in self.timesteps):
             raise ConfigError("timesteps must lie in 1..lookback_train")
+        if len(set(self.timesteps)) != len(self.timesteps):
+            raise ConfigError("timesteps must not repeat a window length")
         for name in ("lookback_train", "lookback_test", "lookback_extrap", "cap",
                      "hidden_size", "batch_size", "rf_estimators", "threads"):
             if getattr(self, name) < 1:
@@ -251,36 +252,30 @@ def cmd_synth(config: RunConfig) -> int:
     return 0
 
 
-def _read_snapshots(config: RunConfig) -> list[ds.DriveRecord]:
+def _split_events(config: RunConfig):
+    """Failures of ``model_filter`` drives, split into train and test drives.
+
+    Returns ``(records by serial, train events, test events)``, or None when
+    no drive of the model failed. The snapshot files are read twice, so that
+    memory scales with the failed drives and not with the corpus: the first
+    pass checks every row and keeps the failure rows, the second parses only
+    the failed drives' rows inside their longest lookback. The split is the
+    seeded ``ingest_train_frac`` draw, so ``ingest`` and ``features`` agree on it.
+    """
     snapshot_dir = Path(config.snapshot_dir)
     if not config.snapshot_dir or not snapshot_dir.is_dir():
         raise ConfigError(f"snapshot_dir {config.snapshot_dir!r} is not a directory")
     paths = sorted(snapshot_dir.glob("*.csv"))
-    if not paths:
-        return []
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            chunks = list(pool.map(ds.read_snapshot_csv, paths))
-    else:
-        chunks = [ds.read_snapshot_csv(p) for p in paths]
-    records = [rec for chunk in chunks for rec in chunk]
-    records.sort(key=lambda r: (r.serial, r.date))
-    return records
-
-
-def _split_events(config: RunConfig, records: list[ds.DriveRecord]):
-    """Failures of ``model_filter`` drives, split into train and test drives.
-
-    Returns ``(records by serial, train events, test events)``, or None when
-    no drive of the model failed. The split is the seeded
-    ``ingest_train_frac`` draw, so ``ingest`` and ``features`` agree on it.
-    """
-    events = ds.scan_failures(records, config.model_filter)
+    failures = [rec for path in paths for rec in ds.read_failure_rows(path)]
+    events = ds.scan_failures(failures, config.model_filter)
     if not events:
         return None
+    lookback = max(config.lookback_train, config.lookback_test, config.lookback_extrap)
+    windows = ds.failure_windows(events, lookback)
     by_serial: dict[str, list[ds.DriveRecord]] = {}
-    for rec in records:
-        by_serial.setdefault(rec.serial, []).append(rec)
+    for path in paths:
+        for rec in ds.read_snapshot_csv(path, windows):
+            by_serial.setdefault(rec.serial, []).append(rec)
     perm = np.random.default_rng(derive_seed(config.seed, "ingest/split")).permutation(len(events))
     n_train = max(1, min(len(events) - 1, round(len(events) * config.ingest_train_frac)))
     train_events = [events[i] for i in sorted(perm[:n_train])]
@@ -302,7 +297,7 @@ def _labeled_series(command: str, by_serial, events, lookback: int) -> list[ds.L
 def cmd_ingest(config: RunConfig) -> int:
     out = Path(config.out)
     (out / "cohorts").mkdir(parents=True, exist_ok=True)
-    split = _split_events(config, _read_snapshots(config))
+    split = _split_events(config)
     if split is None:
         print("ingest: no matching failures found; wrote empty manifest", file=sys.stderr)
         _write_manifest(out / "cohorts" / "manifest.csv", [])
@@ -354,7 +349,7 @@ def cmd_ingest(config: RunConfig) -> int:
 def _scoring_series(config: RunConfig):
     """Uncapped training-cohort series for attribute scoring."""
     if config.snapshot_dir:
-        split = _split_events(config, _read_snapshots(config))
+        split = _split_events(config)
         if split is None:
             raise DataError("no matching failures found for feature scoring")
         by_serial, train_events, _ = split

@@ -4,6 +4,9 @@ Input is the Backblaze daily-snapshot layout: one CSV row per drive per day
 with ``date``, ``serial_number``, ``model``, ``failure`` and any number of
 ``smart_<n>_raw`` / ``smart_<n>_normalized`` columns. Normalized columns are
 dropped (we standardize ourselves); raw columns become a sparse attribute map.
+Ingest reads the files twice: :func:`read_failure_rows` checks every row's
+identity cells and keeps the failure rows, then :func:`read_snapshot_csv`
+parses only the failed drives' rows inside their lookback windows.
 
 A failed drive's history is turned into a :class:`LabeledSeries`: the records
 covering the lookback window before failure, each labeled with its remaining
@@ -17,6 +20,7 @@ per drive); frames serialize to a long-format cohort CSV
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -24,7 +28,7 @@ from datetime import date as Date
 from datetime import timedelta
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -123,8 +127,19 @@ class DriveFrame:
 # Snapshot parsing
 
 
+class _Layout(NamedTuple):
+    """Column positions of a snapshot header."""
+
+    date: int
+    serial: int
+    model: int
+    failure: int
+    width: int  # a row needs at least this many cells to hold the four above
+    smart: tuple[tuple[int, int], ...]  # (attribute id, column) of each smart_<n>_raw
+
+
 @lru_cache(maxsize=16)
-def _header_layout(header: tuple[str, ...]):
+def _header_layout(header: tuple[str, ...]) -> _Layout:
     names = {name: i for i, name in enumerate(header)}
     for required in ("date", "serial_number", "model", "failure"):
         if required not in names:
@@ -136,7 +151,8 @@ def _header_layout(header: tuple[str, ...]):
             if mid.isdigit():
                 smart_cols.append((int(mid), i))
     smart_cols.sort()
-    return names["date"], names["serial_number"], names["model"], names["failure"], tuple(smart_cols)
+    identity = (names["date"], names["serial_number"], names["model"], names["failure"])
+    return _Layout(*identity, max(identity) + 1, tuple(smart_cols))
 
 
 @contextmanager
@@ -150,59 +166,135 @@ def _csv_reader(path: str | Path):
 
 
 def _parse_float(cell: str) -> float | None:
+    """A cell's value; empty, unparseable and non-finite (nan, inf) cells are missing."""
     cell = cell.strip()
     if not cell:
         return None
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
         return None
+    return value if math.isfinite(value) else None
+
+
+def _row_identity(layout: _Layout, row: Sequence[str], row_index: int,
+                  path: str | Path | None = None) -> tuple[Date, bool]:
+    """The checks every snapshot row must pass; returns its (date, failure flag).
+
+    A row too short to hold the identity cells, a malformed date or a
+    non-numeric failure flag raises :class:`SnapshotParseError`.
+    """
+    if len(row) < layout.width:
+        raise SnapshotParseError(row_index, f"truncated row ({len(row)} fields)", path)
+    try:
+        day = Date.fromisoformat(row[layout.date].strip())
+    except ValueError as exc:
+        raise SnapshotParseError(row_index, f"malformed date {row[layout.date]!r}", path) from exc
+    fail_cell = row[layout.failure].strip()
+    try:
+        failed = int(fail_cell) == 1
+    except ValueError as exc:
+        raise SnapshotParseError(row_index, f"non-numeric failure flag {fail_cell!r}", path) from exc
+    return day, failed
 
 
 def parse_snapshot_row(header: Sequence[str], row: Sequence[str], row_index: int = 0) -> DriveRecord:
     """Parse one snapshot CSV row into a :class:`DriveRecord`.
 
-    ``smart_<n>_raw`` columns populate the attribute map (empty or
-    unparseable cells become missing); ``smart_<n>_normalized`` columns are
+    ``smart_<n>_raw`` columns populate the attribute map (empty, unparseable
+    or non-finite cells become missing); ``smart_<n>_normalized`` columns are
     ignored. A malformed date or failure flag raises
     :class:`SnapshotParseError` carrying ``row_index``.
     """
-    i_date, i_serial, i_model, i_fail, smart_cols = _header_layout(tuple(header))
-    if len(row) <= max(i_date, i_serial, i_model, i_fail):
-        raise SnapshotParseError(row_index, f"truncated row ({len(row)} fields)")
-    try:
-        day = Date.fromisoformat(row[i_date].strip())
-    except ValueError as exc:
-        raise SnapshotParseError(row_index, f"malformed date {row[i_date]!r}") from exc
-    fail_cell = row[i_fail].strip()
-    try:
-        failed = int(fail_cell) == 1
-    except ValueError as exc:
-        raise SnapshotParseError(row_index, f"non-numeric failure flag {fail_cell!r}") from exc
+    layout = _header_layout(tuple(header))
+    day, failed = _row_identity(layout, row, row_index)
     smart: dict[int, float | None] = {}
-    for attr_id, col in smart_cols:
+    for attr_id, col in layout.smart:
         smart[attr_id] = _parse_float(row[col]) if col < len(row) else None
     return DriveRecord(
-        serial=row[i_serial].strip(),
+        serial=row[layout.serial].strip(),
         date=day,
-        model=row[i_model].strip(),
+        model=row[layout.model].strip(),
         smart=smart,
         failed=failed,
     )
 
 
-def read_snapshot_csv(path: str | Path) -> list[DriveRecord]:
-    """Read one daily-snapshot CSV file into drive-day records."""
-    records = []
+def _snapshot_header(path: str | Path, reader) -> tuple[list[str], _Layout] | None:
+    """The header row and its layout, or None for an empty file."""
+    header = next(reader, None)
+    if header is None:
+        return None
+    try:
+        return header, _header_layout(tuple(header))
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
+def read_failure_rows(path: str | Path) -> list[DriveRecord]:
+    """Pass 1 of ingest: check every row of one snapshot file, keep its failure rows.
+
+    Each row's identity cells go through the same checks as in
+    :func:`parse_snapshot_row`, and an error names the file. The failure
+    rows come back without attributes (an empty ``smart`` map).
+    """
+    failures = []
     with _csv_reader(path) as reader:
-        try:
-            header = next(reader)
-        except StopIteration:
-            return records
+        found = _snapshot_header(path, reader)
+        if found is None:
+            return failures
+        _, layout = found
         for row_index, row in enumerate(reader, start=1):
             if not row:
                 continue
-            records.append(parse_snapshot_row(header, row, row_index))
+            day, failed = _row_identity(layout, row, row_index, path)
+            if failed:
+                failures.append(DriveRecord(
+                    serial=row[layout.serial].strip(),
+                    date=day,
+                    model=row[layout.model].strip(),
+                    smart={},
+                    failed=True,
+                ))
+    return failures
+
+
+def failure_windows(events: Iterable[FailureEvent], lookback_days: int) -> dict[str, tuple[Date, Date]]:
+    """Per failed drive, the days any of its lookback windows can reach.
+
+    That is ``(earliest failure - lookback_days, latest failure)``, the rows
+    :func:`read_snapshot_csv` keeps.
+    """
+    windows: dict[str, tuple[Date, Date]] = {}
+    for event in events:
+        start, end = event.fail_date - timedelta(days=lookback_days), event.fail_date
+        if event.serial in windows:
+            first, last = windows[event.serial]
+            start, end = min(start, first), max(end, last)
+        windows[event.serial] = (start, end)
+    return windows
+
+
+def read_snapshot_csv(path: str | Path, windows: dict[str, tuple[Date, Date]]) -> list[DriveRecord]:
+    """Pass 2 of ingest: parse the rows of one snapshot file that fall in ``windows``.
+
+    ``windows`` maps a serial to its first and last wanted day (see
+    :func:`failure_windows`); every other row is skipped after a look at its
+    serial, so memory scales with the failed drives, not with the file.
+    """
+    records = []
+    with _csv_reader(path) as reader:
+        found = _snapshot_header(path, reader)
+        if found is None:
+            return records
+        header, layout = found
+        for row_index, row in enumerate(reader, start=1):
+            window = windows.get(row[layout.serial].strip()) if len(row) > layout.serial else None
+            if window is None:
+                continue
+            day, _ = _row_identity(layout, row, row_index, path)
+            if window[0] <= day <= window[1]:
+                records.append(parse_snapshot_row(header, row, row_index))
     return records
 
 
@@ -458,10 +550,11 @@ def _data_rows(path, reader, width: int) -> list[list[str]]:
 
 
 def _frame_from_rows(path, rows, feature_ids: list[int], has_rul: bool) -> DriveFrame:
-    """One drive's frame; a bad date or number is a DataError naming the file."""
+    """One drive's frame; a bad date, a bad number or a non-finite value is a
+    DataError naming the file and the drive."""
     first_feature = 3 if has_rul else 2
     try:
-        return DriveFrame(
+        frame = DriveFrame(
             serial=rows[0][0],
             dates=[Date.fromisoformat(r[1]) for r in rows],
             feature_ids=list(feature_ids),
@@ -470,6 +563,14 @@ def _frame_from_rows(path, rows, feature_ids: list[int], has_rul: bool) -> Drive
         )
     except ValueError as exc:
         raise DataError(f"{path}: drive {rows[0][0]}: {exc}") from exc
+    finite = np.isfinite(frame.values)
+    if not finite.all():
+        day, col = np.argwhere(~finite)[0]
+        raise DataError(
+            f"{path}: drive {frame.serial}: smart_{feature_ids[col]} is "
+            f"{float(frame.values[day, col])} on {frame.dates[day]}, not a finite number"
+        )
+    return frame
 
 
 def read_history_csv(path: str | Path) -> DriveFrame:

@@ -20,9 +20,10 @@ class DataError(HddRulError):
 class SnapshotParseError(DataError):
     """A snapshot CSV row could not be parsed."""
 
-    def __init__(self, row_index: int, reason: str):
+    def __init__(self, row_index: int, reason: str, path=None):
         self.row_index = row_index
-        super().__init__(f"row {row_index}: {reason}")
+        where = f"row {row_index}" if path is None else f"{path}: row {row_index}"
+        super().__init__(f"{where}: {reason}")
 
 
 class InconsistentCorpusError(DataError):

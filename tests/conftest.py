@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,3 +24,25 @@ def small_frames(small_cohort):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture(scope="session")
+def load_perfbench():
+    """Load a module of ``perfbench/`` by path, e.g. ``load_perfbench("corpus")``.
+
+    ``perfbench/run.py`` is not meant for this: it sets the BLAS thread
+    variables at import.
+    """
+    def load(name):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+        spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+        module = importlib.util.module_from_spec(spec)
+        # dataclasses resolve string annotations through sys.modules
+        sys.modules[spec.name] = module
+        try:
+            spec.loader.exec_module(module)
+        finally:
+            del sys.modules[spec.name]
+        return module
+
+    return load

@@ -4,16 +4,22 @@ Most of it is deliberately written with different algorithms than the
 package: exhaustive enumeration instead of incremental scans, arbitrary
 precision instead of float accumulation, sorted compensated summation instead
 of vectorized means. The single-window LSTM reference runs one cell step at
-a time over one window. The scalar kernels at the bottom are the loop versions
-that the vectorized library kernels replaced; the library must match them bit
-for bit.
+a time over one window. The one-pass ingest reference parses every snapshot
+row, as ingest did before it read the files in two passes. The scalar kernels
+at the bottom are the loop versions that the vectorized library kernels
+replaced; the library must match them bit for bit.
 """
 from __future__ import annotations
 
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 from mpmath import mp, mpf
+
+from hddrul import dataset as ds
+from hddrul.seeding import derive_seed
 
 # Same split-comparison semantics as the library: a candidate must beat the
 # incumbent's gain beyond float noise, otherwise the earlier (lower feature,
@@ -134,6 +140,35 @@ def lstm_forward(params, window) -> np.ndarray:
     for x_t in np.asarray(window, dtype=np.float64):
         h, c, _ = lstm_cell_forward(params, x_t, h, c)
     return h
+
+
+# ---------------------------------------------------------------------------
+# One-pass ingest reference: every snapshot row parsed in full and held in
+# memory, the way ingest read snapshots before it streamed them in two passes
+
+
+def split_events_one_pass(config):
+    """``cli._split_events`` over the whole corpus: (records by serial, train, test) or None."""
+    records = []
+    for path in sorted(Path(config.snapshot_dir).glob("*.csv")):
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            for row_index, row in enumerate(reader, start=1):
+                if row:
+                    records.append(ds.parse_snapshot_row(header, row, row_index))
+    records.sort(key=lambda r: (r.serial, r.date))
+    events = ds.scan_failures(records, config.model_filter)
+    if not events:
+        return None
+    by_serial = {}
+    for rec in records:
+        by_serial.setdefault(rec.serial, []).append(rec)
+    perm = np.random.default_rng(derive_seed(config.seed, "ingest/split")).permutation(len(events))
+    n_train = max(1, min(len(events) - 1, round(len(events) * config.ingest_train_frac)))
+    train_events = [events[i] for i in sorted(perm[:n_train])]
+    test_events = [events[i] for i in sorted(perm[n_train:])]
+    return by_serial, train_events, test_events
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from hddrul import cli
 from hddrul import dataset as ds
 from hddrul import evaluation as ev
 from hddrul import forest, neural
@@ -385,7 +387,7 @@ def test_ingest_empty_dir_warns_and_succeeds(tmp_path, capsys):
     assert len(manifest) == 1
 
 
-def test_ingest_malformed_snapshot_is_data_error(tmp_path):
+def test_ingest_malformed_snapshot_is_data_error(tmp_path, capsys):
     snapshot_dir = tmp_path / "snapshots"
     snapshot_dir.mkdir()
     (snapshot_dir / "bad.csv").write_text(
@@ -394,6 +396,7 @@ def test_ingest_malformed_snapshot_is_data_error(tmp_path):
     out = tmp_path / "out"
     cfg = _config_file(tmp_path, out, extra=f"snapshot_dir {snapshot_dir}\n")
     assert main(["ingest", "--config", cfg]) == 2
+    assert f"{snapshot_dir / 'bad.csv'}: row 1: malformed date 'not-a-date'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", ["lstm_t3.model", "forest.model"])
@@ -458,6 +461,59 @@ def test_features_skips_inconsistent_drive_like_ingest(tmp_path, capsys):
     assert serial not in {f.serial for f in ds.read_cohort_csv(out / "cohorts" / "train.csv")}
 
 
+def test_train_non_finite_cohort_is_data_error(tiny_run, tmp_path, capsys):
+    args = _copy_run(tiny_run, tmp_path / "run")
+    path = tmp_path / "run" / "out" / "cohorts" / "train.csv"
+    lines = path.read_text().splitlines()
+    cells = lines[1].split(",")
+    cells[4] = "nan"
+    lines[1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["train", *args]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and f"drive {cells[0]}" in err
+
+
+SMALL_CORPUS = dict(days=140, healthy_target=20, healthy_other=6, failed_target=8,
+                    failed_other=2, duplicated=2, missing_days=2)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_streaming_ingest_matches_one_pass_oracle(tmp_path, monkeypatch, load_perfbench, seed):
+    corpus = load_perfbench("corpus")
+    truth = corpus.generate_corpus(tmp_path / "snapshots", seed, corpus.CorpusSize(**SMALL_CORPUS))
+    lookbacks = corpus.LOOKBACKS
+    cfg = _config_file(tmp_path, tmp_path / "out", extra=(
+        f"seed {seed}\nsnapshot_dir {tmp_path / 'snapshots'}\nmodel_filter {corpus.TARGET_MODEL}\n"
+        f"cap 30\nlookback_train {lookbacks['train']}\nlookback_test {lookbacks['test60']}\n"
+        f"lookback_extrap {lookbacks['test120']}\n"
+    ))
+    parsed = []
+    read_snapshot_csv = ds.read_snapshot_csv
+
+    def counting(path, windows):
+        records = read_snapshot_csv(path, windows)
+        parsed.append(len(records))
+        return records
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ds, "read_snapshot_csv", counting)
+        assert main(["ingest", "--config", cfg, "--out", str(tmp_path / "stream")]) == 0
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_split_events", oracles.split_events_one_pass)
+        assert main(["ingest", "--config", cfg, "--out", str(tmp_path / "oracle")]) == 0
+
+    for name in ("train.csv", "test60.csv", "test120.csv", "manifest.csv"):
+        stream = (tmp_path / "stream" / "cohorts" / name).read_bytes()
+        assert stream == (tmp_path / "oracle" / "cohorts" / name).read_bytes(), name
+    # pass 2 parses each failed target drive's rows inside its longest lookback,
+    # the duplicated day of a skipped drive twice, and nothing else
+    longest = max(lookbacks.values())
+    in_windows = sum(truth.rows[(serial, longest)] for serial in truth.failed) + len(truth.skipped)
+    assert sum(parsed) == in_windows < truth.rows_total / 2
+
+
 @pytest.mark.parametrize("command,extra,named", [
     ("train", "batch_size 0\n", "batch_size"),
     ("train", "hidden_size 0\n", "hidden_size"),
@@ -469,8 +525,9 @@ def test_features_skips_inconsistent_drive_like_ingest(tmp_path, capsys):
     ("synth", "synth_noise -1\n", "synth_noise"),
     ("synth", None, "missing.cfg"),
     ("train", "timesteps\n", "timesteps"),
+    ("train", "timesteps 3,3\n", "timesteps"),
 ], ids=["batch_size", "hidden_size", "rf_estimators", "epochs", "lookback_test", "jump_day",
-        "synth_features", "synth_noise", "missing_file", "empty_timesteps"])
+        "synth_features", "synth_noise", "missing_file", "empty_timesteps", "dup_timesteps"])
 def test_bad_config_exits_one(tmp_path, capsys, command, extra, named):
     out = tmp_path / "out"
     assert main(["synth", "--config", _config_file(tmp_path, out)]) == 0
@@ -488,7 +545,8 @@ def test_bad_config_exits_one(tmp_path, capsys, command, extra, named):
     "T60-0000,2020-01-01,3,1.0,2.0,3.0,4.0,5.0,6.0",  # one field too many
     "T60-0000,2020-13-01,3,1.0,2.0,3.0,4.0,5.0",  # no such date
     "T60-0000,2020-01-01,3,1.0,2.0,x,4.0,5.0",  # not a number
-], ids=["short", "long", "bad_date", "bad_number"])
+    "T60-0000,2020-01-01,3,1.0,2.0,nan,4.0,5.0",  # not a finite number
+], ids=["short", "long", "bad_date", "bad_number", "non_finite"])
 def test_malformed_cohort_is_data_error(tiny_run, tmp_path, capsys, row):
     args = _copy_run(tiny_run, tmp_path / "run")
     path = tmp_path / "run" / "out" / "cohorts" / "test60.csv"

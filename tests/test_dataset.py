@@ -38,6 +38,13 @@ def test_parse_row_empty_cell_is_missing():
     assert rec.smart[240] is None
 
 
+@pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "1e400"])
+def test_parse_row_non_finite_cell_is_missing(cell):
+    row = ["2020-01-05", "Z12", "M", "0", "0", cell, "100", "55"]
+    rec = ds.parse_snapshot_row(HEADER, row)
+    assert rec.smart == {7: None, 240: 55.0}
+
+
 def test_parse_row_bad_date_raises_with_index():
     row = ["not-a-date", "Z12", "M", "0", "0", "9", "100", ""]
     with pytest.raises(SnapshotParseError) as err:
@@ -239,8 +246,9 @@ def test_history_csv_rejects_mixed_drives(tmp_path):
         ds.read_history_csv(path)
 
 
-@pytest.mark.parametrize("row", ["A,2020-01-02", "A,2020-01-02,1,2", "A,2020-02-30,1", "A,2020-01-02,x"],
-                         ids=["short", "long", "bad_date", "bad_number"])
+@pytest.mark.parametrize("row", ["A,2020-01-02", "A,2020-01-02,1,2", "A,2020-02-30,1", "A,2020-01-02,x",
+                                 "A,2020-01-02,inf"],
+                         ids=["short", "long", "bad_date", "bad_number", "non_finite"])
 def test_history_csv_malformed_row_is_data_error(tmp_path, row):
     path = tmp_path / "history.csv"
     path.write_text(f"serial,date,smart_7\nA,2020-01-01,1\n{row}\n")
