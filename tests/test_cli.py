@@ -461,20 +461,6 @@ def test_features_skips_inconsistent_drive_like_ingest(tmp_path, capsys):
     assert serial not in {f.serial for f in ds.read_cohort_csv(out / "cohorts" / "train.csv")}
 
 
-def test_train_non_finite_cohort_is_data_error(tiny_run, tmp_path, capsys):
-    args = _copy_run(tiny_run, tmp_path / "run")
-    path = tmp_path / "run" / "out" / "cohorts" / "train.csv"
-    lines = path.read_text().splitlines()
-    cells = lines[1].split(",")
-    cells[4] = "nan"
-    lines[1] = ",".join(cells)
-    path.write_text("\n".join(lines) + "\n")
-    capsys.readouterr()
-    assert main(["train", *args]) == 2
-    err = capsys.readouterr().err
-    assert str(path) in err and f"drive {cells[0]}" in err
-
-
 SMALL_CORPUS = dict(days=140, healthy_target=20, healthy_other=6, failed_target=8,
                     failed_other=2, duplicated=2, missing_days=2)
 
