@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
+from . import container
 from . import dataset as ds
 from . import evaluation as ev
 from . import features as feat
@@ -77,6 +79,11 @@ class RunConfig:
                 raise ConfigError(f"{name} must be >= 1")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError("learning_rate must be a finite number > 0")
+        # a negative clip would flip the gradient and a NaN one turn clipping off
+        if self.grad_clip is not None and not (math.isfinite(self.grad_clip) and self.grad_clip > 0):
+            raise ConfigError("grad_clip must be 'none' or a finite number > 0")
         if self.rf_features not in ("all", "selected"):
             raise ConfigError("rf_features must be 'all' or 'selected'")
         if not 0.0 < self.ingest_train_frac < 1.0:
@@ -401,17 +408,10 @@ def _model_paths(config: RunConfig, out: Path) -> dict[str, Path]:
 
 
 def _load_model(path: Path):
-    """A sequence model or a forest, by the format line the file starts with."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            first = fh.readline().strip()
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
-    if first.startswith("hddrul-model"):
-        return neural.load_model(path)
-    if first.startswith("hddrul-forest"):
+    """A sequence model or a forest, by the kind its container names."""
+    if container.read_kind(path) == rf.KIND:
         return rf.load_forest(path)
-    raise DataError(f"{path}: unrecognized model format {first!r}")
+    return neural.load_model(path)
 
 
 def _prediction_clip(config: RunConfig) -> tuple[float, float] | None:

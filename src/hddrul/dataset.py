@@ -157,12 +157,15 @@ def _header_layout(header: tuple[str, ...]) -> _Layout:
 
 @contextmanager
 def _csv_reader(path: str | Path):
-    """A csv.reader over ``path``; bytes that are not UTF-8 raise DataError naming it."""
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        try:
+    """A csv.reader over ``path``; a path that cannot be opened or bytes that
+    are not UTF-8 raise DataError naming it."""
+    try:
+        with open(path, "r", newline="", encoding="utf-8") as fh:
             yield csv.reader(fh)
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read ({exc})") from exc
 
 
 def _parse_float(cell: str) -> float | None:
@@ -550,8 +553,8 @@ def _data_rows(path, reader, width: int) -> list[list[str]]:
 
 
 def _frame_from_rows(path, rows, feature_ids: list[int], has_rul: bool) -> DriveFrame:
-    """One drive's frame; a bad date, a bad number or a non-finite value is a
-    DataError naming the file and the drive."""
+    """One drive's frame; a bad date, dates that do not strictly increase, a bad
+    number or a non-finite value is a DataError naming the file and the drive."""
     first_feature = 3 if has_rul else 2
     try:
         frame = DriveFrame(
@@ -563,6 +566,10 @@ def _frame_from_rows(path, rows, feature_ids: list[int], has_rul: bool) -> Drive
         )
     except ValueError as exc:
         raise DataError(f"{path}: drive {rows[0][0]}: {exc}") from exc
+    for before, day in zip(frame.dates, frame.dates[1:]):
+        if day <= before:
+            raise DataError(f"{path}: drive {frame.serial}: {day} follows {before}; "
+                            "dates must strictly increase")
     finite = np.isfinite(frame.values)
     if not finite.all():
         day, col = np.argwhere(~finite)[0]

@@ -174,8 +174,8 @@ def read_report_csv(path: str | Path) -> EvalReport:
     """Inverse of write_report_csv; a malformed or truncated file raises DataError naming it."""
     meta: dict[str, str] = {}
     pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             for line in fh:
                 line = line.rstrip("\n")
                 if line.startswith("# "):
@@ -184,19 +184,19 @@ def read_report_csv(path: str | Path) -> EvalReport:
                 elif line and line != "actual,predicted":
                     a, _, p = line.partition(",")
                     pairs.append((float(a), float(p)))
-            if len(pairs) != int(meta["samples"]):
-                raise ValueError(f"{len(pairs)} rows, but the header says {meta['samples']}")
-            return EvalReport(
-                model_id=meta["model"],
-                timesteps=None if meta["timesteps"] == "NA" else int(meta["timesteps"]),
-                cohort_id=meta["cohort"],
-                accuracy=float(meta["accuracy"]),
-                r2=float(meta["r2"]),
-                mae=float(meta["mae"]),
-                pairs=np.array(pairs).reshape(-1, 2),
-            )
-        except (KeyError, ValueError) as exc:
-            raise DataError(f"{path}: malformed report file ({type(exc).__name__}: {exc})") from exc
+        if len(pairs) != int(meta["samples"]):
+            raise ValueError(f"{len(pairs)} rows, but the header says {meta['samples']}")
+        return EvalReport(
+            model_id=meta["model"],
+            timesteps=None if meta["timesteps"] == "NA" else int(meta["timesteps"]),
+            cohort_id=meta["cohort"],
+            accuracy=float(meta["accuracy"]),
+            r2=float(meta["r2"]),
+            mae=float(meta["mae"]),
+            pairs=np.array(pairs).reshape(-1, 2),
+        )
+    except (OSError, KeyError, ValueError) as exc:
+        raise DataError(f"{path}: cannot read the report file ({type(exc).__name__}: {exc})") from exc
 
 
 _ARCH_RANK = {"lstm": 0, "bilstm": 1, "forest": 2}

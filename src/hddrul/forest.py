@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError
+from . import container
 from .seeding import rng_for
 
 # A candidate split wins only if its gain beats the incumbent beyond float
@@ -227,91 +227,51 @@ def fit_forest(
 
 
 # ---------------------------------------------------------------------------
-# Serialization (versioned textual node-array format)
+# Model files (see container.py): the node arrays of all trees, concatenated
 
-_FORMAT = "hddrul-forest 1"
+KIND = "forest"
+
+# RegressionTree's node arrays in field order, with their dtypes
+_NODES = {"feature": np.int64, "threshold": np.float64, "left": np.int64, "right": np.int64,
+          "value": np.float64, "impurity": np.float64, "n_node_samples": np.int64}
 
 
 def save_forest(forest: RandomForest, path: str | Path) -> None:
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write(_FORMAT + "\n")
-        fh.write(f"n_estimators {forest.n_estimators}\n")
-        fh.write(f"seed {forest.seed}\n")
-        fh.write(f"bootstrap {int(forest.bootstrap)}\n")
-        fh.write("feature_ids " + " ".join(str(fid) for fid in forest.feature_ids) + "\n")
-        for t, tree in enumerate(forest.trees):
-            fh.write(f"tree {t} nodes {tree.n_nodes}\n")
-            for node in range(tree.n_nodes):
-                fh.write(
-                    "%d %.17g %d %d %.17g %.17g %d\n"
-                    % (
-                        tree.feature[node],
-                        tree.threshold[node],
-                        tree.left[node],
-                        tree.right[node],
-                        tree.value[node],
-                        tree.impurity[node],
-                        tree.n_node_samples[node],
-                    )
-                )
-        fh.write("end\n")
+    container.write(path, KIND, {
+        "feature_ids": np.array(forest.feature_ids, dtype=np.int64),
+        "seed": np.array(forest.seed, dtype=np.uint64),
+        "bootstrap": np.array(forest.bootstrap),
+        "tree_nodes": np.array([tree.n_nodes for tree in forest.trees], dtype=np.int64),
+        **{name: np.concatenate([getattr(tree, name) for tree in forest.trees]) for name in _NODES},
+    })
 
 
 def load_forest(path: str | Path) -> RandomForest:
-    """Read a forest file; a truncated or malformed one raises DataError naming it."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return _parse_forest(fh.read().splitlines())
-        except (IndexError, KeyError, ValueError) as exc:
-            raise DataError(f"{path}: malformed forest file ({type(exc).__name__}: {exc})") from exc
+    """Read a forest file; a damaged one, or one with broken node links, raises DataError naming it."""
+    return container.read(path, KIND, _forest_from_members)
 
 
-def _parse_forest(lines: list[str]) -> RandomForest:
-    if not lines or lines[0] != _FORMAT:
-        raise ValueError(f"not a {_FORMAT!r} file")
-    if lines[-1] != "end":
-        raise ValueError("truncated: no closing 'end' line")
-    pos = 1
-    meta = {}
-    while not lines[pos].startswith("tree ") and lines[pos] != "end":
-        key, _, rest = lines[pos].partition(" ")
-        meta[key] = rest
-        pos += 1
-    n_estimators = int(meta["n_estimators"])
-    feature_ids = [int(tok) for tok in meta["feature_ids"].split()]
-    trees = []
-    for t in range(n_estimators):
-        head = lines[pos].split()
-        if head[:3] != ["tree", str(t), "nodes"] or len(head) != 4:
-            raise ValueError(f"expected the header of tree {t}, found {lines[pos]!r}")
-        n_nodes = int(head[3])
-        rows = [lines[pos + 1 + k].split() for k in range(n_nodes)]
-        if any(len(r) != 7 for r in rows):
-            raise ValueError(f"tree {t} has a node row without 7 fields")
-        pos += 1 + n_nodes
-        tree = RegressionTree(
-            feature=np.array([int(r[0]) for r in rows], dtype=np.int64),
-            threshold=np.array([float(r[1]) for r in rows]),
-            left=np.array([int(r[2]) for r in rows], dtype=np.int64),
-            right=np.array([int(r[3]) for r in rows], dtype=np.int64),
-            value=np.array([float(r[4]) for r in rows]),
-            impurity=np.array([float(r[5]) for r in rows]),
-            n_node_samples=np.array([int(r[6]) for r in rows], dtype=np.int64),
-        )
-        # children come after their parent, so every descent ends at a leaf
-        inner = np.flatnonzero(tree.feature >= 0)
-        f, lo = tree.feature[inner], tree.left[inner]
-        if n_nodes == 0 or np.any(
-            (f >= len(feature_ids)) | (lo <= inner) | (tree.right[inner] != lo + 1)
-            | (lo + 1 >= n_nodes)
-        ):
-            raise ValueError(f"tree {t} has inconsistent node links")
-        trees.append(tree)
-    if lines[pos] != "end":
-        raise ValueError(f"more trees than n_estimators {n_estimators}")
+def _forest_from_members(member) -> RandomForest:
+    feature_ids = member("feature_ids", np.int64, 1).tolist()
+    counts = member("tree_nodes", np.int64, 1)
+    nodes = {name: member(name, dtype, 1) for name, dtype in _NODES.items()}
+    if counts.size == 0 or counts.min() < 1 or any(len(a) != counts.sum() for a in nodes.values()):
+        raise ValueError(f"node arrays do not hold trees of {counts.tolist()} nodes")
+    # children come after their parent, so every descent ends at a leaf
+    starts = np.cumsum(counts) - counts
+    local = np.arange(counts.sum()) - np.repeat(starts, counts)
+    feature, left = nodes["feature"], nodes["left"]
+    bad = (feature >= 0) & ((feature >= len(feature_ids)) | (left <= local)
+                            | (nodes["right"] != left + 1) | (left + 1 >= np.repeat(counts, counts)))
+    if bad.any():
+        node = np.argmax(bad)
+        tree = np.searchsorted(starts, node, side="right") - 1
+        raise ValueError(f"node {local[node]} of tree {tree} has a feature index past "
+                         "feature_ids or child links that do not point forward")
+    pieces = [np.split(a, starts[1:]) for a in nodes.values()]
     return RandomForest(
-        trees=trees,
+        trees=[RegressionTree(*arrays) for arrays in zip(*pieces)],
         feature_ids=feature_ids,
-        seed=int(meta["seed"]),
-        bootstrap=bool(int(meta["bootstrap"])),
+        seed=member("seed", np.uint64, 0),
+        bootstrap=member("bootstrap", np.bool_, 0),
     )

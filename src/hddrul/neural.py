@@ -29,7 +29,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DivergenceError, NumericError
+from . import container
+from .errors import ConfigError, DivergenceError, NumericError
 from .preprocess import WindowedDataset
 from .seeding import rng_for
 
@@ -381,105 +382,59 @@ def train(settings: TrainSettings, dataset: WindowedDataset) -> tuple[BiLstmMode
 
 
 # ---------------------------------------------------------------------------
-# Model files (versioned text; %.17g round-trips float64 exactly)
+# Model files (see container.py)
 
-_FORMAT = "hddrul-model 1"
+KIND = "lstm"
 
-
-def serialize_model(model: BiLstmModel) -> str:
-    s = model.settings
-    lines = [
-        _FORMAT,
-        f"mode {'bidirectional' if model.bidirectional else 'vanilla'}",
-        f"hidden_size {model.hidden_size}",
-        f"n_features {model.n_features}",
-        f"timesteps {model.timesteps}",
-        f"epochs {s.epochs}",
-        f"batch_size {s.batch_size}",
-        "learning_rate %.17g" % s.learning_rate,
-        f"seed {s.seed}",
-        "grad_clip " + ("none" if s.grad_clip is None else "%.17g" % s.grad_clip),
-        "feature_ids " + " ".join(str(f) for f in model.feature_ids),
-    ]
-    names, arrays = parameter_arrays(model)
-    for name, arr in zip(names, arrays):
-        mat = np.atleast_2d(arr)
-        lines.append(f"param {name} {mat.shape[0]} {mat.shape[1]}")
-        for row in mat:
-            lines.append(" ".join("%.17g" % v for v in row))
-    lines.append("end")
-    return "\n".join(lines) + "\n"
+# the stored TrainSettings fields; grad_clip is stored apart, as an empty array for None
+_SETTINGS = {"bidirectional": np.bool_, "hidden_size": np.int64, "epochs": np.int64,
+             "batch_size": np.int64, "learning_rate": np.float64, "seed": np.uint64}
 
 
 def save_model(model: BiLstmModel, path: str | Path) -> None:
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write(serialize_model(model))
+    s = model.settings
+    names, arrays = parameter_arrays(model)
+    container.write(path, KIND, {
+        **{name: np.array(getattr(s, name), dtype=dtype) for name, dtype in _SETTINGS.items()},
+        "grad_clip": np.array([] if s.grad_clip is None else [s.grad_clip]),
+        "timesteps": np.array(model.timesteps, dtype=np.int64),
+        "feature_ids": np.array(model.feature_ids, dtype=np.int64),
+        **dict(zip(names, arrays)),
+    })
 
 
 def load_model(path: str | Path) -> BiLstmModel:
-    """Read a model file; a truncated or malformed one raises DataError naming it."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return _parse_model(fh.read().splitlines())
-        except (IndexError, KeyError, ValueError) as exc:
-            raise DataError(f"{path}: malformed model file ({type(exc).__name__}: {exc})") from exc
+    """Read a model file; a damaged one, or one whose shapes do not fit, raises DataError naming it."""
+    return container.read(path, KIND, _model_from_members)
 
 
-def _parse_model(lines: list[str]) -> BiLstmModel:
-    if not lines or lines[0] != _FORMAT:
-        raise ValueError(f"not a {_FORMAT!r} file")
-    if lines[-1] != "end":
-        raise ValueError("truncated: no closing 'end' line")
-    meta = {}
-    pos = 1
-    while not lines[pos].startswith("param ") and lines[pos] != "end":
-        key, _, rest = lines[pos].partition(" ")
-        meta[key] = rest
-        pos += 1
-    bidirectional = meta["mode"] == "bidirectional"
-    settings = TrainSettings(
-        bidirectional=bidirectional,
-        hidden_size=int(meta["hidden_size"]),
-        epochs=int(meta["epochs"]),
-        batch_size=int(meta["batch_size"]),
-        learning_rate=float(meta["learning_rate"]),
-        seed=int(meta["seed"]),
-        grad_clip=None if meta["grad_clip"] == "none" else float(meta["grad_clip"]),
-    )
-    blocks: dict[str, np.ndarray] = {}
-    while lines[pos] != "end":
-        _, name, rows, cols = lines[pos].split()
-        rows, cols = int(rows), int(cols)
-        mat = np.array([[float(tok) for tok in lines[pos + 1 + r].split()] for r in range(rows)])
-        if mat.shape != (rows, cols):
-            raise ValueError(f"param {name} is not {rows} x {cols}")
-        blocks[name] = mat
-        pos += 1 + rows
-    hidden, n_features = settings.hidden_size, int(meta["n_features"])
-    expected = {"dense.weights": (1, hidden * (2 if bidirectional else 1)), "dense.bias": (1, 1)}
-    for prefix in ("forward", "backward") if bidirectional else ("forward",):
-        expected[f"{prefix}.w_x"] = (n_features, 4 * hidden)
+def _model_from_members(member) -> BiLstmModel:
+    clip = member("grad_clip", np.float64, 1)
+    settings = TrainSettings(**{name: member(name, dtype, 0) for name, dtype in _SETTINGS.items()},
+                             grad_clip=float(clip[0]) if clip.size else None)
+    feature_ids = member("feature_ids", np.int64, 1).tolist()
+    hidden = settings.hidden_size
+    directions = ("forward", "backward") if settings.bidirectional else ("forward",)
+    expected = {"dense.weights": (hidden * len(directions),), "dense.bias": (1,)}
+    for prefix in directions:
+        expected[f"{prefix}.w_x"] = (len(feature_ids), 4 * hidden)
         expected[f"{prefix}.w_h"] = (hidden, 4 * hidden)
-        expected[f"{prefix}.bias"] = (1, 4 * hidden)
-    shapes = {name: mat.shape for name, mat in blocks.items()}
+        expected[f"{prefix}.bias"] = (4 * hidden,)
+    blocks = {name: member(name, np.float64, len(shape)) for name, shape in expected.items()}
+    shapes = {name: block.shape for name, block in blocks.items()}
     if shapes != expected:
         raise ValueError(f"parameter shapes {shapes} differ from {expected}")
-
-    def cell(prefix: str) -> LstmCellParams:
-        return LstmCellParams(
-            w_x=blocks[f"{prefix}.w_x"],
-            w_h=blocks[f"{prefix}.w_h"],
-            bias=blocks[f"{prefix}.bias"].ravel(),
-        )
-
-    dense = DenseParams(weights=blocks["dense.weights"].ravel(), bias=blocks["dense.bias"].ravel())
+    timesteps = member("timesteps", np.int64, 0)
+    if timesteps < 1:
+        raise ValueError(f"timesteps {timesteps} is not >= 1")
+    cells = [LstmCellParams(*(blocks[f"{d}.{p}"] for p in ("w_x", "w_h", "bias"))) for d in directions]
     return BiLstmModel(
-        forward_cell=cell("forward"),
-        backward_cell=cell("backward") if bidirectional else None,
-        dense=dense,
-        bidirectional=bidirectional,
-        timesteps=int(meta["timesteps"]),
-        feature_ids=[int(tok) for tok in meta["feature_ids"].split()],
+        forward_cell=cells[0],
+        backward_cell=cells[1] if settings.bidirectional else None,
+        dense=DenseParams(weights=blocks["dense.weights"], bias=blocks["dense.bias"]),
+        bidirectional=settings.bidirectional,
+        timesteps=timesteps,
+        feature_ids=feature_ids,
         settings=settings,
     )
 

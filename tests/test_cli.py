@@ -512,8 +512,13 @@ def test_streaming_ingest_matches_one_pass_oracle(tmp_path, monkeypatch, load_pe
     ("synth", None, "missing.cfg"),
     ("train", "timesteps\n", "timesteps"),
     ("train", "timesteps 3,3\n", "timesteps"),
+    ("train", "grad_clip -5\n", "grad_clip"),
+    ("train", "grad_clip nan\n", "grad_clip"),
+    ("train", "learning_rate -0.001\n", "learning_rate"),
+    ("train", "learning_rate nan\n", "learning_rate"),
 ], ids=["batch_size", "hidden_size", "rf_estimators", "epochs", "lookback_test", "jump_day",
-        "synth_features", "synth_noise", "missing_file", "empty_timesteps", "dup_timesteps"])
+        "synth_features", "synth_noise", "missing_file", "empty_timesteps", "dup_timesteps",
+        "negative_grad_clip", "nan_grad_clip", "negative_learning_rate", "nan_learning_rate"])
 def test_bad_config_exits_one(tmp_path, capsys, command, extra, named):
     out = tmp_path / "out"
     assert main(["synth", "--config", _config_file(tmp_path, out)]) == 0
@@ -532,7 +537,9 @@ def test_bad_config_exits_one(tmp_path, capsys, command, extra, named):
     "T60-0000,2020-13-01,3,1.0,2.0,3.0,4.0,5.0",  # no such date
     "T60-0000,2020-01-01,3,1.0,2.0,x,4.0,5.0",  # not a number
     "T60-0000,2020-01-01,3,1.0,2.0,nan,4.0,5.0",  # not a finite number
-], ids=["short", "long", "bad_date", "bad_number", "non_finite"])
+    "T60-0000,2020-01-02,3,1.0,2.0,3.0,4.0,5.0\nT60-0000,2020-01-01,3,1.0,2.0,3.0,4.0,5.0",
+    "T60-0000,2020-01-01,3,1.0,2.0,3.0,4.0,5.0\nT60-0000,2020-01-01,3,1.0,2.0,3.0,4.0,5.0",
+], ids=["short", "long", "bad_date", "bad_number", "non_finite", "unsorted", "duplicate_day"])
 def test_malformed_cohort_is_data_error(tiny_run, tmp_path, capsys, row):
     args = _copy_run(tiny_run, tmp_path / "run")
     path = tmp_path / "run" / "out" / "cohorts" / "test60.csv"
@@ -576,21 +583,38 @@ def test_truncated_input_ends_in_exit_code(tiny_run, tmp_path_factory, name, com
     assert main([command, *args, *_input_args(command, dest)]) in (0, 1, 2, 3)
 
 
-def _ff_in_middle(raw):
-    return raw[: len(raw) // 2] + b"\xff" + raw[len(raw) // 2 :]
+def _ff_in_middle(path):
+    raw = path.read_bytes()
+    path.write_bytes(raw[: len(raw) // 2] + b"\xff" + raw[len(raw) // 2 :])
+
+
+def _ff_fe_prefix(path):
+    path.write_bytes(b"\xff\xfe" + path.read_bytes())
+
+
+def _directory(path):
+    path.unlink()
+    path.mkdir()
 
 
 @pytest.mark.parametrize("name,command,edit", [
     ("out/cohorts/test60.csv", "evaluate", _ff_in_middle),
     ("snapshots/part0.csv", "ingest", _ff_in_middle),
     ("history.csv", "predict", _ff_in_middle),
-    ("out/models/lstm_t3.model", "predict", lambda raw: b"\xff\xfe" + raw),
-], ids=["cohort", "snapshot", "history", "model"])
+    ("out/models/lstm_t3.model", "predict", _ff_fe_prefix),
+    ("history.csv", "predict", _directory),
+    ("out/models/lstm_t3.model", "predict", _directory),
+    ("snapshots/part0.csv", "ingest", _directory),
+    ("out/reports/lstm_t3_test60.csv", "report", _directory),
+], ids=["cohort", "snapshot", "history", "model", "history_dir", "model_dir", "snapshot_dir",
+        "report_dir"])
 def test_non_utf8_input_is_data_error(tiny_run, tmp_path, capsys, name, command, edit):
+    """Bytes that are not UTF-8 text (or not a model container), or a directory
+    where a file belongs, end in exit 2 naming the path."""
     dest = tmp_path / "run"
     args = _copy_run(tiny_run, dest)
     path = dest / name
-    path.write_bytes(edit(path.read_bytes()))
+    edit(path)
     capsys.readouterr()
     assert main([command, *args, *_input_args(command, dest)]) == 2
     assert str(path) in capsys.readouterr().err

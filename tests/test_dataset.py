@@ -247,8 +247,9 @@ def test_history_csv_rejects_mixed_drives(tmp_path):
 
 
 @pytest.mark.parametrize("row", ["A,2020-01-02", "A,2020-01-02,1,2", "A,2020-02-30,1", "A,2020-01-02,x",
-                                 "A,2020-01-02,inf"],
-                         ids=["short", "long", "bad_date", "bad_number", "non_finite"])
+                                 "A,2020-01-02,inf", "A,2019-12-31,1", "A,2020-01-01,2"],
+                         ids=["short", "long", "bad_date", "bad_number", "non_finite", "unsorted",
+                              "duplicate_day"])
 def test_history_csv_malformed_row_is_data_error(tmp_path, row):
     path = tmp_path / "history.csv"
     path.write_text(f"serial,date,smart_7\nA,2020-01-01,1\n{row}\n")

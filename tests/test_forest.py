@@ -97,14 +97,20 @@ def test_forest_predictions_within_target_range(rng):
 def test_forest_serialization_roundtrip(rng, tmp_path):
     X = rng.normal(size=(30, 2))
     y = rng.normal(size=30)
-    model = forest.fit_forest(X, y, n_estimators=4, seed=8, feature_ids=[7, 9])
-    path = tmp_path / "forest.txt"
+    model = forest.fit_forest(X, y, n_estimators=4, seed=2**64 - 1, feature_ids=[7, 9])
+    path = tmp_path / "forest.model"
     forest.save_forest(model, path)
     loaded = forest.load_forest(path)
     queries = rng.normal(size=(20, 2))
     assert np.array_equal(model.predict(queries), loaded.predict(queries))
     assert loaded.feature_ids == [7, 9]
-    assert loaded.seed == 8 and loaded.bootstrap is True
+    assert loaded.seed == 2**64 - 1 and loaded.bootstrap is True
+    for got, want in zip(loaded.trees, model.trees):
+        assert _same_arrays(vars(got).values(), vars(want).values())
+    # saving again gives the same bytes
+    again = tmp_path / "again.model"
+    forest.save_forest(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_forest_threads_match_sequential(rng):
