@@ -6,7 +6,9 @@ with ``date``, ``serial_number``, ``model``, ``failure`` and any number of
 dropped (we standardize ourselves); raw columns become a sparse attribute map.
 Ingest reads the files twice: :func:`read_failure_rows` checks every row's
 identity cells and keeps the failure rows, then :func:`read_snapshot_csv`
-parses only the failed drives' rows inside their lookback windows.
+parses only the failed drives' rows inside their lookback windows. Both
+split a line only as far as they need; a line holding a quote goes through
+``csv.reader``.
 
 A failed drive's history is turned into a :class:`LabeledSeries`: the records
 covering the lookback window before failure, each labeled with its remaining
@@ -20,6 +22,7 @@ per drive); frames serialize to a long-format cohort CSV
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import warnings
 from contextlib import contextmanager
@@ -156,16 +159,31 @@ def _header_layout(header: tuple[str, ...]) -> _Layout:
 
 
 @contextmanager
-def _csv_reader(path: str | Path):
-    """A csv.reader over ``path``; a path that cannot be opened or bytes that
-    are not UTF-8 raise DataError naming it."""
+def _text_file(path: str | Path):
+    """``path`` opened for csv; a path that cannot be opened, bytes that are not
+    UTF-8 or a record csv cannot read (a cell over ``csv.field_size_limit()``)
+    raise DataError naming it."""
     try:
         with open(path, "r", newline="", encoding="utf-8") as fh:
-            yield csv.reader(fh)
+            yield fh
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
     except OSError as exc:
         raise DataError(f"{path}: cannot read ({exc})") from exc
+    except csv.Error as exc:
+        raise DataError(f"{path}: {exc}") from exc
+
+
+@contextmanager
+def _csv_reader(path: str | Path):
+    """A csv.reader over ``path``; errors are DataErrors naming it (see
+    :func:`_text_file`), a csv error also with its line."""
+    with _text_file(path) as fh:
+        reader = csv.reader(fh)
+        try:
+            yield reader
+        except csv.Error as exc:
+            raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
 
 
 def _parse_float(cell: str) -> float | None:
@@ -201,6 +219,19 @@ def _row_identity(layout: _Layout, row: Sequence[str], row_index: int,
     return day, failed
 
 
+def _snapshot_record(layout: _Layout, row: Sequence[str], day: Date, failed: bool) -> DriveRecord:
+    """The record of a row whose identity cells passed :func:`_row_identity`."""
+    n = len(row)
+    return DriveRecord(
+        serial=row[layout.serial].strip(),
+        date=day,
+        model=row[layout.model].strip(),
+        smart={attr_id: _parse_float(row[col]) if col < n else None
+               for attr_id, col in layout.smart},
+        failed=failed,
+    )
+
+
 def parse_snapshot_row(header: Sequence[str], row: Sequence[str], row_index: int = 0) -> DriveRecord:
     """Parse one snapshot CSV row into a :class:`DriveRecord`.
 
@@ -210,28 +241,43 @@ def parse_snapshot_row(header: Sequence[str], row: Sequence[str], row_index: int
     :class:`SnapshotParseError` carrying ``row_index``.
     """
     layout = _header_layout(tuple(header))
-    day, failed = _row_identity(layout, row, row_index)
-    smart: dict[int, float | None] = {}
-    for attr_id, col in layout.smart:
-        smart[attr_id] = _parse_float(row[col]) if col < len(row) else None
-    return DriveRecord(
-        serial=row[layout.serial].strip(),
-        date=day,
-        model=row[layout.model].strip(),
-        smart=smart,
-        failed=failed,
-    )
+    return _snapshot_record(layout, row, *_row_identity(layout, row, row_index))
 
 
-def _snapshot_header(path: str | Path, reader) -> tuple[list[str], _Layout] | None:
-    """The header row and its layout, or None for an empty file."""
-    header = next(reader, None)
+def _snapshot_layout(path: str | Path, fh) -> _Layout | None:
+    """Read the header record of an open snapshot file; its layout, or None for
+    an empty file."""
+    header = next(csv.reader(fh), None)
     if header is None:
         return None
     try:
-        return header, _header_layout(tuple(header))
+        return _header_layout(tuple(header))
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
+
+
+def _snapshot_rows(path: str | Path, fh, maxsplit: int):
+    """Yield ``(row index, cells, line)`` for each non-blank record left in ``fh``.
+
+    Row indices count records as ``enumerate(csv.reader(fh), start=1)`` does,
+    blank lines included. An unquoted line is split at its first ``maxsplit``
+    commas only, so its last cell holds the rest of the line, and
+    ``line.split(",")`` gives all its cells; unquoted cells have no size
+    limit. A line holding a quote is parsed by csv, with any following lines
+    a quoted cell spans, and comes back with all its cells and ``line`` None;
+    a csv error there is a :class:`SnapshotParseError`.
+    """
+    for row_index, line in enumerate(fh, start=1):
+        if '"' in line:
+            try:
+                row = next(csv.reader(itertools.chain([line], fh)))
+            except csv.Error as exc:
+                raise SnapshotParseError(row_index, str(exc), path) from exc
+            yield row_index, row, None
+            continue
+        line = line.rstrip("\r\n")
+        if line:
+            yield row_index, line.split(",", maxsplit), line
 
 
 def read_failure_rows(path: str | Path) -> list[DriveRecord]:
@@ -242,14 +288,11 @@ def read_failure_rows(path: str | Path) -> list[DriveRecord]:
     rows come back without attributes (an empty ``smart`` map).
     """
     failures = []
-    with _csv_reader(path) as reader:
-        found = _snapshot_header(path, reader)
-        if found is None:
+    with _text_file(path) as fh:
+        layout = _snapshot_layout(path, fh)
+        if layout is None:
             return failures
-        _, layout = found
-        for row_index, row in enumerate(reader, start=1):
-            if not row:
-                continue
+        for row_index, row, _ in _snapshot_rows(path, fh, layout.width):
             day, failed = _row_identity(layout, row, row_index, path)
             if failed:
                 failures.append(DriveRecord(
@@ -282,22 +325,24 @@ def read_snapshot_csv(path: str | Path, windows: dict[str, tuple[Date, Date]]) -
     """Pass 2 of ingest: parse the rows of one snapshot file that fall in ``windows``.
 
     ``windows`` maps a serial to its first and last wanted day (see
-    :func:`failure_windows`); every other row is skipped after a look at its
-    serial, so memory scales with the failed drives, not with the file.
+    :func:`failure_windows`). A row is split into cells only up to its serial
+    and skipped when the serial is not in ``windows``, so memory scales with
+    the failed drives, not with the file.
     """
     records = []
-    with _csv_reader(path) as reader:
-        found = _snapshot_header(path, reader)
-        if found is None:
+    with _text_file(path) as fh:
+        layout = _snapshot_layout(path, fh)
+        if layout is None:
             return records
-        header, layout = found
-        for row_index, row in enumerate(reader, start=1):
+        for row_index, row, line in _snapshot_rows(path, fh, layout.serial + 1):
             window = windows.get(row[layout.serial].strip()) if len(row) > layout.serial else None
             if window is None:
                 continue
-            day, _ = _row_identity(layout, row, row_index, path)
+            if line is not None:
+                row = line.split(",")
+            day, failed = _row_identity(layout, row, row_index, path)
             if window[0] <= day <= window[1]:
-                records.append(parse_snapshot_row(header, row, row_index))
+                records.append(_snapshot_record(layout, row, day, failed))
     return records
 
 

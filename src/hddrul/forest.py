@@ -207,6 +207,8 @@ def fit_forest(
     y = np.ascontiguousarray(y, dtype=np.float64)
     if n_estimators < 1:
         raise ValueError("n_estimators must be >= 1")
+    if seed < 0:  # forest files store the seed unsigned
+        raise ValueError(f"seed must be >= 0, got {seed}")
     n = X.shape[0]
     if n == 0:
         raise ValueError("cannot fit a forest on zero rows")

@@ -78,6 +78,10 @@ class TrainSettings:
     seed: int = 0
     grad_clip: float | None = 5.0
 
+    def __post_init__(self):
+        if self.seed < 0:  # model files store the seed unsigned
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+
 
 @dataclass
 class BiLstmModel:

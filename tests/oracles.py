@@ -5,7 +5,9 @@ package: exhaustive enumeration instead of incremental scans, arbitrary
 precision instead of float accumulation, sorted compensated summation instead
 of vectorized means. The single-window LSTM reference runs one cell step at
 a time over one window. The one-pass ingest reference parses every snapshot
-row, as ingest did before it read the files in two passes. The scalar kernels
+row, as ingest did before it read the files in two passes, and the two
+snapshot passes are kept as they were when every row went through
+``csv.reader``. The scalar kernels
 at the bottom are the loop versions that the vectorized library kernels
 replaced; the library must match them bit for bit.
 """
@@ -19,6 +21,7 @@ import numpy as np
 from mpmath import mp, mpf
 
 from hddrul import dataset as ds
+from hddrul.errors import DataError
 from hddrul.seeding import derive_seed
 
 # Same split-comparison semantics as the library: a candidate must beat the
@@ -169,6 +172,63 @@ def split_events_one_pass(config):
     train_events = [events[i] for i in sorted(perm[:n_train])]
     test_events = [events[i] for i in sorted(perm[n_train:])]
     return by_serial, train_events, test_events
+
+
+# ---------------------------------------------------------------------------
+# The two snapshot passes as they were when every row went through csv.reader
+# and was split into all of its cells
+
+
+def _snapshot_header(path, reader):
+    """The header row and its layout, or None for an empty file."""
+    header = next(reader, None)
+    if header is None:
+        return None
+    try:
+        return header, ds._header_layout(tuple(header))
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
+def read_failure_rows_csv(path):
+    """``dataset.read_failure_rows`` over ``csv.reader``."""
+    failures = []
+    with ds._csv_reader(path) as reader:
+        found = _snapshot_header(path, reader)
+        if found is None:
+            return failures
+        _, layout = found
+        for row_index, row in enumerate(reader, start=1):
+            if not row:
+                continue
+            day, failed = ds._row_identity(layout, row, row_index, path)
+            if failed:
+                failures.append(ds.DriveRecord(
+                    serial=row[layout.serial].strip(),
+                    date=day,
+                    model=row[layout.model].strip(),
+                    smart={},
+                    failed=True,
+                ))
+    return failures
+
+
+def read_snapshot_csv_csv(path, windows):
+    """``dataset.read_snapshot_csv`` over ``csv.reader``."""
+    records = []
+    with ds._csv_reader(path) as reader:
+        found = _snapshot_header(path, reader)
+        if found is None:
+            return records
+        header, layout = found
+        for row_index, row in enumerate(reader, start=1):
+            window = windows.get(row[layout.serial].strip()) if len(row) > layout.serial else None
+            if window is None:
+                continue
+            day, _ = ds._row_identity(layout, row, row_index, path)
+            if window[0] <= day <= window[1]:
+                records.append(ds.parse_snapshot_row(header, row, row_index))
+    return records
 
 
 # ---------------------------------------------------------------------------

@@ -399,6 +399,19 @@ def test_ingest_malformed_snapshot_is_data_error(tmp_path, capsys):
     assert f"{snapshot_dir / 'bad.csv'}: row 1: malformed date 'not-a-date'" in capsys.readouterr().err
 
 
+def test_ingest_oversized_quoted_cell_is_data_error(tmp_path, capsys):
+    snapshot_dir = tmp_path / "snapshots"
+    snapshot_dir.mkdir()
+    cell = "1" * 200_000
+    (snapshot_dir / "big.csv").write_text(
+        f'date,serial_number,model,failure,smart_5_raw\n2020-01-01,A,M,0,"{cell}"\n'
+    )
+    out = tmp_path / "out"
+    cfg = _config_file(tmp_path, out, extra=f"snapshot_dir {snapshot_dir}\n")
+    assert main(["ingest", "--config", cfg]) == 2
+    assert f"{snapshot_dir / 'big.csv'}: row 1: field larger than field limit" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name", ["lstm_t3.model", "forest.model"])
 def test_evaluate_truncated_model_is_data_error(tmp_path, capsys, name):
     out = tmp_path / "out"
@@ -539,7 +552,9 @@ def test_bad_config_exits_one(tmp_path, capsys, command, extra, named):
     "T60-0000,2020-01-01,3,1.0,2.0,nan,4.0,5.0",  # not a finite number
     "T60-0000,2020-01-02,3,1.0,2.0,3.0,4.0,5.0\nT60-0000,2020-01-01,3,1.0,2.0,3.0,4.0,5.0",
     "T60-0000,2020-01-01,3,1.0,2.0,3.0,4.0,5.0\nT60-0000,2020-01-01,3,1.0,2.0,3.0,4.0,5.0",
-], ids=["short", "long", "bad_date", "bad_number", "non_finite", "unsorted", "duplicate_day"])
+    "T60-0000,2020-01-01,3,1.0,2.0," + "3" * 200_000 + ",4.0,5.0",  # over csv's field limit
+], ids=["short", "long", "bad_date", "bad_number", "non_finite", "unsorted", "duplicate_day",
+        "oversized_cell"])
 def test_malformed_cohort_is_data_error(tiny_run, tmp_path, capsys, row):
     args = _copy_run(tiny_run, tmp_path / "run")
     path = tmp_path / "run" / "out" / "cohorts" / "test60.csv"

@@ -1,11 +1,14 @@
+import re
+import tracemalloc
 import warnings
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from hddrul import dataset as ds
 from hddrul.errors import DataError, InconsistentCorpusError, SnapshotParseError
 
@@ -56,6 +59,124 @@ def test_parse_row_bad_failure_flag():
     row = ["2020-01-05", "Z12", "M", "0", "maybe", "9", "100", ""]
     with pytest.raises(SnapshotParseError):
         ds.parse_snapshot_row(HEADER, row, row_index=3)
+
+
+SNAPSHOT_COLUMNS = ["date", "serial_number", "model", "capacity_bytes", "failure",
+                    "smart_5_raw", "smart_5_normalized", "smart_9_raw"]
+_SERIALS = ["A", "B", "C", " A ", ""]
+# short text full of the characters csv treats specially
+_CSV_TEXT = st.text(alphabet=st.sampled_from('09.-e,"\r\n x\x00'), max_size=6)
+
+
+def _mostly(common, rare, one_in=10):
+    """``rare`` one draw in ``one_in``, ``common`` otherwise."""
+    return st.tuples(st.integers(1, one_in), common, rare).map(lambda t: t[2] if t[0] == 1 else t[1])
+
+
+_CELLS = {
+    "date": _mostly(st.sampled_from(["2020-01-04", "2020-01-05", "2020-01-06", " 2020-01-09 "]),
+                    st.sampled_from(["2020-02-30", "not-a-date", ""]) | _CSV_TEXT, 40),
+    "serial_number": _mostly(st.sampled_from(_SERIALS), _CSV_TEXT),
+    "model": _mostly(st.sampled_from(["M", "N", " M"]), _CSV_TEXT),
+    "failure": _mostly(st.sampled_from(["0", "0", "1", " 1 ", "2"]),
+                       st.sampled_from(["yes", "", "1.0"]) | _CSV_TEXT, 40),
+}
+_VALUE = _mostly(st.sampled_from(["", "7", "1.5", " 2 ", "nan", "1e400", "-3", "4,5"]), _CSV_TEXT, 30)
+
+
+@st.composite
+def _csv_cell(draw, value):
+    """``value`` as written: quoted with its quotes doubled (nearly always when it
+    holds a comma, a quote or a line break), or bare."""
+    special = any(c in value for c in ',"\r\n')
+    if draw(st.integers(0, 9)) < (9 if special else 2):
+        return '"' + value.replace('"', '""') + '"'
+    return value
+
+
+@st.composite
+def _snapshot_text(draw):
+    columns = draw(st.permutations(SNAPSHOT_COLUMNS))
+    lines = [",".join(draw(_csv_cell(c)) for c in columns)]
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(_mostly(st.just("row"), st.sampled_from(["short", "blank", "spaces"]), 15))
+        if kind == "blank":
+            lines.append("")
+        elif kind == "spaces":
+            lines.append(" " * draw(st.integers(1, 3)))
+        else:
+            cells = [draw(_csv_cell(draw(_CELLS.get(c, _VALUE)))) for c in columns]
+            if kind == "short":
+                cells = cells[:draw(st.integers(0, len(cells) - 1))]
+            lines.append(",".join(cells))
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+_WINDOWS = st.dictionaries(
+    st.sampled_from(["A", "B", "C", ""]),
+    st.tuples(st.integers(3, 6), st.integers(0, 4)).map(
+        lambda t: (date(2020, 1, t[0]), date(2020, 1, t[0] + t[1]))),
+    min_size=1,
+)
+
+
+def _outcome(read, *args):
+    try:
+        return read(*args)
+    except DataError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_snapshot_text(), windows=_WINDOWS)
+def test_snapshot_passes_match_csv_reader_oracle(tmp_path, text, windows):
+    """Both passes give the records, or the error, of a csv.reader over every row."""
+    path = tmp_path / "day.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(text)
+    assert _outcome(ds.read_failure_rows, path) == _outcome(oracles.read_failure_rows_csv, path)
+    assert (_outcome(ds.read_snapshot_csv, path, windows)
+            == _outcome(oracles.read_snapshot_csv_csv, path, windows))
+
+
+def test_read_failure_rows_streams(tmp_path):
+    """Pass 1 holds a few lines of a file at a time, never the whole file."""
+    path = tmp_path / "day.csv"
+    header = ",".join(SNAPSHOT_COLUMNS[:5] + [f"smart_{i}_raw" for i in range(90)])
+    tail = ",".join(str(1000 + i) for i in range(90))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for k in range(44_000):
+            fh.write(f"2020-01-05,S{k:06d},M,4000787030016,{int(k % 10_000 == 0)},{tail}\n")
+    size = path.stat().st_size
+    assert size > 20_000_000
+    tracemalloc.start()
+    try:
+        failures = ds.read_failure_rows(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [rec.serial for rec in failures] == ["S000000", "S010000", "S020000", "S030000", "S040000"]
+    assert peak < 2_000_000, f"traced peak {peak} B for a {size} B file"
+
+
+def test_snapshot_cell_size(tmp_path):
+    """An unquoted cell of any size parses like any other (overflowing numbers are
+    missing); a quoted one over csv's field limit is an error naming file and row."""
+    path = tmp_path / "day.csv"
+    header = "date,serial_number,model,failure,smart_5_raw,smart_9_raw\n"
+    huge = "0" * 200_000 + "5"
+    path.write_text(header + f"2020-01-05,A,M,1,{huge},{'1' * 200_000}\n")
+    window = {"A": (date(2020, 1, 5), date(2020, 1, 5))}
+    assert [rec.smart for rec in ds.read_snapshot_csv(path, window)] == [{5: 5.0, 9: None}]
+    path.write_text(header + f'2020-01-05,A,M,1,"{huge}",7\n')
+    for read in (ds.read_failure_rows, lambda p: ds.read_snapshot_csv(p, window)):
+        with pytest.raises(SnapshotParseError,
+                           match=re.escape(f"{path}: row 1: field larger than field limit")):
+            read(path)
 
 
 def _record(serial, day, model="M", failed=False, smart=None):

@@ -62,6 +62,11 @@ def test_forest_deterministic(rng):
     assert np.array_equal(a.predict(queries), b.predict(queries))
 
 
+def test_forest_negative_seed_is_rejected(rng):
+    with pytest.raises(ValueError, match="seed"):
+        forest.fit_forest(rng.normal(size=(6, 2)), rng.normal(size=6), n_estimators=2, seed=-1)
+
+
 def test_forest_single_tree_no_bootstrap_equals_fit_tree(rng):
     X = rng.normal(size=(20, 3))
     y = rng.normal(size=20)

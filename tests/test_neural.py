@@ -193,6 +193,11 @@ def test_predict_shape_mismatch_is_config_error(rng):
         model.predict(rng.normal(size=(2, 5, 4)))
 
 
+def test_negative_seed_is_rejected():
+    with pytest.raises(ValueError, match="seed"):
+        neural.TrainSettings(seed=-1, hidden_size=2)
+
+
 def test_mse_cases():
     assert neural.mse_loss([1.0, 2.0], [1.0, 2.0]) == 0.0
     assert neural.mse_loss([0.0], [3.0]) == 9.0
