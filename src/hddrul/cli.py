@@ -247,6 +247,8 @@ def cmd_synth(config: RunConfig) -> int:
     manifest = []
     for name, drives_key, lookback_key, prefix in _SYNTH_COHORTS:
         series = _synth_series(config, name, drives_key, lookback_key, prefix)
+        if name == "train":
+            ds.write_scoring_csv(out / "cohorts" / "scoring.csv", series)
         capped = [ds.cap_rul(s, config.cap) for s in series]
         ids = ds.synthetic_attribute_ids(config.synth_features)
         frames = ds.materialize_cohort(capped, ids)
@@ -267,7 +269,7 @@ def _split_events(config: RunConfig):
     memory scales with the failed drives and not with the corpus: the first
     pass checks every row and keeps the failure rows, the second parses only
     the failed drives' rows inside their longest lookback. The split is the
-    seeded ``ingest_train_frac`` draw, so ``ingest`` and ``features`` agree on it.
+    seeded ``ingest_train_frac`` draw.
     """
     snapshot_dir = Path(config.snapshot_dir)
     if not config.snapshot_dir or not snapshot_dir.is_dir():
@@ -290,14 +292,14 @@ def _split_events(config: RunConfig):
     return by_serial, train_events, test_events
 
 
-def _labeled_series(command: str, by_serial, events, lookback: int) -> list[ds.LabeledSeries]:
+def _labeled_series(by_serial, events, lookback: int) -> list[ds.LabeledSeries]:
     """Uncapped labeled series of the failed drives; an inconsistent drive is skipped and reported."""
     series = []
     for event in events:
         try:
             series.append(ds.build_labeled_series(by_serial[event.serial], event, lookback))
         except DataError as exc:
-            print(f"{command}: skipping drive {event.serial}: {exc}", file=sys.stderr)
+            print(f"ingest: skipping drive {event.serial}: {exc}", file=sys.stderr)
     return series
 
 
@@ -311,16 +313,14 @@ def cmd_ingest(config: RunConfig) -> int:
         _write_run_config(config, out)
         return 0
     by_serial, train_events, test_events = split
-
-    def build(event_list, lookback):
-        labeled = _labeled_series("ingest", by_serial, event_list, lookback)
-        return [ds.cap_rul(s, config.cap) for s in labeled]
-
-    cohorts = {
-        "train": build(train_events, config.lookback_train),
-        "test60": build(test_events, config.lookback_test),
-        "test120": build(test_events, config.lookback_extrap),
+    labeled = {
+        "train": _labeled_series(by_serial, train_events, config.lookback_train),
+        "test60": _labeled_series(by_serial, test_events, config.lookback_test),
+        "test120": _labeled_series(by_serial, test_events, config.lookback_extrap),
     }
+    # features scores the train split before the availability filter and the cap
+    ds.write_scoring_csv(out / "cohorts" / "scoring.csv", labeled["train"])
+    cohorts = {name: [ds.cap_rul(s, config.cap) for s in series] for name, series in labeled.items()}
 
     selected = _selected_features(config)
     survivors = {
@@ -353,33 +353,13 @@ def cmd_ingest(config: RunConfig) -> int:
     return 0
 
 
-def _scoring_series(config: RunConfig):
-    """Uncapped training-cohort series for attribute scoring."""
-    if config.snapshot_dir:
-        split = _split_events(config)
-        if split is None:
-            raise DataError("no matching failures found for feature scoring")
-        by_serial, train_events, _ = split
-        series = _labeled_series("features", by_serial, train_events, config.lookback_train)
-        if not series:
-            raise DataError("every train-split drive was skipped; nothing to score")
-        return series
-    return _synth_series(config, *_SYNTH_COHORTS[0])
-
-
 def cmd_features(config: RunConfig) -> int:
     out = Path(config.out)
+    path = out / "cohorts" / "scoring.csv"
+    if not path.exists():
+        raise ConfigError(f"scoring file {path} not found; run `synth` or `ingest` first")
+    scoreable, series = ds.read_scoring_csv(path)
     (out / "features").mkdir(parents=True, exist_ok=True)
-    series = _scoring_series(config)
-    scoreable = sorted(
-        {
-            fid
-            for s in series
-            for rec in s.records
-            for fid, v in rec.smart.items()
-            if v is not None
-        }
-    )
     tree_ids = ds.attributes_on_every_drive(series)
     table = feat.score_features(series, scoreable, tree_attributes=tree_ids)
     selection = feat.select_features(table, config.features)
@@ -582,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
     ]:
         p = sub.add_parser(name, help=text)
         _add_common_flags(p)
-        if name in ("ingest", "features"):
+        if name == "ingest":
             p.add_argument("--snapshot-dir", dest="snapshot_dir", help="directory of snapshot CSVs")
         if name == "predict":
             p.add_argument("--model", required=True, help="model file")

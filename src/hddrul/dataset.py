@@ -17,7 +17,9 @@ then capped so that "healthy" days collapse into one top class.
 
 The numeric pipeline consumes :class:`DriveFrame` objects (one dense matrix
 per drive); frames serialize to a long-format cohort CSV
-``serial,date,rul,smart_<n>,...`` with one row per drive-day.
+``serial,date,rul,smart_<n>,...`` with one row per drive-day. The scoring
+CSV has the same header and holds the uncapped train split that attribute
+scoring reads, with an empty cell where a drive did not report a value.
 """
 from __future__ import annotations
 
@@ -668,3 +670,69 @@ def read_cohort_csv(path: str | Path) -> list[DriveFrame]:
     for row in rows:
         by_serial.setdefault(row[0], []).append(row)
     return [_frame_from_rows(path, group, feature_ids, True) for group in by_serial.values()]
+
+
+# ---------------------------------------------------------------------------
+# Scoring CSV (the uncapped train split that attribute scoring reads)
+
+
+def write_scoring_csv(path: str | Path, series_list: Sequence[LabeledSeries]) -> None:
+    """Write labeled series as ``serial,date,rul,smart_<n>,...`` with LF endings.
+
+    There is a column for every attribute some drive reports at least once,
+    and an empty cell is a value the drive did not report. Drives keep their
+    order, which fixes the bits of the scores computed over them.
+    """
+    feature_ids = sorted({fid for s in series_list for rec in s.records
+                          for fid, v in rec.smart.items() if v is not None})
+    with open(path, "w", newline="\n", encoding="utf-8") as fh:
+        header = ["serial", "date", "rul"] + [f"smart_{fid}" for fid in feature_ids]
+        fh.write(",".join(header) + "\n")
+        for series in series_list:
+            for rec, rul in zip(series.records, series.rul):
+                cells = [series.serial, rec.date.isoformat(), str(rul)]
+                cells += ["" if rec.smart.get(fid) is None else repr(float(rec.smart[fid]))
+                          for fid in feature_ids]
+                fh.write(",".join(cells) + "\n")
+
+
+def _series_from_rows(path, rows, feature_ids: list[int]) -> LabeledSeries:
+    """One drive's series; a bad date, label or number, or a non-finite value,
+    is a DataError naming the file and the drive."""
+    serial = rows[0][0]
+    records = []
+    try:
+        for row in rows:
+            smart = {fid: float(c) if c else None for fid, c in zip(feature_ids, row[3:])}
+            records.append(DriveRecord(serial, Date.fromisoformat(row[1]), "", smart))
+        rul = [int(row[2]) for row in rows]
+    except ValueError as exc:
+        raise DataError(f"{path}: drive {serial}: {exc}") from exc
+    for rec in records:
+        for fid, v in rec.smart.items():
+            if v is not None and not math.isfinite(v):
+                raise DataError(f"{path}: drive {serial}: smart_{fid} is {v} on {rec.date}, "
+                                "not a finite number")
+    return LabeledSeries(serial=serial, records=records, rul=rul)
+
+
+def read_scoring_csv(path: str | Path) -> tuple[list[int], list[LabeledSeries]]:
+    """The attribute ids and the drives of a scoring CSV (inverse of write).
+
+    An empty cell is an unreported value (``None``); records carry no drive
+    model or failure flag. A file with fewer than two drive-days, a row of the
+    wrong width, a bad date or number or a non-finite value raises DataError
+    naming the file.
+    """
+    with _csv_reader(path) as reader:
+        header = next(reader, [])
+        if header[:3] != ["serial", "date", "rul"]:
+            raise DataError(f"{path}: not a scoring CSV: unexpected header {header[:3]}")
+        feature_ids = _feature_columns(path, header[3:])
+        rows = _data_rows(path, reader, len(header))
+    if len(rows) < 2:
+        raise DataError(f"{path}: {len(rows)} drive-days; scoring needs at least two")
+    by_serial: dict[str, list] = {}
+    for row in rows:
+        by_serial.setdefault(row[0], []).append(row)
+    return feature_ids, [_series_from_rows(path, group, feature_ids) for group in by_serial.values()]

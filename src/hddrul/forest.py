@@ -133,15 +133,19 @@ def _predict_tree_arrays(feature, threshold, left, right, value, X):
 
 @dataclass
 class RegressionTree:
-    """Flat node arrays; ``feature[i] == -1`` marks a leaf."""
+    """Flat node arrays; ``feature[i] == -1`` marks a leaf.
+
+    ``impurity`` and ``n_node_samples`` serve :meth:`importance_raw` only, so
+    a model file does not hold them and a loaded tree has None there.
+    """
 
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
     right: np.ndarray
     value: np.ndarray
-    impurity: np.ndarray
-    n_node_samples: np.ndarray
+    impurity: np.ndarray | None = None
+    n_node_samples: np.ndarray | None = None
 
     @property
     def n_nodes(self) -> int:
@@ -152,7 +156,9 @@ class RegressionTree:
         return _predict_tree_arrays(self.feature, self.threshold, self.left, self.right, self.value, X)
 
     def importance_raw(self, n_features: int) -> np.ndarray:
-        """Total squared-error decrease attributed to each feature."""
+        """Total squared-error decrease attributed to each feature (fit trees only)."""
+        if self.impurity is None:
+            raise ValueError("importances need a fit tree; a loaded one holds no impurities")
         out = np.zeros(n_features)
         sse = self.impurity * self.n_node_samples
         for node in range(self.n_nodes):
@@ -229,13 +235,14 @@ def fit_forest(
 
 
 # ---------------------------------------------------------------------------
-# Model files (see container.py): the node arrays of all trees, concatenated
+# Model files (see container.py): the node arrays predict reads, of all trees
+# concatenated
 
 KIND = "forest"
 
-# RegressionTree's node arrays in field order, with their dtypes
+# RegressionTree's predict arrays in field order, with their dtypes
 _NODES = {"feature": np.int64, "threshold": np.float64, "left": np.int64, "right": np.int64,
-          "value": np.float64, "impurity": np.float64, "n_node_samples": np.int64}
+          "value": np.float64}
 
 
 def save_forest(forest: RandomForest, path: str | Path) -> None:

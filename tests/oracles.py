@@ -7,9 +7,10 @@ of vectorized means. The single-window LSTM reference runs one cell step at
 a time over one window. The one-pass ingest reference parses every snapshot
 row, as ingest did before it read the files in two passes, and the two
 snapshot passes are kept as they were when every row went through
-``csv.reader``. The scalar kernels
-at the bottom are the loop versions that the vectorized library kernels
-replaced; the library must match them bit for bit.
+``csv.reader``. The snapshot scoring reference scores the train split rebuilt
+from the snapshots, as ``features`` did before it read ``scoring.csv``. The
+scalar kernels at the bottom are the loop versions that the vectorized
+library kernels replaced; the library must match them bit for bit.
 """
 from __future__ import annotations
 
@@ -20,7 +21,9 @@ from pathlib import Path
 import numpy as np
 from mpmath import mp, mpf
 
+from hddrul import cli
 from hddrul import dataset as ds
+from hddrul import features as feat
 from hddrul.errors import DataError
 from hddrul.seeding import derive_seed
 
@@ -172,6 +175,16 @@ def split_events_one_pass(config):
     train_events = [events[i] for i in sorted(perm[:n_train])]
     test_events = [events[i] for i in sorted(perm[n_train:])]
     return by_serial, train_events, test_events
+
+
+def score_snapshot_train_split(config):
+    """The score table of the train split rebuilt from ``config.snapshot_dir``."""
+    by_serial, train_events, _ = cli._split_events(config)
+    series = cli._labeled_series(by_serial, train_events, config.lookback_train)
+    scoreable = sorted({fid for s in series for rec in s.records
+                        for fid, v in rec.smart.items() if v is not None})
+    return feat.score_features(series, scoreable,
+                               tree_attributes=ds.attributes_on_every_drive(series))
 
 
 # ---------------------------------------------------------------------------

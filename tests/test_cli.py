@@ -9,6 +9,7 @@ import oracles
 from hddrul import cli
 from hddrul import dataset as ds
 from hddrul import evaluation as ev
+from hddrul import features as feat
 from hddrul import forest, neural
 from hddrul import preprocess as pp
 from hddrul.cli import RunConfig, config_text, load_config, main
@@ -139,6 +140,7 @@ def test_synth_manifest_matches_serial_scan(tmp_path):
 def test_features_command_default_selection(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = _config_file(tmp_path, out)
+    assert main(["synth", "--config", cfg]) == 0
     assert main(["features", "--config", cfg]) == 0
     selected = (out / "features" / "selected.txt").read_text().strip()
     assert selected == "7,9,240,241,242"
@@ -450,37 +452,26 @@ def test_train_skips_holdout_report_without_r2(tiny_run, tmp_path):
     assert not (out / "traces" / "forest_holdout.csv").exists()
 
 
-def test_features_skips_inconsistent_drive_like_ingest(tmp_path, capsys):
-    config = ds.SynthConfig(n_drives=6, lookback_days=25, jump_day=4, seed=5)
+def test_features_reads_what_ingest_wrote(tmp_path):
+    # eight snapshot attributes, where synth with this config writes five
+    config = ds.SynthConfig(n_drives=6, lookback_days=25, n_features=8, jump_day=4, seed=5)
     snapshot_dir = _write_snapshots(tmp_path, ds.generate_synthetic(config))
     out = tmp_path / "out"
     cfg = _config_file(tmp_path, out, extra=f"model_filter {ds.SYNTHETIC_MODEL}\n")
     assert main(["ingest", "--config", cfg, "--snapshot-dir", str(snapshot_dir)]) == 0
-    serial = ds.read_cohort_csv(out / "cohorts" / "train.csv")[0].serial
-    # repeat one of that train-split drive's healthy days inside its lookback
-    parts = sorted(snapshot_dir.glob("*.csv"))
-    rows = [line for p in parts for line in p.read_text().splitlines()[1:]]
-    healthy = [r for r in rows if r.split(",")[1] == serial and r.split(",")[4] == "0"]
-    with open(parts[-1], "a") as fh:
-        fh.write(healthy[-1] + "\n")
-    capsys.readouterr()
-
-    assert main(["features", "--config", cfg, "--snapshot-dir", str(snapshot_dir)]) == 0
-    err = capsys.readouterr().err
-    assert f"features: skipping drive {serial}: " in err and "duplicate" in err
-    assert (out / "features" / "selected.txt").exists()
-    assert main(["ingest", "--config", cfg, "--snapshot-dir", str(snapshot_dir)]) == 0
-    assert f"ingest: skipping drive {serial}: " in capsys.readouterr().err
-    assert serial not in {f.serial for f in ds.read_cohort_csv(out / "cohorts" / "train.csv")}
+    snapshot_dir.rename(tmp_path / "moved")  # features opens no snapshot file
+    assert main(["features", "--config", cfg]) == 0
+    lines = (out / "features" / "features.csv").read_text().splitlines()[1:]
+    assert sorted(int(line.split(",")[0]) for line in lines) == sorted(
+        ds.synthetic_attribute_ids(8))
 
 
 SMALL_CORPUS = dict(days=140, healthy_target=20, healthy_other=6, failed_target=8,
                     failed_other=2, duplicated=2, missing_days=2)
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_streaming_ingest_matches_one_pass_oracle(tmp_path, monkeypatch, load_perfbench, seed):
-    corpus = load_perfbench("corpus")
+def _small_corpus(tmp_path, corpus, seed):
+    """Write the seeded small snapshot corpus; return (run config path, ground truth)."""
     truth = corpus.generate_corpus(tmp_path / "snapshots", seed, corpus.CorpusSize(**SMALL_CORPUS))
     lookbacks = corpus.LOOKBACKS
     cfg = _config_file(tmp_path, tmp_path / "out", extra=(
@@ -488,6 +479,14 @@ def test_streaming_ingest_matches_one_pass_oracle(tmp_path, monkeypatch, load_pe
         f"cap 30\nlookback_train {lookbacks['train']}\nlookback_test {lookbacks['test60']}\n"
         f"lookback_extrap {lookbacks['test120']}\n"
     ))
+    return cfg, truth
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_streaming_ingest_matches_one_pass_oracle(tmp_path, monkeypatch, load_perfbench, seed):
+    corpus = load_perfbench("corpus")
+    cfg, truth = _small_corpus(tmp_path, corpus, seed)
+    lookbacks = corpus.LOOKBACKS
     parsed = []
     read_snapshot_csv = ds.read_snapshot_csv
 
@@ -503,7 +502,7 @@ def test_streaming_ingest_matches_one_pass_oracle(tmp_path, monkeypatch, load_pe
         patch.setattr(cli, "_split_events", oracles.split_events_one_pass)
         assert main(["ingest", "--config", cfg, "--out", str(tmp_path / "oracle")]) == 0
 
-    for name in ("train.csv", "test60.csv", "test120.csv", "manifest.csv"):
+    for name in ("train.csv", "test60.csv", "test120.csv", "manifest.csv", "scoring.csv"):
         stream = (tmp_path / "stream" / "cohorts" / name).read_bytes()
         assert stream == (tmp_path / "oracle" / "cohorts" / name).read_bytes(), name
     # pass 2 parses each failed target drive's rows inside its longest lookback,
@@ -511,6 +510,28 @@ def test_streaming_ingest_matches_one_pass_oracle(tmp_path, monkeypatch, load_pe
     longest = max(lookbacks.values())
     in_windows = sum(truth.rows[(serial, longest)] for serial in truth.failed) + len(truth.skipped)
     assert sum(parsed) == in_windows < truth.rows_total / 2
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_features_matches_snapshot_scoring_oracle(tmp_path, capsys, load_perfbench, seed):
+    """features scores the train split ingest wrote, duplicated-day drives skipped,
+    to the bytes of a score over the split rebuilt from the snapshots. Seeds 2
+    and 3 put duplicated-day drives in the train split."""
+    cfg, truth = _small_corpus(tmp_path, load_perfbench("corpus"), seed)
+    out = tmp_path / "out"
+    assert main(["ingest", "--config", cfg]) == 0
+    err = capsys.readouterr().err
+    train = {f.serial for f in ds.read_cohort_csv(out / "cohorts" / "train.csv")}
+    for serial in truth.skipped:
+        assert f"ingest: skipping drive {serial}: " in err and serial not in train
+    assert main(["features", "--config", cfg]) == 0
+
+    config = load_config(cfg)
+    table = oracles.score_snapshot_train_split(config)
+    table.to_csv(tmp_path / "features.csv")
+    assert (out / "features" / "features.csv").read_bytes() == (tmp_path / "features.csv").read_bytes()
+    selected = ",".join(str(f) for f in feat.select_features(table, config.features)) + "\n"
+    assert (out / "features" / "selected.txt").read_text() == selected
 
 
 @pytest.mark.parametrize("command,extra,named", [
@@ -587,6 +608,7 @@ def test_malformed_report_is_data_error(tiny_run, tmp_path, capsys, edit):
     ("out/models/forest.model", "evaluate"),
     ("out/cohorts/train.csv", "train"),
     ("history.csv", "predict"),
+    ("out/cohorts/scoring.csv", "features"),
 ])
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
@@ -621,8 +643,10 @@ def _directory(path):
     ("out/models/lstm_t3.model", "predict", _directory),
     ("snapshots/part0.csv", "ingest", _directory),
     ("out/reports/lstm_t3_test60.csv", "report", _directory),
+    ("out/cohorts/scoring.csv", "features", _ff_in_middle),
+    ("out/cohorts/scoring.csv", "features", _directory),
 ], ids=["cohort", "snapshot", "history", "model", "history_dir", "model_dir", "snapshot_dir",
-        "report_dir"])
+        "report_dir", "scoring", "scoring_dir"])
 def test_non_utf8_input_is_data_error(tiny_run, tmp_path, capsys, name, command, edit):
     """Bytes that are not UTF-8 text (or not a model container), or a directory
     where a file belongs, end in exit 2 naming the path."""
@@ -633,3 +657,41 @@ def test_non_utf8_input_is_data_error(tiny_run, tmp_path, capsys, name, command,
     capsys.readouterr()
     assert main([command, *args, *_input_args(command, dest)]) == 2
     assert str(path) in capsys.readouterr().err
+
+
+def _drop_file(path):
+    path.unlink()
+
+
+def _header_only(path):
+    path.write_text(path.read_text().splitlines()[0] + "\n")
+
+
+def _cell(value):
+    """Replace the last cell of the first drive's second day."""
+    def edit(path):
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0] + "," + value
+        path.write_text("\n".join(lines) + "\n")
+    return edit
+
+
+@pytest.mark.parametrize("edit,code,drive", [
+    (_drop_file, 1, False),
+    (_header_only, 2, False),
+    (_cell("nan"), 2, True),
+    (_cell("-inf"), 2, True),
+    (_cell(""), 0, False),
+], ids=["missing", "no_drives", "nan", "inf", "empty_cell"])
+def test_scoring_file_failures(tiny_run, tmp_path, capsys, edit, code, drive):
+    """A missing scoring.csv is a configuration error, one without drives or with a
+    non-finite value a data error; an empty cell is a value the drive did not report."""
+    args = _copy_run(tiny_run, tmp_path / "run")
+    path = tmp_path / "run" / "out" / "cohorts" / "scoring.csv"
+    serial = path.read_text().splitlines()[1].split(",")[0]
+    edit(path)
+    capsys.readouterr()
+    assert main(["features", *args]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert str(path) in err and (serial in err) == drive

@@ -383,3 +383,26 @@ def test_attributes_on_every_drive():
     recs_b = [_record("B", date(2020, 1, 1), smart={7: 3.0, 5: 4.0})]
     series = [ds.LabeledSeries("A", recs_a, [0]), ds.LabeledSeries("B", recs_b, [0])]
     assert ds.attributes_on_every_drive(series) == [7]
+
+
+def test_scoring_csv_roundtrip_keeps_order_and_gaps(tmp_path):
+    def series(serial, values):
+        days = [date(2020, 1, 1) + timedelta(days=k) for k in range(len(values))]
+        records = [ds.DriveRecord(serial, day, "M", {7: v, 9: 0.1 * k, 240: None})
+                   for k, (day, v) in enumerate(zip(days, values))]
+        return ds.LabeledSeries(serial, records, list(range(len(values) - 1, -1, -1)))
+
+    written = [series("Z9", [1.5, None, 2.0]), series("A1", [None, None])]
+    path = tmp_path / "scoring.csv"
+    ds.write_scoring_csv(path, written)
+    # 240 is never reported, so it has no column; an unreported value is an empty cell
+    assert path.read_text().splitlines()[:3] == [
+        "serial,date,rul,smart_7,smart_9", "Z9,2020-01-01,2,1.5,0.0", "Z9,2020-01-02,1,,0.1"]
+    feature_ids, read = ds.read_scoring_csv(path)
+    assert feature_ids == [7, 9]
+    assert [s.serial for s in read] == ["Z9", "A1"]  # file order, not sorted
+    for got, want in zip(read, written):
+        assert got.rul == want.rul
+        assert [r.date for r in got.records] == [r.date for r in want.records]
+        assert [r.smart for r in got.records] == [
+            {7: r.smart[7], 9: r.smart[9]} for r in want.records]

@@ -110,8 +110,12 @@ def test_forest_serialization_roundtrip(rng, tmp_path):
     assert np.array_equal(model.predict(queries), loaded.predict(queries))
     assert loaded.feature_ids == [7, 9]
     assert loaded.seed == 2**64 - 1 and loaded.bootstrap is True
+    # the file holds the arrays predict reads, not the ones only importances use
     for got, want in zip(loaded.trees, model.trees):
-        assert _same_arrays(vars(got).values(), vars(want).values())
+        assert _same_arrays(*([getattr(t, name) for name in forest._NODES] for t in (got, want)))
+        assert got.impurity is None and got.n_node_samples is None
+    with pytest.raises(ValueError, match="fit tree"):
+        loaded.trees[0].importance_raw(2)
     # saving again gives the same bytes
     again = tmp_path / "again.model"
     forest.save_forest(loaded, again)
