@@ -19,6 +19,7 @@ import csv
 import math
 import sys
 from dataclasses import dataclass, fields, replace
+from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -265,26 +266,55 @@ def _split_events(config: RunConfig):
     """Failures of ``model_filter`` drives, split into train and test drives.
 
     Returns ``(records by serial, train events, test events)``, or None when
-    no drive of the model failed. The snapshot files are read twice, so that
-    memory scales with the failed drives and not with the corpus: the first
-    pass checks every row and keeps the failure rows, the second parses only
-    the failed drives' rows inside their longest lookback. The split is the
-    seeded ``ingest_train_frac`` draw.
+    no drive of the model failed. Each snapshot file is read once, last path
+    first, which is newest first for daily files. When a file ends, each of
+    its ``model_filter`` failures registers its drive's window, the failure
+    day and the longest lookback before it, and the files read after it keep
+    the drive's rows inside that window. A drive stops reporting after it
+    fails, so on daily files only its failure-day file was read before its
+    window: at the end, each file read before a drive's window was registered
+    is read again for that drive if its days meet the window. An earlier
+    failure of a drive found later registers the drive again with the earlier
+    window and drops the rows kept so far. So memory scales with the failed
+    drives, not with the corpus. The split is the seeded ``ingest_train_frac``
+    draw.
     """
     snapshot_dir = Path(config.snapshot_dir)
     if not config.snapshot_dir or not snapshot_dir.is_dir():
         raise ConfigError(f"snapshot_dir {config.snapshot_dir!r} is not a directory")
-    paths = sorted(snapshot_dir.glob("*.csv"))
-    failures = [rec for path in paths for rec in ds.read_failure_rows(path)]
+    lookback = timedelta(days=max(config.lookback_train, config.lookback_test,
+                                  config.lookback_extrap))
+    windows: dict[str, tuple[date, date]] = {}  # serial -> first and last day it needs
+    registered: dict[str, int] = {}  # serial -> files read when its window was registered
+    read: list[tuple[Path, tuple[date, date] | None]] = []  # (path, days) in reading order
+    failures: list[ds.DriveRecord] = []
+    by_serial: dict[str, list[ds.DriveRecord]] = {}
+    for path in sorted(snapshot_dir.glob("*.csv"), reverse=True):
+        scan = ds.scan_snapshot_file(path, windows)
+        read.append((path, scan.days))
+        failures += scan.failures
+        for rec in scan.kept:
+            by_serial.setdefault(rec.serial, []).append(rec)
+        for rec in scan.failures:
+            window = windows.get(rec.serial)
+            if rec.model != config.model_filter or (window and window[1] <= rec.date):
+                continue
+            by_serial.pop(rec.serial, None)
+            windows[rec.serial] = (rec.date - lookback, rec.date)
+            registered[rec.serial] = len(read)
     events = ds.scan_failures(failures, config.model_filter)
     if not events:
         return None
-    lookback = max(config.lookback_train, config.lookback_test, config.lookback_extrap)
-    windows = ds.failure_windows(events, lookback)
-    by_serial: dict[str, list[ds.DriveRecord]] = {}
-    for path in paths:
-        for rec in ds.read_snapshot_csv(path, windows):
+
+    rereads: dict[Path, dict[str, tuple[date, date]]] = {}
+    for serial, (first, last) in windows.items():
+        for path, days in read[:registered[serial]]:
+            if days is not None and days[0] <= last and first <= days[1]:
+                rereads.setdefault(path, {})[serial] = (first, last)
+    for path, wanted in rereads.items():
+        for rec in ds.read_snapshot_csv(path, wanted):
             by_serial.setdefault(rec.serial, []).append(rec)
+
     perm = np.random.default_rng(derive_seed(config.seed, "ingest/split")).permutation(len(events))
     n_train = max(1, min(len(events) - 1, round(len(events) * config.ingest_train_frac)))
     train_events = [events[i] for i in sorted(perm[:n_train])]

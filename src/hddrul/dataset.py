@@ -4,11 +4,15 @@ Input is the Backblaze daily-snapshot layout: one CSV row per drive per day
 with ``date``, ``serial_number``, ``model``, ``failure`` and any number of
 ``smart_<n>_raw`` / ``smart_<n>_normalized`` columns. Normalized columns are
 dropped (we standardize ourselves); raw columns become a sparse attribute map.
-Ingest reads the files twice: :func:`read_failure_rows` checks every row's
-identity cells and keeps the failure rows, then :func:`read_snapshot_csv`
-parses only the failed drives' rows inside their lookback windows. Both
-split a line only as far as they need; a line holding a quote goes through
-``csv.reader``.
+Ingest reads each file once with :func:`scan_snapshot_file`, newest first: it
+checks every row's identity cells, keeps the failure rows, and parses in full
+only the rows of drives whose failure window is already known. A drive's own
+failure-day file is read before its window is, so :func:`read_snapshot_csv`
+re-reads such a file for just those drives. Both split a line only as far as
+they need, parse each distinct (``date``, ``failure``) cell pair once per
+file, and send a line holding a quote through ``csv.reader``. A drive that
+fails on several days counts as failed on the earliest
+(:func:`scan_failures`).
 
 A failed drive's history is turned into a :class:`LabeledSeries`: the records
 covering the lookback window before failure, each labeled with its remaining
@@ -205,7 +209,11 @@ def _row_identity(layout: _Layout, row: Sequence[str], row_index: int,
     """The checks every snapshot row must pass; returns its (date, failure flag).
 
     A row too short to hold the identity cells, a malformed date or a
-    non-numeric failure flag raises :class:`SnapshotParseError`.
+    non-numeric failure flag raises :class:`SnapshotParseError`. The snapshot
+    reads call it once per distinct (date cell, failure cell) pair of a file
+    and keep its result in a dict under that pair. They look a row too short
+    for the pair up under None, which is never stored, so such a row always
+    comes here and raises.
     """
     if len(row) < layout.width:
         raise SnapshotParseError(row_index, f"truncated row ({len(row)} fields)", path)
@@ -224,12 +232,15 @@ def _row_identity(layout: _Layout, row: Sequence[str], row_index: int,
 def _snapshot_record(layout: _Layout, row: Sequence[str], day: Date, failed: bool) -> DriveRecord:
     """The record of a row whose identity cells passed :func:`_row_identity`."""
     n = len(row)
+    smart = {}
+    for attr_id, col in layout.smart:
+        cell = row[col] if col < n else ""
+        smart[attr_id] = _parse_float(cell) if cell else None
     return DriveRecord(
         serial=row[layout.serial].strip(),
         date=day,
         model=row[layout.model].strip(),
-        smart={attr_id: _parse_float(row[col]) if col < n else None
-               for attr_id, col in layout.smart},
+        smart=smart,
         failed=failed,
     )
 
@@ -282,67 +293,86 @@ def _snapshot_rows(path: str | Path, fh, maxsplit: int):
             yield row_index, line.split(",", maxsplit), line
 
 
-def read_failure_rows(path: str | Path) -> list[DriveRecord]:
-    """Pass 1 of ingest: check every row of one snapshot file, keep its failure rows.
+class SnapshotScan(NamedTuple):
+    """What one read of a snapshot file gives ingest (see :func:`scan_snapshot_file`)."""
+
+    failures: list[DriveRecord]  # the failure rows, without attributes
+    days: tuple[Date, Date] | None  # first and last day of its rows; None without rows
+    kept: list[DriveRecord]  # the rows inside ``windows``, parsed in full
+
+
+def scan_snapshot_file(path: str | Path, windows: dict[str, tuple[Date, Date]]) -> SnapshotScan:
+    """Read one snapshot file: check every row, keep its failure rows and the rows in ``windows``.
 
     Each row's identity cells go through the same checks as in
-    :func:`parse_snapshot_row`, and an error names the file. The failure
-    rows come back without attributes (an empty ``smart`` map).
+    :func:`parse_snapshot_row`, and an error names the file and the row.
+    The failure rows come back without attributes (an empty ``smart`` map).
+    ``windows`` maps a serial to its first and last wanted day; a row of
+    such a serial inside them is parsed as :func:`read_snapshot_csv` does,
+    and every other row is split only up to its identity cells.
     """
-    failures = []
+    failures: list[DriveRecord] = []
+    kept: list[DriveRecord] = []
     with _text_file(path) as fh:
         layout = _snapshot_layout(path, fh)
         if layout is None:
-            return failures
-        for row_index, row, _ in _snapshot_rows(path, fh, layout.width):
-            day, failed = _row_identity(layout, row, row_index, path)
+            return SnapshotScan(failures, None, kept)
+        width, serial_col = layout.width, layout.serial
+        seen: dict[tuple[str, str] | None, tuple[Date, bool]] = {}  # see _row_identity
+        for row_index, row, line in _snapshot_rows(path, fh, width):
+            key = (row[layout.date], row[layout.failure]) if len(row) >= width else None
+            identity = seen.get(key)
+            if identity is None:
+                identity = seen[key] = _row_identity(layout, row, row_index, path)
+            day, failed = identity
             if failed:
                 failures.append(DriveRecord(
-                    serial=row[layout.serial].strip(),
+                    serial=row[serial_col].strip(),
                     date=day,
                     model=row[layout.model].strip(),
                     smart={},
                     failed=True,
                 ))
-    return failures
+            if windows:
+                window = windows.get(row[serial_col].strip())
+                if window is not None and window[0] <= day <= window[1]:
+                    full = row if line is None else line.split(",")
+                    kept.append(_snapshot_record(layout, full, day, failed))
+    days = [day for day, _ in seen.values()]
+    return SnapshotScan(failures, (min(days), max(days)) if days else None, kept)
 
 
-def failure_windows(events: Iterable[FailureEvent], lookback_days: int) -> dict[str, tuple[Date, Date]]:
-    """Per failed drive, the days any of its lookback windows can reach.
-
-    That is ``(earliest failure - lookback_days, latest failure)``, the rows
-    :func:`read_snapshot_csv` keeps.
-    """
-    windows: dict[str, tuple[Date, Date]] = {}
-    for event in events:
-        start, end = event.fail_date - timedelta(days=lookback_days), event.fail_date
-        if event.serial in windows:
-            first, last = windows[event.serial]
-            start, end = min(start, first), max(end, last)
-        windows[event.serial] = (start, end)
-    return windows
+def read_failure_rows(path: str | Path) -> list[DriveRecord]:
+    """The failure rows of one snapshot file, every row checked (see :func:`scan_snapshot_file`)."""
+    return scan_snapshot_file(path, {}).failures
 
 
 def read_snapshot_csv(path: str | Path, windows: dict[str, tuple[Date, Date]]) -> list[DriveRecord]:
-    """Pass 2 of ingest: parse the rows of one snapshot file that fall in ``windows``.
+    """Parse the rows of one snapshot file that fall in ``windows``.
 
-    ``windows`` maps a serial to its first and last wanted day (see
-    :func:`failure_windows`). A row is split into cells only up to its serial
-    and skipped when the serial is not in ``windows``, so memory scales with
-    the failed drives, not with the file.
+    ``windows`` maps a serial to its first and last wanted day. A row is
+    split into cells only up to its serial and skipped when the serial is
+    not in ``windows``, so memory scales with the wanted drives, not with
+    the file; only the rows of those drives have their identity cells
+    checked.
     """
     records = []
     with _text_file(path) as fh:
         layout = _snapshot_layout(path, fh)
         if layout is None:
             return records
+        seen: dict[tuple[str, str] | None, tuple[Date, bool]] = {}  # see _row_identity
         for row_index, row, line in _snapshot_rows(path, fh, layout.serial + 1):
             window = windows.get(row[layout.serial].strip()) if len(row) > layout.serial else None
             if window is None:
                 continue
             if line is not None:
                 row = line.split(",")
-            day, failed = _row_identity(layout, row, row_index, path)
+            key = (row[layout.date], row[layout.failure]) if len(row) >= layout.width else None
+            identity = seen.get(key)
+            if identity is None:
+                identity = seen[key] = _row_identity(layout, row, row_index, path)
+            day, failed = identity
             if window[0] <= day <= window[1]:
                 records.append(_snapshot_record(layout, row, day, failed))
     return records
@@ -353,15 +383,16 @@ def read_snapshot_csv(path: str | Path, windows: dict[str, tuple[Date, Date]]) -
 
 
 def scan_failures(corpus: Iterable[DriveRecord], model_filter: str) -> list[FailureEvent]:
-    """Failure events for the given drive model, sorted by (fail_date, serial)."""
-    seen: set[tuple[str, Date]] = set()
-    events = []
+    """Failure events for the given drive model, sorted by (fail_date, serial).
+
+    A drive has one event, on its earliest failure day: a drive that reports
+    ``failure`` 1 again later counts as failed from the first time on.
+    """
+    first: dict[str, Date] = {}
     for rec in corpus:
-        if rec.failed and rec.model == model_filter:
-            key = (rec.serial, rec.date)
-            if key not in seen:
-                seen.add(key)
-                events.append(FailureEvent(serial=rec.serial, fail_date=rec.date))
+        if rec.failed and rec.model == model_filter and rec.date < first.get(rec.serial, Date.max):
+            first[rec.serial] = rec.date
+    events = [FailureEvent(serial=serial, fail_date=day) for serial, day in first.items()]
     events.sort(key=lambda e: (e.fail_date, e.serial))
     return events
 
@@ -494,6 +525,12 @@ def generate_synthetic(config: SynthConfig, serial_prefix: str = "SYN") -> list[
 # Materialization (sparse records -> dense per-drive frames)
 
 
+def _smart_matrix(records: Sequence[DriveRecord], feature_ids: Sequence[int]) -> np.ndarray:
+    """(days, attributes) float64 values of ``records``, NaN where a value is unreported."""
+    return np.array([[rec.smart.get(fid) for fid in feature_ids] for rec in records],
+                    dtype=np.float64).reshape(len(records), len(feature_ids))
+
+
 def materialize_series(series: LabeledSeries, feature_ids: Sequence[int]) -> DriveFrame | None:
     """Dense frame for one drive, or None when an attribute is never reported.
 
@@ -503,27 +540,23 @@ def materialize_series(series: LabeledSeries, feature_ids: Sequence[int]) -> Dri
     (with a warning).
     """
     n = len(series.records)
-    values = np.empty((n, len(feature_ids)))
-    for j, fid in enumerate(feature_ids):
-        raw = [rec.smart.get(fid) for rec in series.records]
-        if all(v is None for v in raw):
-            warnings.warn(
-                f"drive {series.serial}: attribute {fid} missing on every day; drive excluded"
-            )
-            return None
-        first = next(v for v in raw if v is not None)
-        prev = first
-        for k, v in enumerate(raw):
-            if v is None:
-                values[k, j] = prev
-            else:
-                values[k, j] = v
-                prev = v
+    raw = _smart_matrix(series.records, feature_ids)
+    reported = ~np.isnan(raw)
+    missing = np.flatnonzero(~reported.any(axis=0))
+    if missing.size:
+        warnings.warn(f"drive {series.serial}: attribute {feature_ids[missing[0]]} "
+                      "missing on every day; drive excluded")
+        return None
+    # each day takes the value of the last reported day up to it, and a day
+    # before the first report the value of the next reported day
+    days = np.arange(n)[:, None]
+    last = np.maximum.accumulate(np.where(reported, days, -1), axis=0)
+    following = np.minimum.accumulate(np.where(reported, days, n)[::-1], axis=0)[::-1]
     return DriveFrame(
         serial=series.serial,
         dates=[rec.date for rec in series.records],
         feature_ids=list(feature_ids),
-        values=values,
+        values=np.take_along_axis(raw, np.where(last < 0, following, last), axis=0),
         rul=np.asarray(series.rul, dtype=np.int64),
     )
 
@@ -572,9 +605,9 @@ def write_cohort_csv(path: str | Path, frames: Sequence[DriveFrame]) -> None:
         header = ["serial", "date", "rul"] + [f"smart_{fid}" for fid in feature_ids]
         fh.write(",".join(header) + "\n")
         for frame in frames:
-            for k, day in enumerate(frame.dates):
-                cells = [frame.serial, day.isoformat(), str(int(frame.rul[k]))]
-                cells += [repr(float(v)) for v in frame.values[k]]
+            for day, rul, values in zip(frame.dates, frame.rul.tolist(), frame.values.tolist()):
+                cells = [frame.serial, day.isoformat(), str(rul)]
+                cells += map(repr, values)
                 fh.write(",".join(cells) + "\n")
 
 
@@ -689,10 +722,10 @@ def write_scoring_csv(path: str | Path, series_list: Sequence[LabeledSeries]) ->
         header = ["serial", "date", "rul"] + [f"smart_{fid}" for fid in feature_ids]
         fh.write(",".join(header) + "\n")
         for series in series_list:
-            for rec, rul in zip(series.records, series.rul):
+            values = _smart_matrix(series.records, feature_ids).tolist()
+            for rec, rul, row in zip(series.records, series.rul, values):
                 cells = [series.serial, rec.date.isoformat(), str(rul)]
-                cells += ["" if rec.smart.get(fid) is None else repr(float(rec.smart[fid]))
-                          for fid in feature_ids]
+                cells += ["" if math.isnan(v) else repr(v) for v in row]
                 fh.write(",".join(cells) + "\n")
 
 

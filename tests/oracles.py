@@ -5,17 +5,19 @@ package: exhaustive enumeration instead of incremental scans, arbitrary
 precision instead of float accumulation, sorted compensated summation instead
 of vectorized means. The single-window LSTM reference runs one cell step at
 a time over one window. The one-pass ingest reference parses every snapshot
-row, as ingest did before it read the files in two passes, and the two
-snapshot passes are kept as they were when every row went through
+row, as ingest did before it streamed them, and the two snapshot
+reads are kept as they were when every row went through
 ``csv.reader``. The snapshot scoring reference scores the train split rebuilt
 from the snapshots, as ``features`` did before it read ``scoring.csv``. The
-scalar kernels at the bottom are the loop versions that the vectorized
-library kernels replaced; the library must match them bit for bit.
+forward-fill loop, the cell-at-a-time CSV writers and the scalar kernels at
+the bottom are the loop versions that the vectorized library code replaced;
+the library must match them bit for bit.
 """
 from __future__ import annotations
 
 import csv
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -242,6 +244,68 @@ def read_snapshot_csv_csv(path, windows):
             if window[0] <= day <= window[1]:
                 records.append(ds.parse_snapshot_row(header, row, row_index))
     return records
+
+
+# ---------------------------------------------------------------------------
+# The forward fill and the cohort and scoring writers as they were before they
+# were vectorized: one loop per attribute, one float() per written cell
+
+
+def materialize_series_loop(series, feature_ids):
+    """``dataset.materialize_series`` as a loop over each attribute's days."""
+    n = len(series.records)
+    values = np.empty((n, len(feature_ids)))
+    for j, fid in enumerate(feature_ids):
+        raw = [rec.smart.get(fid) for rec in series.records]
+        if all(v is None for v in raw):
+            warnings.warn(
+                f"drive {series.serial}: attribute {fid} missing on every day; drive excluded"
+            )
+            return None
+        first = next(v for v in raw if v is not None)
+        prev = first
+        for k, v in enumerate(raw):
+            if v is None:
+                values[k, j] = prev
+            else:
+                values[k, j] = v
+                prev = v
+    return ds.DriveFrame(
+        serial=series.serial,
+        dates=[rec.date for rec in series.records],
+        feature_ids=list(feature_ids),
+        values=values,
+        rul=np.asarray(series.rul, dtype=np.int64),
+    )
+
+
+def write_cohort_csv_cells(path, frames):
+    """``dataset.write_cohort_csv`` formatting one NumPy scalar at a time."""
+    frames = sorted(frames, key=lambda f: f.serial)
+    feature_ids = frames[0].feature_ids if frames else []
+    with open(path, "w", newline="\n", encoding="utf-8") as fh:
+        header = ["serial", "date", "rul"] + [f"smart_{fid}" for fid in feature_ids]
+        fh.write(",".join(header) + "\n")
+        for frame in frames:
+            for k, day in enumerate(frame.dates):
+                cells = [frame.serial, day.isoformat(), str(int(frame.rul[k]))]
+                cells += [repr(float(v)) for v in frame.values[k]]
+                fh.write(",".join(cells) + "\n")
+
+
+def write_scoring_csv_cells(path, series_list):
+    """``dataset.write_scoring_csv`` formatting one value at a time."""
+    feature_ids = sorted({fid for s in series_list for rec in s.records
+                          for fid, v in rec.smart.items() if v is not None})
+    with open(path, "w", newline="\n", encoding="utf-8") as fh:
+        header = ["serial", "date", "rul"] + [f"smart_{fid}" for fid in feature_ids]
+        fh.write(",".join(header) + "\n")
+        for series in series_list:
+            for rec, rul in zip(series.records, series.rul):
+                cells = [series.serial, rec.date.isoformat(), str(rul)]
+                cells += ["" if rec.smart.get(fid) is None else repr(float(rec.smart[fid]))
+                          for fid in feature_ids]
+                fh.write(",".join(cells) + "\n")
 
 
 # ---------------------------------------------------------------------------

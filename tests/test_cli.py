@@ -1,4 +1,5 @@
 import shutil
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -401,6 +402,21 @@ def test_ingest_malformed_snapshot_is_data_error(tmp_path, capsys):
     assert f"{snapshot_dir / 'bad.csv'}: row 1: malformed date 'not-a-date'" in capsys.readouterr().err
 
 
+def test_ingest_error_names_newest_malformed_file(tmp_path, capsys):
+    """Ingest reads the last path first, so of two malformed files it names that one."""
+    snapshot_dir = tmp_path / "snapshots"
+    snapshot_dir.mkdir()
+    for day in ("2020-01-01", "2020-01-02"):
+        (snapshot_dir / f"{day}.csv").write_text(
+            f"date,serial_number,model,failure\n{day},A,M,0\n{day},B,M,maybe\n")
+    out = tmp_path / "out"
+    cfg = _config_file(tmp_path, out, extra=f"snapshot_dir {snapshot_dir}\n")
+    assert main(["ingest", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert f"{snapshot_dir / '2020-01-02.csv'}: row 2: non-numeric failure flag 'maybe'" in err
+    assert "2020-01-01.csv" not in err
+
+
 def test_ingest_oversized_quoted_cell_is_data_error(tmp_path, capsys):
     snapshot_dir = tmp_path / "snapshots"
     snapshot_dir.mkdir()
@@ -466,6 +482,7 @@ def test_features_reads_what_ingest_wrote(tmp_path):
         ds.synthetic_attribute_ids(8))
 
 
+COHORT_FILES = ("train.csv", "test60.csv", "test120.csv", "manifest.csv", "scoring.csv")
 SMALL_CORPUS = dict(days=140, healthy_target=20, healthy_other=6, failed_target=8,
                     failed_other=2, duplicated=2, missing_days=2)
 
@@ -487,29 +504,149 @@ def test_streaming_ingest_matches_one_pass_oracle(tmp_path, monkeypatch, load_pe
     corpus = load_perfbench("corpus")
     cfg, truth = _small_corpus(tmp_path, corpus, seed)
     lookbacks = corpus.LOOKBACKS
-    parsed = []
-    read_snapshot_csv = ds.read_snapshot_csv
+    kept, reread = [], []
+    scan_snapshot_file, read_snapshot_csv = ds.scan_snapshot_file, ds.read_snapshot_csv
 
-    def counting(path, windows):
+    def scanning(path, windows):
+        scan = scan_snapshot_file(path, windows)
+        kept.append(len(scan.kept))
+        return scan
+
+    def rereading(path, windows):
         records = read_snapshot_csv(path, windows)
-        parsed.append(len(records))
+        reread.append((path.name, len(records)))
         return records
 
     with monkeypatch.context() as patch:
-        patch.setattr(ds, "read_snapshot_csv", counting)
+        patch.setattr(ds, "scan_snapshot_file", scanning)
+        patch.setattr(ds, "read_snapshot_csv", rereading)
         assert main(["ingest", "--config", cfg, "--out", str(tmp_path / "stream")]) == 0
     with monkeypatch.context() as patch:
         patch.setattr(cli, "_split_events", oracles.split_events_one_pass)
         assert main(["ingest", "--config", cfg, "--out", str(tmp_path / "oracle")]) == 0
 
-    for name in ("train.csv", "test60.csv", "test120.csv", "manifest.csv", "scoring.csv"):
-        stream = (tmp_path / "stream" / "cohorts" / name).read_bytes()
-        assert stream == (tmp_path / "oracle" / "cohorts" / name).read_bytes(), name
-    # pass 2 parses each failed target drive's rows inside its longest lookback,
-    # the duplicated day of a skipped drive twice, and nothing else
+    _assert_same_cohorts(tmp_path)
+    # the single read keeps and the re-reads parse each failed target drive's rows
+    # inside its longest lookback, the duplicated day of a skipped drive twice,
+    # and nothing else
     longest = max(lookbacks.values())
     in_windows = sum(truth.rows[(serial, longest)] for serial in truth.failed) + len(truth.skipped)
-    assert sum(parsed) == in_windows < truth.rows_total / 2
+    assert sum(kept) + sum(n for _, n in reread) == in_windows < truth.rows_total / 2
+    # every file is read once, and only the failure-day files again, once each
+    assert len(kept) == len(list((tmp_path / "snapshots").glob("*.csv")))
+    names = [name for name, _ in reread]
+    assert len(names) == len(set(names))
+    assert set(names) == {f"{day.isoformat()}.csv" for day in truth.failed.values()}
+
+
+def _ingest_both_ways(tmp_path, cfg):
+    """Ingest into stream/ and, with the one-pass oracle, into oracle/; the exit codes."""
+    codes = [main(["ingest", "--config", cfg, "--out", str(tmp_path / "stream")])]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_split_events", oracles.split_events_one_pass)
+        codes.append(main(["ingest", "--config", cfg, "--out", str(tmp_path / "oracle")]))
+    return codes
+
+
+def _assert_same_cohorts(tmp_path):
+    for name in COHORT_FILES:
+        stream = (tmp_path / "stream" / "cohorts" / name).read_bytes()
+        assert stream == (tmp_path / "oracle" / "cohorts" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("second", [45, 36])
+@pytest.mark.parametrize("daily", [False, True], ids=["one_file", "daily_files"])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+def test_double_failure_drive_is_one_event(tmp_path, seed, daily, second):
+    """A drive that fails twice is labeled from its first failure, in one split only.
+
+    Four drives; A reports failure 1 on day 30 and again on day ``second``.
+    With daily files, ingest reads the second failure first and moves A's
+    window when it reaches day 30; after day 36 the two windows overlap.
+    """
+    snapshot_dir = tmp_path / "snapshots"
+    snapshot_dir.mkdir()
+    header = ("date,serial_number,model,failure,smart_7_raw,smart_9_raw,smart_240_raw,"
+              "smart_241_raw,smart_242_raw")
+    lines = {}
+    for serial, fails in {"A": (30, second), "B": (33,), "C": (38,), "D": (41,)}.items():
+        for day in range(fails[-1] + 1):
+            values = ",".join(str(day * k + len(serial)) for k in range(1, 6))
+            lines.setdefault(f"{day:02d}.csv" if daily else "all.csv", []).append(
+                f"{date(2020, 1, 1) + timedelta(days=day)},{serial},M,{int(day in fails)},{values}")
+    for name, rows in lines.items():
+        (snapshot_dir / name).write_text("\n".join([header] + rows) + "\n")
+    cfg = _config_file(tmp_path, tmp_path / "out", extra=(
+        f"seed {seed}\nsnapshot_dir {snapshot_dir}\nmodel_filter M\n"
+        "lookback_train 10\nlookback_test 10\nlookback_extrap 12\n"))
+    assert _ingest_both_ways(tmp_path, cfg) == [0, 0]
+    _assert_same_cohorts(tmp_path)
+
+    def dates_of_a(name):
+        lines = (tmp_path / "stream" / "cohorts" / f"{name}.csv").read_text().splitlines()
+        return [line.split(",")[1] for line in lines if line.startswith("A,")]
+
+    in_train, in_test = bool(dates_of_a("train")), bool(dates_of_a("test60"))
+    assert in_train != in_test
+    # one series per file, ending on the first failure (day 30)
+    for name, days, member in (("train", 11, in_train), ("scoring", 11, in_train),
+                               ("test60", 11, in_test), ("test120", 13, in_test)):
+        series = [str(date(2020, 1, 31) - timedelta(days=k)) for k in range(days - 1, -1, -1)]
+        assert dates_of_a(name) == (series if member else []), name
+
+
+@st.composite
+def _shuffled_snapshots(draw):
+    """{file name: text} of a snapshot corpus that reading in path order does not
+    favour: files hold several days each under names that do not follow the
+    dates, rows are in any order (a failure row before or after its drive's
+    other rows), and some drives report ``failure`` 1 on two days."""
+    n_days = 14
+    rows = []
+    for k in range(draw(st.integers(2, 5), label="drives")):
+        serial, model = f"S{k}", draw(st.sampled_from(["M", "M", "M", "N"]), label="model")
+        kind = draw(st.sampled_from(["healthy", "failed", "twice"]), label="kind")
+        last = n_days - 1 if kind == "healthy" else draw(st.integers(4, n_days - 1), label="last")
+        first = draw(st.integers(0, last - 1), label="first")
+        fails = set() if kind == "healthy" else {last}
+        if kind == "twice":
+            fails.add(draw(st.integers(first, last - 1), label="first failure"))
+        for day in range(first, last + 1):
+            if day not in fails and draw(st.integers(0, 9), label="gap") == 0:
+                continue
+            cells = ["" if draw(st.integers(0, 19), label="blank") == 0 else str(day * 10 + k + j)
+                     for j in range(len(feat.DEFAULT_FEATURES))]
+            rows.append((day, f"{date(2020, 1, 1) + timedelta(days=day)},{serial},{model},"
+                              f"{int(day in fails)}," + ",".join(cells)))
+    n_files = draw(st.integers(1, 5), label="files")
+    file_of_day = draw(st.lists(st.integers(0, n_files - 1), min_size=n_days, max_size=n_days),
+                       label="file of each day")
+    names = draw(st.permutations([f"{c}.csv" for c in "qwertyu"[:n_files]]), label="names")
+    header = "date,serial_number,model,failure," + ",".join(
+        f"smart_{fid}_raw" for fid in feat.DEFAULT_FEATURES)
+    files = {}
+    for f, name in enumerate(names):
+        lines = [line for day, line in rows if file_of_day[day] == f]
+        files[name] = "\n".join([header] + draw(st.permutations(lines), label=name)) + "\n"
+    return files
+
+
+@settings(max_examples=60, deadline=None)
+@given(files=_shuffled_snapshots(), seed=st.integers(0, 3))
+def test_ingest_in_any_path_order_matches_one_pass_oracle(tmp_path_factory, files, seed):
+    """Cohort bytes equal the one-pass oracle's however days, files and names are laid out."""
+    tmp_path = tmp_path_factory.mktemp("shuffled")
+    snapshot_dir = tmp_path / "snapshots"
+    snapshot_dir.mkdir()
+    for name, text in files.items():
+        (snapshot_dir / name).write_text(text)
+    cfg = _config_file(tmp_path, tmp_path / "out", extra=(
+        f"seed {seed}\nsnapshot_dir {snapshot_dir}\nmodel_filter M\n"
+        "lookback_train 3\nlookback_test 3\nlookback_extrap 5\n"))
+    codes = _ingest_both_ways(tmp_path, cfg)
+    assert codes[0] == codes[1]
+    if codes[0] == 0 and (tmp_path / "oracle" / "cohorts" / "train.csv").exists():
+        _assert_same_cohorts(tmp_path)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

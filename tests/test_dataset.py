@@ -326,6 +326,56 @@ def test_materialize_forward_fill_and_leading_gap():
     assert frame.values[:, 1].tolist() == [10.0, 10.0, 30.0, 40.0]
 
 
+_SMART_VALUE = st.none() | st.sampled_from([0.0, -0.0, 5e-324, 1e16, 0.1 + 0.2]) | st.floats(
+    allow_nan=False, allow_infinity=False)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.fixed_dictionaries({7: _SMART_VALUE, 9: _SMART_VALUE, 240: _SMART_VALUE}),
+                min_size=1, max_size=12),
+       st.sampled_from([[7], [9, 7], [7, 9, 240], []]))
+def test_materialize_matches_forward_fill_loop(smart_maps, feature_ids):
+    """Bit-identical frames, leading gaps and never-reported attributes included, and
+    the same warnings."""
+    recs = [_record("A", date(2020, 1, 1) + timedelta(days=k), smart=smart)
+            for k, smart in enumerate(smart_maps)]
+    series = ds.LabeledSeries("A", recs, list(range(len(recs) - 1, -1, -1)))
+    frames = []
+    for materialize in (ds.materialize_series, oracles.materialize_series_loop):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            frames.append((materialize(series, feature_ids), [str(w.message) for w in caught]))
+    (got, got_warnings), (want, want_warnings) = frames
+    assert got_warnings == want_warnings
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert (got.serial, got.dates, got.feature_ids) == (want.serial, want.dates, want.feature_ids)
+        assert got.values.shape == want.values.shape
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.rul.tobytes() == want.rul.tobytes()
+
+
+def test_writers_match_cell_at_a_time_writers(tmp_path):
+    """repr over tolist() writes the bytes of one float() per cell."""
+    awkward = [-0.0, 5e-324, 1e16, 0.1 + 0.2]
+    days = [date(2020, 1, 1) + timedelta(days=k) for k in range(4)]
+    frames = [ds.DriveFrame("B", days, [7, 9], np.array([awkward, awkward[::-1]]).T, [3, 2, 1, 0]),
+              ds.DriveFrame("A", days[:1], [7, 9], [[1e16, -0.0]], [0])]
+    ds.write_cohort_csv(tmp_path / "new.csv", frames)
+    oracles.write_cohort_csv_cells(tmp_path / "old.csv", frames)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    recs = [_record("B", day, smart={7: v, 9: None if k == 1 else -v, 240: None})
+            for k, (day, v) in enumerate(zip(days, awkward))]
+    series = [ds.LabeledSeries("B", recs, [3, 2, 1, 0]),
+              ds.LabeledSeries("A", recs[:2], [1, 0])]
+    ds.write_scoring_csv(tmp_path / "new.csv", series)
+    oracles.write_scoring_csv_cells(tmp_path / "old.csv", series)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    assert [line.split(",")[3] for line in (tmp_path / "new.csv").read_text().splitlines()[1:5]] == [
+        "-0.0", "5e-324", "1e+16", "0.30000000000000004"]
+
+
 def test_materialize_excludes_all_missing_drive():
     recs = [_record("A", date(2020, 1, 1), smart={7: None}),
             _record("A", date(2020, 1, 2), smart={7: None})]
