@@ -265,8 +265,9 @@ def cmd_synth(config: RunConfig) -> int:
 def _split_events(config: RunConfig):
     """Failures of ``model_filter`` drives, split into train and test drives.
 
-    Returns ``(records by serial, train events, test events)``, or None when
-    no drive of the model failed. Each snapshot file is read once, last path
+    Returns ``(rows by serial, train events, test events)``, with each kept
+    drive's :class:`~hddrul.dataset.DriveRows`, or None when no drive of the
+    model failed. Each snapshot file is read once, last path
     first, which is newest first for daily files. When a file ends, each of
     its ``model_filter`` failures registers its drive's window, the failure
     day and the longest lookback before it, and the files read after it keep
@@ -288,18 +289,17 @@ def _split_events(config: RunConfig):
     registered: dict[str, int] = {}  # serial -> files read when its window was registered
     read: list[tuple[Path, tuple[date, date] | None]] = []  # (path, days) in reading order
     failures: list[ds.DriveRecord] = []
-    by_serial: dict[str, list[ds.DriveRecord]] = {}
+    kept = ds.KeptRows()
     for path in sorted(snapshot_dir.glob("*.csv"), reverse=True):
         scan = ds.scan_snapshot_file(path, windows)
         read.append((path, scan.days))
         failures += scan.failures
-        for rec in scan.kept:
-            by_serial.setdefault(rec.serial, []).append(rec)
+        kept.update(scan.kept)
         for rec in scan.failures:
             window = windows.get(rec.serial)
             if rec.model != config.model_filter or (window and window[1] <= rec.date):
                 continue
-            by_serial.pop(rec.serial, None)
+            kept.pop(rec.serial)
             windows[rec.serial] = (rec.date - lookback, rec.date)
             registered[rec.serial] = len(read)
     events = ds.scan_failures(failures, config.model_filter)
@@ -312,14 +312,13 @@ def _split_events(config: RunConfig):
             if days is not None and days[0] <= last and first <= days[1]:
                 rereads.setdefault(path, {})[serial] = (first, last)
     for path, wanted in rereads.items():
-        for rec in ds.read_snapshot_csv(path, wanted):
-            by_serial.setdefault(rec.serial, []).append(rec)
+        kept.update(ds.read_snapshot_csv(path, wanted))
 
     perm = np.random.default_rng(derive_seed(config.seed, "ingest/split")).permutation(len(events))
     n_train = max(1, min(len(events) - 1, round(len(events) * config.ingest_train_frac)))
     train_events = [events[i] for i in sorted(perm[:n_train])]
     test_events = [events[i] for i in sorted(perm[n_train:])]
-    return by_serial, train_events, test_events
+    return kept.drives(), train_events, test_events
 
 
 def _labeled_series(by_serial, events, lookback: int) -> list[ds.LabeledSeries]:
@@ -357,7 +356,7 @@ def cmd_ingest(config: RunConfig) -> int:
         name: [
             s
             for s in series
-            if all(any(rec.smart.get(fid) is not None for rec in s.records) for fid in selected)
+            if set(selected) <= set(s.rows.reported())
         ]
         for name, series in cohorts.items()
     }

@@ -3,21 +3,28 @@
 Input is the Backblaze daily-snapshot layout: one CSV row per drive per day
 with ``date``, ``serial_number``, ``model``, ``failure`` and any number of
 ``smart_<n>_raw`` / ``smart_<n>_normalized`` columns. Normalized columns are
-dropped (we standardize ourselves); raw columns become a sparse attribute map.
+dropped (we standardize ourselves). The raw columns of a kept row go straight
+into its drive's storage (:class:`KeptRows`, then :class:`DriveRows`): a list
+of days, a list of failure flags and a float64 matrix with one row per day
+and one column per attribute, NaN where a cell is missing, empty,
+unparseable or not finite. No dict is built per row.
 Ingest reads each file once with :func:`scan_snapshot_file`, newest first: it
 checks every row's identity cells, keeps the failure rows, and parses in full
 only the rows of drives whose failure window is already known. A drive's own
 failure-day file is read before its window is, so :func:`read_snapshot_csv`
-re-reads such a file for just those drives. Both split a line only as far as
-they need, parse each distinct (``date``, ``failure``) cell pair once per
-file, and send a line holding a quote through ``csv.reader``. A drive that
+scans such a file again for just those drives. A scan splits a line only as
+far as it needs, parses each distinct (``date``, ``failure``) cell pair once
+per file, and sends a line holding a quote through ``csv.reader``. A drive that
 fails on several days counts as failed on the earliest
 (:func:`scan_failures`).
 
-A failed drive's history is turned into a :class:`LabeledSeries`: the records
+A failed drive's history is turned into a :class:`LabeledSeries`: the rows
 covering the lookback window before failure, each labeled with its remaining
 useful life in days (0 on the failure day, 1 the day before, ...). Labels are
-then capped so that "healthy" days collapse into one top class.
+then capped so that "healthy" days collapse into one top class. Labeling,
+capping, the forward fill and the scoring CSV all work on the per-drive
+matrix; hand-built :class:`DriveRecord` lists are converted to it once, where
+they enter (:meth:`DriveRows.from_records`).
 
 The numeric pipeline consumes :class:`DriveFrame` objects (one dense matrix
 per drive); frames serialize to a long-format cohort CSV
@@ -31,6 +38,7 @@ import csv
 import itertools
 import math
 import warnings
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date as Date
@@ -53,7 +61,11 @@ _SYNTH_ID_POOL = (7, 9, 240, 241, 242, 5, 187, 188, 193, 194, 197, 198)
 
 @dataclass(frozen=True)
 class DriveRecord:
-    """One drive-day: identity, raw SMART attribute map, failure flag."""
+    """One drive-day: identity, raw SMART attribute map, failure flag.
+
+    The failure rows of a scan and hand-built corpora use it; kept snapshot
+    rows live in :class:`DriveRows`.
+    """
 
     serial: str
     date: Date
@@ -68,16 +80,82 @@ class FailureEvent:
     fail_date: Date
 
 
+def _columns(values: np.ndarray, have: Sequence[int], want: Sequence[int]) -> np.ndarray:
+    """The columns of ``values`` (one per attribute of ``have``) in the order of
+    ``want``; an attribute without a column is NaN."""
+    pos = {fid: j for j, fid in enumerate(have)}
+    out = np.full((values.shape[0], len(want)), np.nan)
+    found = [(k, pos[fid]) for k, fid in enumerate(want) if fid in pos]
+    if found:
+        dst, src = zip(*found)
+        out[:, list(dst)] = values[:, list(src)]
+    return out
+
+
 @dataclass
-class LabeledSeries:
-    """A drive's chronological pre-failure records with per-day RUL labels."""
+class DriveRows:
+    """One drive's rows in the order given: the days, the failure flags, and a
+    float64 matrix with one row per day and one column per attribute of
+    ``feature_ids``, NaN where the drive reported no value."""
 
     serial: str
-    records: list[DriveRecord]
+    model: str
+    feature_ids: list[int]
+    dates: list[Date]
+    failed: list[bool]
+    values: np.ndarray  # (len(dates), len(feature_ids)) float64
+
+    @classmethod
+    def from_records(cls, records: Sequence[DriveRecord]) -> "DriveRows":
+        """The rows of one drive's records; a column per attribute any of them
+        names, and NaN where a record names it as None or not at all."""
+        ids = sorted({fid for rec in records for fid in rec.smart})
+        serial, model = (records[0].serial, records[0].model) if records else ("", "")
+        values = np.array([[rec.smart.get(fid) for fid in ids] for rec in records],
+                          dtype=np.float64).reshape(len(records), len(ids))
+        return cls(serial, model, ids, [rec.date for rec in records],
+                   [rec.failed for rec in records], values)
+
+    def records(self) -> list[DriveRecord]:
+        """The rows as records, NaN as None (the inverse of :meth:`from_records`)."""
+        return [DriveRecord(self.serial, day, self.model,
+                            {fid: None if math.isnan(v) else v for fid, v in zip(self.feature_ids, row)},
+                            failed)
+                for day, failed, row in zip(self.dates, self.failed, self.values.tolist())]
+
+    def reported(self) -> list[int]:
+        """The attributes with a value on at least one day."""
+        seen = (~np.isnan(self.values)).any(axis=0).tolist()
+        return [fid for fid, s in zip(self.feature_ids, seen) if s]
+
+    def columns(self, feature_ids: Sequence[int]) -> np.ndarray:
+        """(days, len(feature_ids)) values in that order; an attribute without a column is NaN."""
+        return _columns(self.values, self.feature_ids, feature_ids)
+
+
+@dataclass
+class LabeledSeries:
+    """A drive's chronological pre-failure rows with per-day RUL labels.
+
+    ``rows`` may be given as a sequence of :class:`DriveRecord`; it is then
+    converted once (:meth:`DriveRows.from_records`), and ``records`` converts
+    back.
+    """
+
+    serial: str
+    rows: DriveRows
     rul: list[int]
 
+    def __post_init__(self):
+        if not isinstance(self.rows, DriveRows):
+            self.rows = DriveRows.from_records(list(self.rows))
+
+    @property
+    def records(self) -> list[DriveRecord]:
+        return self.rows.records()
+
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.rows.dates)
 
 
 @dataclass
@@ -144,7 +222,8 @@ class _Layout(NamedTuple):
     model: int
     failure: int
     width: int  # a row needs at least this many cells to hold the four above
-    smart: tuple[tuple[int, int], ...]  # (attribute id, column) of each smart_<n>_raw
+    feature_ids: tuple[int, ...]  # the ids of the smart_<n>_raw columns, ascending
+    columns: tuple[int, ...]  # the column of each
 
 
 @lru_cache(maxsize=16)
@@ -153,15 +232,15 @@ def _header_layout(header: tuple[str, ...]) -> _Layout:
     for required in ("date", "serial_number", "model", "failure"):
         if required not in names:
             raise DataError(f"snapshot header missing required column '{required}'")
-    smart_cols = []
+    smart = {}  # attribute id -> column; of two columns for one id, the last
     for i, name in enumerate(header):
         if name.startswith("smart_") and name.endswith("_raw"):
             mid = name[len("smart_"):-len("_raw")]
             if mid.isdigit():
-                smart_cols.append((int(mid), i))
-    smart_cols.sort()
+                smart[int(mid)] = i
+    ids = tuple(sorted(smart))
     identity = (names["date"], names["serial_number"], names["model"], names["failure"])
-    return _Layout(*identity, max(identity) + 1, tuple(smart_cols))
+    return _Layout(*identity, max(identity) + 1, ids, tuple(smart[fid] for fid in ids))
 
 
 @contextmanager
@@ -192,16 +271,12 @@ def _csv_reader(path: str | Path):
             raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
 
 
-def _parse_float(cell: str) -> float | None:
-    """A cell's value; empty, unparseable and non-finite (nan, inf) cells are missing."""
-    cell = cell.strip()
-    if not cell:
-        return None
+def _cell_value(row: Sequence[str], col: int) -> float:
+    """The value of a row's cell; a missing, empty or unparseable cell is NaN."""
     try:
-        value = float(cell)
-    except ValueError:
-        return None
-    return value if math.isfinite(value) else None
+        return float(row[col])
+    except (IndexError, ValueError):
+        return math.nan
 
 
 def _row_identity(layout: _Layout, row: Sequence[str], row_index: int,
@@ -229,34 +304,6 @@ def _row_identity(layout: _Layout, row: Sequence[str], row_index: int,
     return day, failed
 
 
-def _snapshot_record(layout: _Layout, row: Sequence[str], day: Date, failed: bool) -> DriveRecord:
-    """The record of a row whose identity cells passed :func:`_row_identity`."""
-    n = len(row)
-    smart = {}
-    for attr_id, col in layout.smart:
-        cell = row[col] if col < n else ""
-        smart[attr_id] = _parse_float(cell) if cell else None
-    return DriveRecord(
-        serial=row[layout.serial].strip(),
-        date=day,
-        model=row[layout.model].strip(),
-        smart=smart,
-        failed=failed,
-    )
-
-
-def parse_snapshot_row(header: Sequence[str], row: Sequence[str], row_index: int = 0) -> DriveRecord:
-    """Parse one snapshot CSV row into a :class:`DriveRecord`.
-
-    ``smart_<n>_raw`` columns populate the attribute map (empty, unparseable
-    or non-finite cells become missing); ``smart_<n>_normalized`` columns are
-    ignored. A malformed date or failure flag raises
-    :class:`SnapshotParseError` carrying ``row_index``.
-    """
-    layout = _header_layout(tuple(header))
-    return _snapshot_record(layout, row, *_row_identity(layout, row, row_index))
-
-
 def _snapshot_layout(path: str | Path, fh) -> _Layout | None:
     """Read the header record of an open snapshot file; its layout, or None for
     an empty file."""
@@ -269,28 +316,75 @@ def _snapshot_layout(path: str | Path, fh) -> _Layout | None:
         raise DataError(f"{path}: {exc}") from None
 
 
-def _snapshot_rows(path: str | Path, fh, maxsplit: int):
-    """Yield ``(row index, cells, line)`` for each non-blank record left in ``fh``.
+class _Block(NamedTuple):
+    """Rows of one drive read with the same attribute columns."""
 
-    Row indices count records as ``enumerate(csv.reader(fh), start=1)`` does,
-    blank lines included. An unquoted line is split at its first ``maxsplit``
-    commas only, so its last cell holds the rest of the line, and
-    ``line.split(",")`` gives all its cells; unquoted cells have no size
-    limit. A line holding a quote is parsed by csv, with any following lines
-    a quoted cell spans, and comes back with all its cells and ``line`` None;
-    a csv error there is a :class:`SnapshotParseError`.
+    feature_ids: tuple[int, ...]
+    dates: list[Date]
+    failed: list[bool]
+    cells: array  # float64, row after row
+
+
+class KeptRows:
+    """Snapshot rows of some drives, stored per drive as they are read.
+
+    A drive holds its model (that of its first row) and blocks of rows read
+    with the same attribute columns: their days, their failure flags and
+    their float64 cells, row after row, NaN for a missing, empty or
+    unparseable cell. ``len()`` counts rows. :meth:`drives` turns each drive
+    into :class:`DriveRows`.
     """
-    for row_index, line in enumerate(fh, start=1):
-        if '"' in line:
-            try:
-                row = next(csv.reader(itertools.chain([line], fh)))
-            except csv.Error as exc:
-                raise SnapshotParseError(row_index, str(exc), path) from exc
-            yield row_index, row, None
-            continue
-        line = line.rstrip("\r\n")
-        if line:
-            yield row_index, line.split(",", maxsplit), line
+
+    def __init__(self):
+        self._drives: dict[str, tuple[str, list[_Block]]] = {}
+
+    def __len__(self) -> int:
+        return sum(len(b.dates) for _, blocks in self._drives.values() for b in blocks)
+
+    def add(self, layout: _Layout, row: Sequence[str], day: Date, failed: bool) -> None:
+        """Keep a row whose identity cells passed :func:`_row_identity`."""
+        _, blocks = self._drives.setdefault(row[layout.serial].strip(),
+                                            (row[layout.model].strip(), []))
+        if not blocks or blocks[-1].feature_ids != layout.feature_ids:
+            blocks.append(_Block(layout.feature_ids, [], [], array("d")))
+        block = blocks[-1]
+        block.dates.append(day)
+        block.failed.append(failed)
+        try:
+            block.cells.fromlist([float(c) if c else math.nan for c in [row[j] for j in layout.columns]])
+        except (IndexError, ValueError):
+            block.cells.fromlist([_cell_value(row, j) for j in layout.columns])
+
+    def update(self, other: "KeptRows") -> None:
+        """Append the rows of ``other``, which must not be used afterwards."""
+        for serial, (model, blocks) in other._drives.items():
+            mine = self._drives.setdefault(serial, (model, []))[1]
+            for block in blocks:
+                if mine and mine[-1].feature_ids == block.feature_ids:
+                    mine[-1].dates.extend(block.dates)
+                    mine[-1].failed.extend(block.failed)
+                    mine[-1].cells.extend(block.cells)
+                else:
+                    mine.append(block)
+
+    def pop(self, serial: str) -> None:
+        """Forget the rows of ``serial``."""
+        self._drives.pop(serial, None)
+
+    def drives(self) -> dict[str, DriveRows]:
+        """Each drive's rows, with a column per attribute of any of its blocks;
+        a non-finite cell (nan, inf) becomes NaN here."""
+        out = {}
+        for serial, (model, blocks) in self._drives.items():
+            ids = sorted(set().union(*(b.feature_ids for b in blocks)))
+            values = np.concatenate([
+                _columns(np.frombuffer(b.cells).reshape(len(b.dates), len(b.feature_ids)),
+                         b.feature_ids, ids)
+                for b in blocks])
+            values[~np.isfinite(values)] = np.nan
+            out[serial] = DriveRows(serial, model, ids, [d for b in blocks for d in b.dates],
+                                    [f for b in blocks for f in b.failed], values)
+        return out
 
 
 class SnapshotScan(NamedTuple):
@@ -298,28 +392,43 @@ class SnapshotScan(NamedTuple):
 
     failures: list[DriveRecord]  # the failure rows, without attributes
     days: tuple[Date, Date] | None  # first and last day of its rows; None without rows
-    kept: list[DriveRecord]  # the rows inside ``windows``, parsed in full
+    kept: KeptRows  # the rows inside ``windows``
 
 
 def scan_snapshot_file(path: str | Path, windows: dict[str, tuple[Date, Date]]) -> SnapshotScan:
     """Read one snapshot file: check every row, keep its failure rows and the rows in ``windows``.
 
-    Each row's identity cells go through the same checks as in
-    :func:`parse_snapshot_row`, and an error names the file and the row.
-    The failure rows come back without attributes (an empty ``smart`` map).
+    A row too short to hold the identity cells, a malformed date or a
+    non-numeric failure flag raises :class:`SnapshotParseError` naming the
+    file and the row; row indices count records as
+    ``enumerate(csv.reader(fh), start=1)`` does, blank lines included. The
+    failure rows come back without attributes (an empty ``smart`` map).
     ``windows`` maps a serial to its first and last wanted day; a row of
-    such a serial inside them is parsed as :func:`read_snapshot_csv` does,
-    and every other row is split only up to its identity cells.
+    such a serial inside them is kept in full. Every other unquoted line is
+    split only up to its identity cells, so unquoted cells have no size
+    limit. A line holding a quote is parsed by csv, with any following lines
+    a quoted cell spans; a csv error there is a :class:`SnapshotParseError`.
     """
     failures: list[DriveRecord] = []
-    kept: list[DriveRecord] = []
+    kept = KeptRows()
     with _text_file(path) as fh:
         layout = _snapshot_layout(path, fh)
         if layout is None:
             return SnapshotScan(failures, None, kept)
         width, serial_col = layout.width, layout.serial
         seen: dict[tuple[str, str] | None, tuple[Date, bool]] = {}  # see _row_identity
-        for row_index, row, line in _snapshot_rows(path, fh, width):
+        for row_index, line in enumerate(fh, start=1):
+            if '"' in line:
+                try:
+                    row = next(csv.reader(itertools.chain([line], fh)))
+                except csv.Error as exc:
+                    raise SnapshotParseError(row_index, str(exc), path) from exc
+                line = None
+            else:
+                line = line.rstrip("\r\n")
+                if not line:
+                    continue
+                row = line.split(",", width)  # its last cell holds the rest of the line
             key = (row[layout.date], row[layout.failure]) if len(row) >= width else None
             identity = seen.get(key)
             if identity is None:
@@ -336,46 +445,15 @@ def scan_snapshot_file(path: str | Path, windows: dict[str, tuple[Date, Date]]) 
             if windows:
                 window = windows.get(row[serial_col].strip())
                 if window is not None and window[0] <= day <= window[1]:
-                    full = row if line is None else line.split(",")
-                    kept.append(_snapshot_record(layout, full, day, failed))
+                    kept.add(layout, row if line is None else line.split(","), day, failed)
     days = [day for day, _ in seen.values()]
     return SnapshotScan(failures, (min(days), max(days)) if days else None, kept)
 
 
-def read_failure_rows(path: str | Path) -> list[DriveRecord]:
-    """The failure rows of one snapshot file, every row checked (see :func:`scan_snapshot_file`)."""
-    return scan_snapshot_file(path, {}).failures
-
-
-def read_snapshot_csv(path: str | Path, windows: dict[str, tuple[Date, Date]]) -> list[DriveRecord]:
-    """Parse the rows of one snapshot file that fall in ``windows``.
-
-    ``windows`` maps a serial to its first and last wanted day. A row is
-    split into cells only up to its serial and skipped when the serial is
-    not in ``windows``, so memory scales with the wanted drives, not with
-    the file; only the rows of those drives have their identity cells
-    checked.
-    """
-    records = []
-    with _text_file(path) as fh:
-        layout = _snapshot_layout(path, fh)
-        if layout is None:
-            return records
-        seen: dict[tuple[str, str] | None, tuple[Date, bool]] = {}  # see _row_identity
-        for row_index, row, line in _snapshot_rows(path, fh, layout.serial + 1):
-            window = windows.get(row[layout.serial].strip()) if len(row) > layout.serial else None
-            if window is None:
-                continue
-            if line is not None:
-                row = line.split(",")
-            key = (row[layout.date], row[layout.failure]) if len(row) >= layout.width else None
-            identity = seen.get(key)
-            if identity is None:
-                identity = seen[key] = _row_identity(layout, row, row_index, path)
-            day, failed = identity
-            if window[0] <= day <= window[1]:
-                records.append(_snapshot_record(layout, row, day, failed))
-    return records
+def read_snapshot_csv(path: str | Path, windows: dict[str, tuple[Date, Date]]) -> KeptRows:
+    """The rows of one snapshot file that fall in ``windows``, every row checked
+    (the kept rows of :func:`scan_snapshot_file`)."""
+    return scan_snapshot_file(path, windows).kept
 
 
 # ---------------------------------------------------------------------------
@@ -398,45 +476,40 @@ def scan_failures(corpus: Iterable[DriveRecord], model_filter: str) -> list[Fail
 
 
 def build_labeled_series(
-    corpus: Iterable[DriveRecord], event: FailureEvent, lookback_days: int
+    corpus: DriveRows | Iterable[DriveRecord], event: FailureEvent, lookback_days: int
 ) -> LabeledSeries:
-    """Gather up to ``lookback_days + 1`` records ending on the failure day.
+    """Gather up to ``lookback_days + 1`` rows of the drive ending on its failure day.
 
-    RUL is the calendar distance to the failure date (0 on the failure day).
-    Days absent from the log simply shrink the series; nothing is
-    interpolated.
+    ``corpus`` is the drive's :class:`DriveRows`, or records of any drives,
+    of which those of ``event.serial`` are converted once. RUL is the
+    calendar distance to the failure date (0 on the failure day). Days
+    absent from the log simply shrink the series; nothing is interpolated.
     """
     if lookback_days < 1:
         raise ValueError("lookback_days must be >= 1")
-    start = event.fail_date - timedelta(days=lookback_days)
-    window = [
-        rec
-        for rec in corpus
-        if rec.serial == event.serial and start <= rec.date <= event.fail_date
-    ]
-    window.sort(key=lambda r: r.date)
+    if not isinstance(corpus, DriveRows):
+        corpus = DriveRows.from_records([rec for rec in corpus if rec.serial == event.serial])
+    start, end = event.fail_date - timedelta(days=lookback_days), event.fail_date
+    dates = corpus.dates
+    keep = sorted((k for k, day in enumerate(dates) if start <= day <= end), key=dates.__getitem__)
+    window = [dates[k] for k in keep]
     for a, b in zip(window, window[1:]):
-        if a.date == b.date:
-            raise InconsistentCorpusError(
-                f"drive {event.serial} has duplicate records on {a.date}"
-            )
-    if not window or window[-1].date != event.fail_date:
+        if a == b:
+            raise InconsistentCorpusError(f"drive {event.serial} has duplicate records on {a}")
+    if not window or window[-1] != end:
         raise InconsistentCorpusError(
             f"drive {event.serial} has no record on its failure day {event.fail_date}"
         )
-    rul = [(event.fail_date - rec.date).days for rec in window]
-    return LabeledSeries(serial=event.serial, records=window, rul=rul)
+    rows = DriveRows(corpus.serial, corpus.model, corpus.feature_ids, window,
+                     [corpus.failed[k] for k in keep], corpus.values[np.asarray(keep, dtype=np.intp)])
+    return LabeledSeries(event.serial, rows, [(end - day).days for day in window])
 
 
 def cap_rul(series: LabeledSeries, cap: int = DEFAULT_CAP) -> LabeledSeries:
-    """Clamp labels above ``cap`` down to ``cap``; records are untouched."""
+    """Clamp labels above ``cap`` down to ``cap``; the rows are shared, untouched."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    return LabeledSeries(
-        serial=series.serial,
-        records=list(series.records),
-        rul=[min(r, cap) for r in series.rul],
-    )
+    return LabeledSeries(series.serial, series.rows, [min(r, cap) for r in series.rul])
 
 
 # ---------------------------------------------------------------------------
@@ -504,31 +577,15 @@ def generate_synthetic(config: SynthConfig, serial_prefix: str = "SYN") -> list[
                 slope = mag * rng.uniform(0.008, 0.012)
                 vals = intercept - slope * rul + noise
             columns[:, j] = np.maximum(vals, 0.0)
-        records = []
-        for k in range(n_days):
-            day = fail_date - timedelta(days=int(rul[k]))
-            smart = {fid: float(columns[k, j]) for j, fid in enumerate(ids)}
-            records.append(
-                DriveRecord(
-                    serial=serial,
-                    date=day,
-                    model=SYNTHETIC_MODEL,
-                    smart=smart,
-                    failed=(k == n_days - 1),
-                )
-            )
-        out.append(LabeledSeries(serial=serial, records=records, rul=[int(r) for r in rul]))
+        rows = DriveRows(serial, SYNTHETIC_MODEL, list(ids),
+                         [fail_date - timedelta(days=r) for r in rul.tolist()],
+                         [k == n_days - 1 for k in range(n_days)], columns)
+        out.append(LabeledSeries(serial, rows, rul.tolist()))
     return out
 
 
 # ---------------------------------------------------------------------------
-# Materialization (sparse records -> dense per-drive frames)
-
-
-def _smart_matrix(records: Sequence[DriveRecord], feature_ids: Sequence[int]) -> np.ndarray:
-    """(days, attributes) float64 values of ``records``, NaN where a value is unreported."""
-    return np.array([[rec.smart.get(fid) for fid in feature_ids] for rec in records],
-                    dtype=np.float64).reshape(len(records), len(feature_ids))
+# Materialization (per-drive rows with gaps -> dense per-drive frames)
 
 
 def materialize_series(series: LabeledSeries, feature_ids: Sequence[int]) -> DriveFrame | None:
@@ -539,8 +596,8 @@ def materialize_series(series: LabeledSeries, feature_ids: Sequence[int]) -> Dri
     one of ``feature_ids`` on every day cannot be filled and is excluded
     (with a warning).
     """
-    n = len(series.records)
-    raw = _smart_matrix(series.records, feature_ids)
+    n = len(series)
+    raw = series.rows.columns(feature_ids)
     reported = ~np.isnan(raw)
     missing = np.flatnonzero(~reported.any(axis=0))
     if missing.size:
@@ -554,7 +611,7 @@ def materialize_series(series: LabeledSeries, feature_ids: Sequence[int]) -> Dri
     following = np.minimum.accumulate(np.where(reported, days, n)[::-1], axis=0)[::-1]
     return DriveFrame(
         serial=series.serial,
-        dates=[rec.date for rec in series.records],
+        dates=list(series.rows.dates),
         feature_ids=list(feature_ids),
         values=np.take_along_axis(raw, np.where(last < 0, following, last), axis=0),
         rul=np.asarray(series.rul, dtype=np.int64),
@@ -576,12 +633,7 @@ def attributes_on_every_drive(series_list: Sequence[LabeledSeries]) -> list[int]
     """Attribute ids reported at least once by every drive in the cohort."""
     common: set[int] | None = None
     for series in series_list:
-        present = {
-            fid
-            for rec in series.records
-            for fid, v in rec.smart.items()
-            if v is not None
-        }
+        present = set(series.rows.reported())
         common = present if common is None else common & present
     return sorted(common or ())
 
@@ -716,15 +768,14 @@ def write_scoring_csv(path: str | Path, series_list: Sequence[LabeledSeries]) ->
     and an empty cell is a value the drive did not report. Drives keep their
     order, which fixes the bits of the scores computed over them.
     """
-    feature_ids = sorted({fid for s in series_list for rec in s.records
-                          for fid, v in rec.smart.items() if v is not None})
+    feature_ids = sorted({fid for s in series_list for fid in s.rows.reported()})
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         header = ["serial", "date", "rul"] + [f"smart_{fid}" for fid in feature_ids]
         fh.write(",".join(header) + "\n")
         for series in series_list:
-            values = _smart_matrix(series.records, feature_ids).tolist()
-            for rec, rul, row in zip(series.records, series.rul, values):
-                cells = [series.serial, rec.date.isoformat(), str(rul)]
+            values = series.rows.columns(feature_ids).tolist()
+            for day, rul, row in zip(series.rows.dates, series.rul, values):
+                cells = [series.serial, day.isoformat(), str(rul)]
                 cells += ["" if math.isnan(v) else repr(v) for v in row]
                 fh.write(",".join(cells) + "\n")
 
@@ -733,26 +784,25 @@ def _series_from_rows(path, rows, feature_ids: list[int]) -> LabeledSeries:
     """One drive's series; a bad date, label or number, or a non-finite value,
     is a DataError naming the file and the drive."""
     serial = rows[0][0]
-    records = []
     try:
-        for row in rows:
-            smart = {fid: float(c) if c else None for fid, c in zip(feature_ids, row[3:])}
-            records.append(DriveRecord(serial, Date.fromisoformat(row[1]), "", smart))
+        values = np.array([[float(c) if c else math.nan for c in row[3:]] for row in rows])
+        dates = [Date.fromisoformat(row[1]) for row in rows]
         rul = [int(row[2]) for row in rows]
     except ValueError as exc:
         raise DataError(f"{path}: drive {serial}: {exc}") from exc
-    for rec in records:
-        for fid, v in rec.smart.items():
-            if v is not None and not math.isfinite(v):
-                raise DataError(f"{path}: drive {serial}: smart_{fid} is {v} on {rec.date}, "
-                                "not a finite number")
-    return LabeledSeries(serial=serial, records=records, rul=rul)
+    values = values.reshape(len(rows), len(feature_ids))
+    for k, j in np.argwhere(~np.isfinite(values)).tolist():
+        if rows[k][3 + j]:  # an empty cell is NaN, a written nan or inf is not
+            raise DataError(f"{path}: drive {serial}: smart_{feature_ids[j]} is "
+                            f"{float(values[k, j])} on {dates[k]}, not a finite number")
+    return LabeledSeries(serial, DriveRows(serial, "", feature_ids, dates, [False] * len(dates), values),
+                         rul)
 
 
 def read_scoring_csv(path: str | Path) -> tuple[list[int], list[LabeledSeries]]:
     """The attribute ids and the drives of a scoring CSV (inverse of write).
 
-    An empty cell is an unreported value (``None``); records carry no drive
+    An empty cell is an unreported value (NaN); the rows carry no drive
     model or failure flag. A file with fewer than two drive-days, a row of the
     wrong width, a bad date or number or a non-finite value raises DataError
     naming the file.

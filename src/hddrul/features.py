@@ -54,26 +54,18 @@ def correlation_scores(
     two reported values with the correlation defined; attributes undefined on
     every drive are absent from the result rather than zero-filled.
     """
-    out: dict[int, float] = {}
-    for attr in attributes:
-        per_drive = []
-        for series in cohort:
-            pairs = [
-                (rec.smart.get(attr), r)
-                for rec, r in zip(series.records, series.rul)
-                if rec.smart.get(attr) is not None
-            ]
-            if len(pairs) < 2:
+    per_drive: dict[int, list[float]] = {attr: [] for attr in attributes}
+    for series in cohort:
+        rul = np.asarray(series.rul, dtype=np.float64)
+        for attr, x in zip(per_drive, series.rows.columns(list(per_drive)).T):
+            reported = ~np.isnan(x)
+            if np.count_nonzero(reported) < 2:
                 continue
-            xs = [p[0] for p in pairs]
-            ys = [float(p[1]) for p in pairs]
             try:
-                per_drive.append(pearson(xs, ys))
+                per_drive[attr].append(pearson(x[reported], rul[reported]))
             except UndefinedCorrelationError:
                 continue
-        if per_drive:
-            out[attr] = abs(float(np.mean(per_drive)))
-    return out
+    return {attr: abs(float(np.mean(r))) for attr, r in per_drive.items() if r}
 
 
 @dataclass

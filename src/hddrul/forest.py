@@ -108,15 +108,8 @@ def _grow_tree_arrays(X, y, min_samples_split):
         stack.append((right[node], rows[~goes_left]))
         stack.append((left[node], rows[goes_left]))
 
-    return (
-        feature[:n_nodes],
-        threshold[:n_nodes],
-        left[:n_nodes],
-        right[:n_nodes],
-        value[:n_nodes],
-        impurity[:n_nodes],
-        counts[:n_nodes],
-    )
+    # copies, so that a fitted tree does not keep all 2n+1 slots alive
+    return tuple(a[:n_nodes].copy() for a in (feature, threshold, left, right, value, impurity, counts))
 
 
 def _predict_tree_arrays(feature, threshold, left, right, value, X):

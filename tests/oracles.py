@@ -7,11 +7,13 @@ of vectorized means. The single-window LSTM reference runs one cell step at
 a time over one window. The one-pass ingest reference parses every snapshot
 row, as ingest did before it streamed them, and the two snapshot
 reads are kept as they were when every row went through
-``csv.reader``. The snapshot scoring reference scores the train split rebuilt
+``csv.reader``. Both parse a row into a :class:`DriveRecord` with an
+attribute map, as the library did before it kept rows in per-drive float64
+matrices. The snapshot scoring reference scores the train split rebuilt
 from the snapshots, as ``features`` did before it read ``scoring.csv``. The
 forward-fill loop, the cell-at-a-time CSV writers and the scalar kernels at
-the bottom are the loop versions that the vectorized library code replaced;
-the library must match them bit for bit.
+the bottom are the loop versions that the vectorized library code replaced,
+over hand-built records; the library must match them bit for bit.
 """
 from __future__ import annotations
 
@@ -155,6 +157,32 @@ def lstm_forward(params, window) -> np.ndarray:
 # memory, the way ingest read snapshots before it streamed them in two passes
 
 
+def _parse_float(cell):
+    """A cell's value; empty, unparseable and non-finite (nan, inf) cells are missing."""
+    cell = cell.strip()
+    if not cell:
+        return None
+    try:
+        value = float(cell)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def parse_snapshot_row(header, row, row_index=0):
+    """One snapshot row as a record, its identity cells checked as the library
+    checks them. Every ``smart_<n>_raw`` column is in the attribute map (of two
+    for one id, the last), a missing cell as None."""
+    layout = ds._header_layout(tuple(header))
+    day, failed = ds._row_identity(layout, row, row_index)
+    smart = {}
+    for col, name in enumerate(header):
+        mid = name[len("smart_"):-len("_raw")]
+        if name.startswith("smart_") and name.endswith("_raw") and mid.isdigit():
+            smart[int(mid)] = _parse_float(row[col]) if col < len(row) else None
+    return ds.DriveRecord(row[layout.serial].strip(), day, row[layout.model].strip(), smart, failed)
+
+
 def split_events_one_pass(config):
     """``cli._split_events`` over the whole corpus: (records by serial, train, test) or None."""
     records = []
@@ -164,7 +192,7 @@ def split_events_one_pass(config):
             header = next(reader, None)
             for row_index, row in enumerate(reader, start=1):
                 if row:
-                    records.append(ds.parse_snapshot_row(header, row, row_index))
+                    records.append(parse_snapshot_row(header, row, row_index))
     records.sort(key=lambda r: (r.serial, r.date))
     events = ds.scan_failures(records, config.model_filter)
     if not events:
@@ -180,13 +208,14 @@ def split_events_one_pass(config):
 
 
 def score_snapshot_train_split(config):
-    """The score table of the train split rebuilt from ``config.snapshot_dir``."""
-    by_serial, train_events, _ = cli._split_events(config)
+    """The score table of the train split rebuilt from ``config.snapshot_dir``
+    by the one-pass reference, its attribute lists taken from the records."""
+    by_serial, train_events, _ = split_events_one_pass(config)
     series = cli._labeled_series(by_serial, train_events, config.lookback_train)
-    scoreable = sorted({fid for s in series for rec in s.records
-                        for fid, v in rec.smart.items() if v is not None})
-    return feat.score_features(series, scoreable,
-                               tree_attributes=ds.attributes_on_every_drive(series))
+    reported = [{fid for rec in s.records for fid, v in rec.smart.items() if v is not None}
+                for s in series]
+    return feat.score_features(series, sorted(set().union(*reported)),
+                               tree_attributes=sorted(set.intersection(*reported)))
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +235,7 @@ def _snapshot_header(path, reader):
 
 
 def read_failure_rows_csv(path):
-    """``dataset.read_failure_rows`` over ``csv.reader``."""
+    """The failure rows of ``dataset.scan_snapshot_file`` over ``csv.reader``."""
     failures = []
     with ds._csv_reader(path) as reader:
         found = _snapshot_header(path, reader)
@@ -229,7 +258,8 @@ def read_failure_rows_csv(path):
 
 
 def read_snapshot_csv_csv(path, windows):
-    """``dataset.read_snapshot_csv`` over ``csv.reader``."""
+    """The rows in ``windows`` that ``dataset.scan_snapshot_file`` keeps, over
+    ``csv.reader``; only the rows of those drives are checked."""
     records = []
     with ds._csv_reader(path) as reader:
         found = _snapshot_header(path, reader)
@@ -242,24 +272,26 @@ def read_snapshot_csv_csv(path, windows):
                 continue
             day, _ = ds._row_identity(layout, row, row_index, path)
             if window[0] <= day <= window[1]:
-                records.append(ds.parse_snapshot_row(header, row, row_index))
+                records.append(parse_snapshot_row(header, row, row_index))
     return records
 
 
 # ---------------------------------------------------------------------------
 # The forward fill and the cohort and scoring writers as they were before they
-# were vectorized: one loop per attribute, one float() per written cell
+# were vectorized: one loop per attribute, one float() per written cell, over
+# records with attribute maps
 
 
-def materialize_series_loop(series, feature_ids):
-    """``dataset.materialize_series`` as a loop over each attribute's days."""
-    n = len(series.records)
+def materialize_series_loop(serial, records, rul, feature_ids):
+    """``dataset.materialize_series`` of a drive's chronological records, as a
+    loop over each attribute's days."""
+    n = len(records)
     values = np.empty((n, len(feature_ids)))
     for j, fid in enumerate(feature_ids):
-        raw = [rec.smart.get(fid) for rec in series.records]
+        raw = [rec.smart.get(fid) for rec in records]
         if all(v is None for v in raw):
             warnings.warn(
-                f"drive {series.serial}: attribute {fid} missing on every day; drive excluded"
+                f"drive {serial}: attribute {fid} missing on every day; drive excluded"
             )
             return None
         first = next(v for v in raw if v is not None)
@@ -271,11 +303,11 @@ def materialize_series_loop(series, feature_ids):
                 values[k, j] = v
                 prev = v
     return ds.DriveFrame(
-        serial=series.serial,
-        dates=[rec.date for rec in series.records],
+        serial=serial,
+        dates=[rec.date for rec in records],
         feature_ids=list(feature_ids),
         values=values,
-        rul=np.asarray(series.rul, dtype=np.int64),
+        rul=np.asarray(rul, dtype=np.int64),
     )
 
 
@@ -293,16 +325,17 @@ def write_cohort_csv_cells(path, frames):
                 fh.write(",".join(cells) + "\n")
 
 
-def write_scoring_csv_cells(path, series_list):
-    """``dataset.write_scoring_csv`` formatting one value at a time."""
-    feature_ids = sorted({fid for s in series_list for rec in s.records
+def write_scoring_csv_cells(path, drives):
+    """``dataset.write_scoring_csv`` of ``(serial, records, rul)`` drives,
+    formatting one value at a time."""
+    feature_ids = sorted({fid for _, records, _ in drives for rec in records
                           for fid, v in rec.smart.items() if v is not None})
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         header = ["serial", "date", "rul"] + [f"smart_{fid}" for fid in feature_ids]
         fh.write(",".join(header) + "\n")
-        for series in series_list:
-            for rec, rul in zip(series.records, series.rul):
-                cells = [series.serial, rec.date.isoformat(), str(rul)]
+        for serial, records, ruls in drives:
+            for rec, rul in zip(records, ruls):
+                cells = [serial, rec.date.isoformat(), str(rul)]
                 cells += ["" if rec.smart.get(fid) is None else repr(float(rec.smart[fid]))
                           for fid in feature_ids]
                 fh.write(",".join(cells) + "\n")

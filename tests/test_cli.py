@@ -504,18 +504,17 @@ def test_streaming_ingest_matches_one_pass_oracle(tmp_path, monkeypatch, load_pe
     corpus = load_perfbench("corpus")
     cfg, truth = _small_corpus(tmp_path, corpus, seed)
     lookbacks = corpus.LOOKBACKS
-    kept, reread = [], []
+    scans, reread = [], []
     scan_snapshot_file, read_snapshot_csv = ds.scan_snapshot_file, ds.read_snapshot_csv
 
     def scanning(path, windows):
         scan = scan_snapshot_file(path, windows)
-        kept.append(len(scan.kept))
+        scans.append((path.name, len(scan.kept)))
         return scan
 
     def rereading(path, windows):
-        records = read_snapshot_csv(path, windows)
-        reread.append((path.name, len(records)))
-        return records
+        reread.append(path.name)
+        return read_snapshot_csv(path, windows)
 
     with monkeypatch.context() as patch:
         patch.setattr(ds, "scan_snapshot_file", scanning)
@@ -526,17 +525,17 @@ def test_streaming_ingest_matches_one_pass_oracle(tmp_path, monkeypatch, load_pe
         assert main(["ingest", "--config", cfg, "--out", str(tmp_path / "oracle")]) == 0
 
     _assert_same_cohorts(tmp_path)
-    # the single read keeps and the re-reads parse each failed target drive's rows
+    # the single read and the re-reads keep each failed target drive's rows
     # inside its longest lookback, the duplicated day of a skipped drive twice,
     # and nothing else
     longest = max(lookbacks.values())
     in_windows = sum(truth.rows[(serial, longest)] for serial in truth.failed) + len(truth.skipped)
-    assert sum(kept) + sum(n for _, n in reread) == in_windows < truth.rows_total / 2
+    assert sum(n for _, n in scans) == in_windows < truth.rows_total / 2
     # every file is read once, and only the failure-day files again, once each
-    assert len(kept) == len(list((tmp_path / "snapshots").glob("*.csv")))
-    names = [name for name, _ in reread]
-    assert len(names) == len(set(names))
-    assert set(names) == {f"{day.isoformat()}.csv" for day in truth.failed.values()}
+    files = sorted(path.name for path in (tmp_path / "snapshots").glob("*.csv"))
+    assert sorted(name for name, _ in scans) == sorted(files + reread)
+    assert len(reread) == len(set(reread))
+    assert set(reread) == {f"{day.isoformat()}.csv" for day in truth.failed.values()}
 
 
 def _ingest_both_ways(tmp_path, cfg):
@@ -600,8 +599,11 @@ def _shuffled_snapshots(draw):
     """{file name: text} of a snapshot corpus that reading in path order does not
     favour: files hold several days each under names that do not follow the
     dates, rows are in any order (a failure row before or after its drive's
-    other rows), and some drives report ``failure`` 1 on two days."""
+    other rows), and some drives report ``failure`` 1 on two days. Each file
+    has its own attribute columns: the default predictors and attribute 1 in
+    any order, with the last of them left out of some files."""
     n_days = 14
+    attributes = [*feat.DEFAULT_FEATURES, 1]
     rows = []
     for k in range(draw(st.integers(2, 5), label="drives")):
         serial, model = f"S{k}", draw(st.sampled_from(["M", "M", "M", "N"]), label="model")
@@ -614,19 +616,21 @@ def _shuffled_snapshots(draw):
         for day in range(first, last + 1):
             if day not in fails and draw(st.integers(0, 9), label="gap") == 0:
                 continue
-            cells = ["" if draw(st.integers(0, 19), label="blank") == 0 else str(day * 10 + k + j)
-                     for j in range(len(feat.DEFAULT_FEATURES))]
+            cells = {fid: "" if draw(st.integers(0, 19), label="blank") == 0 else str(day * 10 + k + j)
+                     for j, fid in enumerate(attributes)}
             rows.append((day, f"{date(2020, 1, 1) + timedelta(days=day)},{serial},{model},"
-                              f"{int(day in fails)}," + ",".join(cells)))
+                              f"{int(day in fails)}", cells))
     n_files = draw(st.integers(1, 5), label="files")
     file_of_day = draw(st.lists(st.integers(0, n_files - 1), min_size=n_days, max_size=n_days),
                        label="file of each day")
     names = draw(st.permutations([f"{c}.csv" for c in "qwertyu"[:n_files]]), label="names")
-    header = "date,serial_number,model,failure," + ",".join(
-        f"smart_{fid}_raw" for fid in feat.DEFAULT_FEATURES)
     files = {}
     for f, name in enumerate(names):
-        lines = [line for day, line in rows if file_of_day[day] == f]
+        columns = draw(st.permutations(attributes), label=f"columns of {name}")
+        columns = columns[:len(columns) - draw(st.integers(0, 1), label=f"{name} drops one")]
+        header = "date,serial_number,model,failure," + ",".join(f"smart_{fid}_raw" for fid in columns)
+        lines = [identity + "," + ",".join(cells[fid] for fid in columns)
+                 for day, identity, cells in rows if file_of_day[day] == f]
         files[name] = "\n".join([header] + draw(st.permutations(lines), label=name)) + "\n"
     return files
 
@@ -634,7 +638,8 @@ def _shuffled_snapshots(draw):
 @settings(max_examples=60, deadline=None)
 @given(files=_shuffled_snapshots(), seed=st.integers(0, 3))
 def test_ingest_in_any_path_order_matches_one_pass_oracle(tmp_path_factory, files, seed):
-    """Cohort bytes equal the one-pass oracle's however days, files and names are laid out."""
+    """Cohort bytes equal the one-pass oracle's however days, files, names and
+    attribute columns are laid out."""
     tmp_path = tmp_path_factory.mktemp("shuffled")
     snapshot_dir = tmp_path / "snapshots"
     snapshot_dir.mkdir()

@@ -18,47 +18,62 @@ HEADER = [
 ]
 
 
-def test_parse_row_basic_fields():
+def _read_row(tmp_path, row):
+    """The failure rows and the kept rows of a snapshot file holding ``row``
+    after one good row, as both reads see them."""
+    path = tmp_path / "day.csv"
+    good = ["2020-01-04", "Y1", "M", "0", "0", "1", "100", "2"]
+    path.write_text("\n".join(",".join(r) for r in (HEADER, good, row)) + "\n")
+    windows = {"Z12": (date(2020, 1, 1), date(2020, 1, 9))}
+    scan = ds.scan_snapshot_file(path, windows)
+    kept = ds.read_snapshot_csv(path, windows).drives()
+    assert scan.kept.drives().keys() == kept.keys() == {"Z12"}
+    for got, want in zip(scan.kept.drives()["Z12"].records(), kept["Z12"].records()):
+        assert got == want
+    return scan.failures, kept["Z12"]
+
+
+def test_parse_row_basic_fields(tmp_path):
     row = ["2020-01-05", "Z12", "ST4000DM000", "4000787030016", "1", "1234", "100", ""]
-    rec = ds.parse_snapshot_row(HEADER, row)
-    assert rec.failed is True
-    assert rec.serial == "Z12"
-    assert rec.model == "ST4000DM000"
-    assert rec.date == date(2020, 1, 5)
+    failures, rows = _read_row(tmp_path, row)
+    assert failures == [ds.DriveRecord("Z12", date(2020, 1, 5), "ST4000DM000", {}, True)]
+    assert (rows.serial, rows.model, rows.dates, rows.failed) == (
+        "Z12", "ST4000DM000", [date(2020, 1, 5)], [True])
 
 
-def test_parse_row_drops_normalized_keeps_raw():
+def test_parse_row_drops_normalized_keeps_raw(tmp_path):
     row = ["2020-01-05", "Z12", "M", "0", "0", "1234", "100", "55"]
-    rec = ds.parse_snapshot_row(HEADER, row)
-    assert rec.smart[7] == 1234.0
-    assert rec.smart[240] == 55.0
-    assert set(rec.smart) == {7, 240}
+    _, rows = _read_row(tmp_path, row)
+    assert rows.feature_ids == [7, 240]
+    assert rows.values.tolist() == [[1234.0, 55.0]]
 
 
-def test_parse_row_empty_cell_is_missing():
+def test_parse_row_empty_cell_is_missing(tmp_path):
     row = ["2020-01-05", "Z12", "M", "0", "0", "9", "100", ""]
-    rec = ds.parse_snapshot_row(HEADER, row)
-    assert rec.smart[240] is None
+    _, rows = _read_row(tmp_path, row)
+    assert rows.values[0, 0] == 9.0 and np.isnan(rows.values[0, 1])
 
 
-@pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "1e400"])
-def test_parse_row_non_finite_cell_is_missing(cell):
+@pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "1e400", "x1", " "])
+def test_parse_row_non_finite_cell_is_missing(tmp_path, cell):
+    """Non-finite and unparseable cells are NaN, and every NaN has the same bits."""
     row = ["2020-01-05", "Z12", "M", "0", "0", cell, "100", "55"]
-    rec = ds.parse_snapshot_row(HEADER, row)
-    assert rec.smart == {7: None, 240: 55.0}
+    _, rows = _read_row(tmp_path, row)
+    assert rows.values[0, 1] == 55.0
+    assert rows.values[:, :1].tobytes() == np.array([np.nan]).tobytes()
 
 
-def test_parse_row_bad_date_raises_with_index():
+def test_parse_row_bad_date_raises_with_index(tmp_path):
     row = ["not-a-date", "Z12", "M", "0", "0", "9", "100", ""]
     with pytest.raises(SnapshotParseError) as err:
-        ds.parse_snapshot_row(HEADER, row, row_index=17)
-    assert err.value.row_index == 17
+        _read_row(tmp_path, row)
+    assert err.value.row_index == 2
 
 
-def test_parse_row_bad_failure_flag():
+def test_parse_row_bad_failure_flag(tmp_path):
     row = ["2020-01-05", "Z12", "M", "0", "maybe", "9", "100", ""]
-    with pytest.raises(SnapshotParseError):
-        ds.parse_snapshot_row(HEADER, row, row_index=3)
+    with pytest.raises(SnapshotParseError, match="row 2: non-numeric failure flag 'maybe'"):
+        _read_row(tmp_path, row)
 
 
 SNAPSHOT_COLUMNS = ["date", "serial_number", "model", "capacity_bytes", "failure",
@@ -125,25 +140,44 @@ _WINDOWS = st.dictionaries(
 
 def _outcome(read, *args):
     try:
-        return read(*args)
+        return "ok", read(*args)
     except DataError as exc:
         return type(exc), str(exc)
+
+
+def _kept(kept):
+    """(serial, day, failure flag, attribute map) of each row of a KeptRows, drive by drive."""
+    return [(rec.serial, rec.date, rec.failed, rec.smart)
+            for rows in kept.drives().values() for rec in rows.records()]
+
+
+def _kept_csv(records):
+    """The same of the oracle's records; a drive's rows keep their order."""
+    order = list(dict.fromkeys(rec.serial for rec in records))
+    return [(rec.serial, rec.date, rec.failed, rec.smart)
+            for rec in sorted(records, key=lambda rec: order.index(rec.serial))]
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=_snapshot_text(), windows=_WINDOWS)
 def test_snapshot_passes_match_csv_reader_oracle(tmp_path, text, windows):
-    """Both passes give the records, or the error, of a csv.reader over every row."""
+    """A scan gives the failure rows and the rows in ``windows``, or the error,
+    of a csv.reader over every row; a re-read gives the same rows."""
     path = tmp_path / "day.csv"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(text)
-    assert _outcome(ds.read_failure_rows, path) == _outcome(oracles.read_failure_rows_csv, path)
-    assert (_outcome(ds.read_snapshot_csv, path, windows)
-            == _outcome(oracles.read_snapshot_csv_csv, path, windows))
+    scan = _outcome(ds.scan_snapshot_file, path, windows)
+    failures = _outcome(oracles.read_failure_rows_csv, path)
+    if failures[0] != "ok":
+        assert scan == failures
+        return
+    assert scan[1].failures == failures[1]
+    assert _kept(scan[1].kept) == _kept_csv(oracles.read_snapshot_csv_csv(path, windows))
+    assert _kept(ds.read_snapshot_csv(path, windows)) == _kept(scan[1].kept)
 
 
 def test_read_failure_rows_streams(tmp_path):
-    """Pass 1 holds a few lines of a file at a time, never the whole file."""
+    """The scan holds a few lines of a file at a time, never the whole file."""
     path = tmp_path / "day.csv"
     header = ",".join(SNAPSHOT_COLUMNS[:5] + [f"smart_{i}_raw" for i in range(90)])
     tail = ",".join(str(1000 + i) for i in range(90))
@@ -155,12 +189,49 @@ def test_read_failure_rows_streams(tmp_path):
     assert size > 20_000_000
     tracemalloc.start()
     try:
-        failures = ds.read_failure_rows(path)
+        failures = ds.scan_snapshot_file(path, {}).failures
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert [rec.serial for rec in failures] == ["S000000", "S010000", "S020000", "S030000", "S040000"]
     assert peak < 2_000_000, f"traced peak {peak} B for a {size} B file"
+
+
+def test_kept_rows_take_a_float64_row_each(tmp_path):
+    """Kept snapshot rows cost about their float64 cells (45 a row here, half of
+    them empty, 360 B), both as read over many daily files and as per-drive
+    matrices."""
+    ids = range(1, 46)
+    header = ",".join(SNAPSHOT_COLUMNS[:5] + [f"smart_{i}_{kind}" for i in ids
+                                             for kind in ("normalized", "raw")])
+    days = [date(2020, 1, 1) + timedelta(days=k) for k in range(30)]
+    paths = []
+    for day in days:
+        path = tmp_path / f"{day}.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(header + "\n")
+            for d in range(200):
+                cells = ",".join(f"100,{1000 * d + i}" if i % 2 else "," for i in ids)
+                fh.write(f"{day},S{d:04d},M,4000787030016,0,{cells}\n")
+        paths.append(path)
+    windows = {f"S{d:04d}": (days[0], days[-1]) for d in range(200)}
+    n_rows = len(days) * len(windows)
+    tracemalloc.start()
+    try:
+        kept = ds.KeptRows()
+        for path in paths:
+            kept.update(ds.scan_snapshot_file(path, windows).kept)
+        held, _ = tracemalloc.get_traced_memory()
+        drives = kept.drives()
+        del kept
+        as_matrices, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(len(rows.dates) for rows in drives.values()) == n_rows == 6000
+    first = drives["S0007"].values[0]
+    assert first[0] == 7001.0 and np.isnan(first[1]) and first[44] == 7045.0
+    assert held / n_rows <= 800, f"{held / n_rows:.0f} B a row as read"
+    assert as_matrices / n_rows <= 800, f"{as_matrices / n_rows:.0f} B a row as matrices"
 
 
 def test_snapshot_cell_size(tmp_path):
@@ -171,9 +242,10 @@ def test_snapshot_cell_size(tmp_path):
     huge = "0" * 200_000 + "5"
     path.write_text(header + f"2020-01-05,A,M,1,{huge},{'1' * 200_000}\n")
     window = {"A": (date(2020, 1, 5), date(2020, 1, 5))}
-    assert [rec.smart for rec in ds.read_snapshot_csv(path, window)] == [{5: 5.0, 9: None}]
+    rows = ds.read_snapshot_csv(path, window).drives()["A"]
+    assert rows.values[0, 0] == 5.0 and np.isnan(rows.values[0, 1])
     path.write_text(header + f'2020-01-05,A,M,1,"{huge}",7\n')
-    for read in (ds.read_failure_rows, lambda p: ds.read_snapshot_csv(p, window)):
+    for read in (lambda p: ds.scan_snapshot_file(p, {}), lambda p: ds.read_snapshot_csv(p, window)):
         with pytest.raises(SnapshotParseError,
                            match=re.escape(f"{path}: row 1: field larger than field limit")):
             read(path)
@@ -339,12 +411,13 @@ def test_materialize_matches_forward_fill_loop(smart_maps, feature_ids):
     the same warnings."""
     recs = [_record("A", date(2020, 1, 1) + timedelta(days=k), smart=smart)
             for k, smart in enumerate(smart_maps)]
-    series = ds.LabeledSeries("A", recs, list(range(len(recs) - 1, -1, -1)))
+    rul = list(range(len(recs) - 1, -1, -1))
     frames = []
-    for materialize in (ds.materialize_series, oracles.materialize_series_loop):
+    for materialize in (lambda: ds.materialize_series(ds.LabeledSeries("A", recs, rul), feature_ids),
+                        lambda: oracles.materialize_series_loop("A", recs, rul, feature_ids)):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            frames.append((materialize(series, feature_ids), [str(w.message) for w in caught]))
+            frames.append((materialize(), [str(w.message) for w in caught]))
     (got, got_warnings), (want, want_warnings) = frames
     assert got_warnings == want_warnings
     assert (got is None) == (want is None)
@@ -367,10 +440,9 @@ def test_writers_match_cell_at_a_time_writers(tmp_path):
 
     recs = [_record("B", day, smart={7: v, 9: None if k == 1 else -v, 240: None})
             for k, (day, v) in enumerate(zip(days, awkward))]
-    series = [ds.LabeledSeries("B", recs, [3, 2, 1, 0]),
-              ds.LabeledSeries("A", recs[:2], [1, 0])]
-    ds.write_scoring_csv(tmp_path / "new.csv", series)
-    oracles.write_scoring_csv_cells(tmp_path / "old.csv", series)
+    drives = [("B", recs, [3, 2, 1, 0]), ("A", recs[:2], [1, 0])]
+    ds.write_scoring_csv(tmp_path / "new.csv", [ds.LabeledSeries(*d) for d in drives])
+    oracles.write_scoring_csv_cells(tmp_path / "old.csv", drives)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
     assert [line.split(",")[3] for line in (tmp_path / "new.csv").read_text().splitlines()[1:5]] == [
         "-0.0", "5e-324", "1e+16", "0.30000000000000004"]
@@ -386,17 +458,50 @@ def test_materialize_excludes_all_missing_drive():
     assert any("excluded" in str(w.message) for w in caught)
 
 
+# values whose bits a text round trip can lose: signed zero, subnormals, and
+# values that need all 17 significant digits
+_AWKWARD = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e16, 0.1 + 0.2,
+            1.0000000000000002, -123456789.12345679, 2.0 ** 60 + 2.0 ** 8]
+
+
+def _same_bits(a, b):
+    return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def test_scoring_csv_roundtrip_is_bit_exact(tmp_path):
+    """Per-drive matrices with NaN cells and awkward values come back bit for bit."""
+    rng = np.random.default_rng(3)
+    written = []
+    for d, n in enumerate([9, 1, 4]):
+        values = rng.choice(_AWKWARD, size=(n, 4))
+        values[rng.random((n, 4)) < 0.3] = np.nan
+        values[0] = _AWKWARD[d:d + 4]  # every column reported somewhere
+        dates = [date(2020, 1, 1) + timedelta(days=k) for k in range(n)]
+        rows = ds.DriveRows(f"D{2 - d}", "M", [5, 7, 9, 240], dates, [False] * n, values)
+        written.append(ds.LabeledSeries(rows.serial, rows, list(range(n - 1, -1, -1))))
+    path = tmp_path / "scoring.csv"
+    ds.write_scoring_csv(path, written)
+    feature_ids, read = ds.read_scoring_csv(path)
+    assert feature_ids == [5, 7, 9, 240]
+    for got, want in zip(read, written, strict=True):
+        assert (got.serial, got.rows.dates, got.rul) == (want.serial, want.rows.dates, want.rul)
+        assert _same_bits(got.rows.values, want.rows.values)
+
+
 def test_cohort_csv_roundtrip_exact(small_frames, tmp_path):
-    path = tmp_path / "cohort.csv"
-    ds.write_cohort_csv(path, small_frames)
-    back = ds.read_cohort_csv(path)
-    assert len(back) == len(small_frames)
-    for a, b in zip(sorted(small_frames, key=lambda f: f.serial), back):
-        assert a.serial == b.serial
-        assert a.dates == b.dates
-        assert a.feature_ids == b.feature_ids
-        assert np.array_equal(a.values, b.values)
-        assert np.array_equal(a.rul, b.rul)
+    rng = np.random.default_rng(4)
+    awkward = [ds.DriveFrame(serial, small_frames[0].dates[:n], [7, 9, 240],
+                             rng.choice(_AWKWARD, size=(n, 3)), np.arange(n)[::-1])
+               for serial, n in (("B", 7), ("A", 3))]
+    for frames in (small_frames, awkward):
+        path = tmp_path / "cohort.csv"
+        ds.write_cohort_csv(path, frames)
+        back = ds.read_cohort_csv(path)
+        for a, b in zip(sorted(frames, key=lambda f: f.serial), back, strict=True):
+            assert (a.serial, a.dates, a.feature_ids) == (b.serial, b.dates, b.feature_ids)
+            assert _same_bits(a.values, b.values)
+            assert np.array_equal(a.rul, b.rul)
 
 
 def test_history_csv_without_rul(tmp_path):

@@ -44,6 +44,17 @@ def test_tree_matches_oracle_with_exact_ties():
     assert np.array_equal(tree.predict(X), brute_force_predictions(X, y, X))
 
 
+def test_fitted_trees_own_their_node_arrays(rng):
+    """A fitted tree holds its nodes only, not views of the 2n+1-slot growth arrays."""
+    X = rng.normal(size=(40, 3))
+    y = rng.normal(size=40)
+    trees = [forest.fit_tree(X, y)] + forest.fit_forest(X, y, n_estimators=3, seed=2).trees
+    for tree in trees:
+        arrays = [tree.feature, tree.threshold, tree.left, tree.right, tree.value,
+                  tree.impurity, tree.n_node_samples]
+        assert all(a.base is None and len(a) == tree.n_nodes for a in arrays)
+
+
 def test_forest_is_mean_of_trees(rng):
     X = rng.normal(size=(30, 2))
     y = X[:, 0] + rng.normal(size=30) * 0.1
