@@ -205,27 +205,36 @@ def _synth_series(config: RunConfig, name: str, drives_key: str, lookback_key: s
     return ds.generate_synthetic(synth, serial_prefix=prefix)
 
 
-def _write_manifest(path: Path, rows: list[dict]) -> None:
+def _write_manifest(path: Path, rows: list[list]) -> None:
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["cohort", "file", "drives", "records", "date_min", "date_max"])
-        for row in rows:
-            writer.writerow(
-                [row["cohort"], row["file"], row["drives"], row["records"],
-                 row["date_min"], row["date_max"]]
-            )
+        writer.writerows(rows)
 
 
-def _manifest_row(name: str, filename: str, frames) -> dict:
+def _manifest_row(name: str, filename: str, frames) -> list:
     dates = [d for f in frames for d in f.dates]
-    return {
-        "cohort": name,
-        "file": filename,
-        "drives": len(frames),
-        "records": sum(len(f.dates) for f in frames),
-        "date_min": min(dates).isoformat() if dates else "",
-        "date_max": max(dates).isoformat() if dates else "",
-    }
+    return [name, filename, len(frames), len(dates),
+            min(dates).isoformat() if dates else "", max(dates).isoformat() if dates else ""]
+
+
+def _write_cohorts(config: RunConfig, command: str, scoring, cohorts: dict, columns) -> int:
+    """The files ``synth`` and ``ingest`` end with: ``scoring.csv`` of the uncapped
+    ``scoring`` series, then each cohort's series capped and materialized on
+    ``columns``, the manifest and the run config."""
+    out = Path(config.out)
+    (out / "cohorts").mkdir(parents=True, exist_ok=True)
+    ds.write_scoring_csv(out / "cohorts" / "scoring.csv", scoring)
+    manifest = []
+    for name, series in cohorts.items():
+        frames = ds.materialize_cohort([ds.cap_rul(s, config.cap) for s in series], columns)
+        filename = f"{name}.csv"
+        ds.write_cohort_csv(out / "cohorts" / filename, frames)
+        manifest.append(_manifest_row(name, filename, frames))
+    _write_manifest(out / "cohorts" / "manifest.csv", manifest)
+    _write_run_config(config, out)
+    print(f"{command}: wrote {len(manifest)} cohorts under {out / 'cohorts'}")
+    return 0
 
 
 def _read_cohort(out: Path, name: str):
@@ -243,23 +252,10 @@ def _read_cohort(out: Path, name: str):
 
 
 def cmd_synth(config: RunConfig) -> int:
-    out = Path(config.out)
-    (out / "cohorts").mkdir(parents=True, exist_ok=True)
-    manifest = []
-    for name, drives_key, lookback_key, prefix in _SYNTH_COHORTS:
-        series = _synth_series(config, name, drives_key, lookback_key, prefix)
-        if name == "train":
-            ds.write_scoring_csv(out / "cohorts" / "scoring.csv", series)
-        capped = [ds.cap_rul(s, config.cap) for s in series]
-        ids = ds.synthetic_attribute_ids(config.synth_features)
-        frames = ds.materialize_cohort(capped, ids)
-        filename = f"{name}.csv"
-        ds.write_cohort_csv(out / "cohorts" / filename, frames)
-        manifest.append(_manifest_row(name, filename, frames))
-    _write_manifest(out / "cohorts" / "manifest.csv", manifest)
-    _write_run_config(config, out)
-    print(f"synth: wrote {len(manifest)} cohorts under {out / 'cohorts'}")
-    return 0
+    cohorts = {name: _synth_series(config, name, drives_key, lookback_key, prefix)
+               for name, drives_key, lookback_key, prefix in _SYNTH_COHORTS}
+    return _write_cohorts(config, "synth", cohorts["train"], cohorts,
+                          ds.synthetic_attribute_ids(config.synth_features))
 
 
 def _split_events(config: RunConfig):
@@ -333,11 +329,11 @@ def _labeled_series(by_serial, events, lookback: int) -> list[ds.LabeledSeries]:
 
 
 def cmd_ingest(config: RunConfig) -> int:
-    out = Path(config.out)
-    (out / "cohorts").mkdir(parents=True, exist_ok=True)
     split = _split_events(config)
     if split is None:
         print("ingest: no matching failures found; wrote empty manifest", file=sys.stderr)
+        out = Path(config.out)
+        (out / "cohorts").mkdir(parents=True, exist_ok=True)
         _write_manifest(out / "cohorts" / "manifest.csv", [])
         _write_run_config(config, out)
         return 0
@@ -347,39 +343,19 @@ def cmd_ingest(config: RunConfig) -> int:
         "test60": _labeled_series(by_serial, test_events, config.lookback_test),
         "test120": _labeled_series(by_serial, test_events, config.lookback_extrap),
     }
-    # features scores the train split before the availability filter and the cap
-    ds.write_scoring_csv(out / "cohorts" / "scoring.csv", labeled["train"])
-    cohorts = {name: [ds.cap_rul(s, config.cap) for s in series] for name, series in labeled.items()}
-
-    selected = _selected_features(config)
-    survivors = {
-        name: [
-            s
-            for s in series
-            if set(selected) <= set(s.rows.reported())
-        ]
-        for name, series in cohorts.items()
-    }
-    for name in cohorts:
-        dropped = len(cohorts[name]) - len(survivors[name])
-        if dropped:
-            print(f"ingest: {name}: excluded {dropped} drives missing selected features",
-                  file=sys.stderr)
+    selected = set(_selected_features(config))
+    survivors = {}
+    for name, series in labeled.items():
+        survivors[name] = [s for s in series if selected <= set(s.rows.reported())]
+        if len(survivors[name]) < len(series):
+            print(f"ingest: {name}: excluded {len(series) - len(survivors[name])} drives "
+                  "missing selected features", file=sys.stderr)
     all_series = [s for series in survivors.values() for s in series]
     if not all_series:
         raise DataError("no drives left after feature-availability filtering")
-    columns = ds.attributes_on_every_drive(all_series)
-
-    manifest = []
-    for name, series in survivors.items():
-        frames = ds.materialize_cohort(series, columns)
-        filename = f"{name}.csv"
-        ds.write_cohort_csv(out / "cohorts" / filename, frames)
-        manifest.append(_manifest_row(name, filename, frames))
-    _write_manifest(out / "cohorts" / "manifest.csv", manifest)
-    _write_run_config(config, out)
-    print(f"ingest: wrote {len(manifest)} cohorts under {out / 'cohorts'}")
-    return 0
+    # features scores the train split before the availability filter and the cap
+    return _write_cohorts(config, "ingest", labeled["train"], survivors,
+                          ds.attributes_on_every_drive(all_series))
 
 
 def cmd_features(config: RunConfig) -> int:

@@ -27,10 +27,11 @@ matrix; hand-built :class:`DriveRecord` lists are converted to it once, where
 they enter (:meth:`DriveRows.from_records`).
 
 The numeric pipeline consumes :class:`DriveFrame` objects (one dense matrix
-per drive); frames serialize to a long-format cohort CSV
-``serial,date,rul,smart_<n>,...`` with one row per drive-day. The scoring
-CSV has the same header and holds the uncapped train split that attribute
-scoring reads, with an empty cell where a drive did not report a value.
+per drive). Drives pass between stages in one drive CSV format,
+``serial,date[,rul],smart_<n>,...`` with one row per drive-day: the cohort
+files, ``scoring.csv`` (the uncapped train split that attribute scoring reads;
+an empty cell is an unreported value) and the one-drive history ``predict``
+reads. One writer and one reader, with one set of rules, serve all three.
 """
 from __future__ import annotations
 
@@ -639,183 +640,156 @@ def attributes_on_every_drive(series_list: Sequence[LabeledSeries]) -> list[int]
 
 
 # ---------------------------------------------------------------------------
-# Cohort CSV (long format: one row per drive-day)
+# Drive CSV: the cohort, scoring and history files
 
 
-def write_cohort_csv(path: str | Path, frames: Sequence[DriveFrame]) -> None:
-    """Write frames as ``serial,date,rul,smart_<n>,...`` with LF endings.
+def _write_drive_csv(path: str | Path, feature_ids: Sequence[int], drives: Iterable[tuple]) -> None:
+    """Write ``(serial, dates, rul, values)`` drives as ``serial,date,rul,smart_<n>,...``
+    with LF endings, in the order given, one row per day of ``values``.
 
-    Values are printed with ``repr`` so re-parsing reproduces the frames
-    bit-for-bit. Drives are ordered by serial, days chronologically.
+    Values are printed with ``repr`` so re-parsing reproduces them bit for bit;
+    NaN is an empty cell.
     """
-    frames = sorted(frames, key=lambda f: f.serial)
-    feature_ids = frames[0].feature_ids if frames else []
-    for frame in frames:
-        if frame.feature_ids != feature_ids:
-            raise DataError("all frames in a cohort must share the same feature columns")
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         header = ["serial", "date", "rul"] + [f"smart_{fid}" for fid in feature_ids]
         fh.write(",".join(header) + "\n")
-        for frame in frames:
-            for day, rul, values in zip(frame.dates, frame.rul.tolist(), frame.values.tolist()):
-                cells = [frame.serial, day.isoformat(), str(rul)]
-                cells += map(repr, values)
+        for serial, dates, rul, values in drives:
+            for day, label, row in zip(dates, rul, values.tolist()):
+                cells = [serial, day.isoformat(), str(label)]
+                cells += [repr(v) if v == v else "" for v in row]
                 fh.write(",".join(cells) + "\n")
 
 
-def _feature_columns(path, names: Sequence[str]) -> list[int]:
-    feature_ids = []
-    for name in names:
-        if not name.startswith("smart_") or not name[len("smart_"):].isdigit():
-            raise DataError(f"{path}: unexpected column {name!r}")
-        feature_ids.append(int(name[len("smart_"):]))
-    return feature_ids
+def _read_drive_csv(path: str | Path) -> tuple[list[int], bool, list[tuple]]:
+    """The attribute ids of a drive CSV, whether it has a ``rul`` column, and its
+    ``(serial, dates, rul, values)`` drives, ``values`` a float64 matrix.
+
+    The header is ``serial,date[,rul],smart_<n>,...`` with no attribute named
+    twice. Drives come in the order of their first row, each with its rows in
+    file order; a drive without ``rul`` is labeled 0 on every day. An empty
+    cell is NaN. A header of another form, a row of another width, a bad
+    date, label or number, a written non-finite value or a drive whose dates
+    do not strictly increase is a DataError naming the file (and the drive).
+    """
+    with _csv_reader(path) as reader:
+        header = next(reader, [])
+        has_rul = header[2:3] == ["rul"]
+        if header[:2] != ["serial", "date"]:
+            raise DataError(f"{path}: unexpected header {header[:3]}; "
+                            "expected serial,date[,rul],smart_<n>,...")
+        first = 3 if has_rul else 2
+        feature_ids: list[int] = []
+        for name in header[first:]:
+            digits = name[len("smart_"):]
+            if not (name.startswith("smart_") and digits.isdecimal()):
+                raise DataError(f"{path}: unexpected column {name!r}")
+            if int(digits) in feature_ids:
+                raise DataError(f"{path}: attribute {int(digits)} named twice ({name!r})")
+            feature_ids.append(int(digits))
+        groups: dict[str, list[list[str]]] = {}
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise DataError(f"{path}:{reader.line_num}: {len(row)} fields, expected {len(header)}")
+            groups.setdefault(row[0], []).append(row)
+    drives = []
+    for serial, rows in groups.items():
+        try:
+            dates = [Date.fromisoformat(row[1]) for row in rows]
+            rul = [int(row[2]) for row in rows] if has_rul else [0] * len(rows)
+            values = np.array([[float(c) if c else math.nan for c in row[first:]] for row in rows])
+        except ValueError as exc:
+            raise DataError(f"{path}: drive {serial}: {exc}") from exc
+        for k, j in np.argwhere(~np.isfinite(values)).tolist():
+            if rows[k][first + j]:  # an empty cell is NaN, a written nan or inf is not
+                raise DataError(f"{path}: drive {serial}: smart_{feature_ids[j]} is "
+                                f"{float(values[k, j])} on {dates[k]}, not a finite number")
+        for before, day in zip(dates, dates[1:]):
+            if day <= before:
+                raise DataError(f"{path}: drive {serial}: {day} follows {before}; "
+                                "dates must strictly increase")
+        drives.append((serial, dates, rul, values))
+    return feature_ids, has_rul, drives
 
 
-def _data_rows(path, reader, width: int) -> list[list[str]]:
-    """The non-blank rows left in ``reader``; one of another width is a DataError."""
-    rows = []
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != width:
-            raise DataError(f"{path}:{reader.line_num}: {len(row)} fields, expected {width}")
-        rows.append(row)
-    return rows
+def _frame(path, feature_ids: list[int], serial, dates, rul, values) -> DriveFrame:
+    """A drive of a cohort or history file; an empty cell is a DataError naming
+    the file and the drive."""
+    empty = np.argwhere(np.isnan(values))
+    if empty.size:
+        k, j = empty[0].tolist()
+        raise DataError(f"{path}: drive {serial}: smart_{feature_ids[j]} is empty on {dates[k]}")
+    return DriveFrame(serial, dates, list(feature_ids), values, rul)
 
 
-def _frame_from_rows(path, rows, feature_ids: list[int], has_rul: bool) -> DriveFrame:
-    """One drive's frame; a bad date, dates that do not strictly increase, a bad
-    number or a non-finite value is a DataError naming the file and the drive."""
-    first_feature = 3 if has_rul else 2
-    try:
-        frame = DriveFrame(
-            serial=rows[0][0],
-            dates=[Date.fromisoformat(r[1]) for r in rows],
-            feature_ids=list(feature_ids),
-            values=np.array([[float(c) for c in r[first_feature:]] for r in rows]),
-            rul=np.array([int(r[2]) if has_rul else 0 for r in rows], dtype=np.int64),
-        )
-    except ValueError as exc:
-        raise DataError(f"{path}: drive {rows[0][0]}: {exc}") from exc
-    for before, day in zip(frame.dates, frame.dates[1:]):
-        if day <= before:
-            raise DataError(f"{path}: drive {frame.serial}: {day} follows {before}; "
-                            "dates must strictly increase")
-    finite = np.isfinite(frame.values)
-    if not finite.all():
-        day, col = np.argwhere(~finite)[0]
-        raise DataError(
-            f"{path}: drive {frame.serial}: smart_{feature_ids[col]} is "
-            f"{float(frame.values[day, col])} on {frame.dates[day]}, not a finite number"
-        )
-    return frame
+def write_cohort_csv(path: str | Path, frames: Sequence[DriveFrame]) -> None:
+    """Write frames as ``serial,date,rul,smart_<n>,...`` (see :func:`_write_drive_csv`).
+
+    Drives are ordered by serial; all frames must share their columns.
+    """
+    frames = sorted(frames, key=lambda f: f.serial)
+    feature_ids = frames[0].feature_ids if frames else []
+    if any(frame.feature_ids != feature_ids for frame in frames):
+        raise DataError("all frames in a cohort must share the same feature columns")
+    _write_drive_csv(path, feature_ids,
+                     ((f.serial, f.dates, f.rul.tolist(), f.values) for f in frames))
+
+
+def read_cohort_csv(path: str | Path) -> list[DriveFrame]:
+    """Parse a cohort CSV back into per-drive frames (inverse of write).
+
+    Besides the rules of :func:`_read_drive_csv`, a file without a ``rul``
+    column or with an empty cell raises DataError naming the file.
+    """
+    feature_ids, has_rul, drives = _read_drive_csv(path)
+    if not has_rul:
+        raise DataError(f"{path}: not a cohort CSV: no rul column")
+    return [_frame(path, feature_ids, *drive) for drive in drives]
 
 
 def read_history_csv(path: str | Path) -> DriveFrame:
     """Read one drive's history: ``serial,date[,rul],smart_<n>,...``.
 
     The ``rul`` column is optional (zeros when absent) so the reader accepts
-    deployment-time histories of drives that have not failed.
-    """
-    with _csv_reader(path) as reader:
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty history file")
-        if header[:2] != ["serial", "date"]:
-            raise DataError(f"{path}: history must start with serial,date columns")
-        has_rul = len(header) > 2 and header[2] == "rul"
-        feature_ids = _feature_columns(path, header[3 if has_rul else 2 :])
-        rows = _data_rows(path, reader, len(header))
-    if not rows:
-        raise DataError(f"{path}: history has no rows")
-    serials = {row[0] for row in rows}
-    if len(serials) > 1:
-        raise DataError(f"{path}: history mixes drives {sorted(serials)}")
-    return _frame_from_rows(path, rows, feature_ids, has_rul)
-
-
-def read_cohort_csv(path: str | Path) -> list[DriveFrame]:
-    """Parse a cohort CSV back into per-drive frames (inverse of write).
-
-    A row of the wrong width, a bad date or a bad number raises DataError
+    deployment-time histories of drives that have not failed. A file that
+    does not hold exactly one drive, or has an empty cell, raises DataError
     naming the file.
     """
-    with _csv_reader(path) as reader:
-        try:
-            header = next(reader)
-        except StopIteration:
-            return []
-        if header[:3] != ["serial", "date", "rul"]:
-            raise DataError(f"{path}: not a cohort CSV: unexpected header {header[:3]}")
-        feature_ids = _feature_columns(path, header[3:])
-        rows = _data_rows(path, reader, len(header))
-    by_serial: dict[str, list] = {}
-    for row in rows:
-        by_serial.setdefault(row[0], []).append(row)
-    return [_frame_from_rows(path, group, feature_ids, True) for group in by_serial.values()]
-
-
-# ---------------------------------------------------------------------------
-# Scoring CSV (the uncapped train split that attribute scoring reads)
+    feature_ids, _, drives = _read_drive_csv(path)
+    if len(drives) != 1:
+        raise DataError(f"{path}: a history holds one drive, not {len(drives)} "
+                        f"{[drive[0] for drive in drives]}")
+    return _frame(path, feature_ids, *drives[0])
 
 
 def write_scoring_csv(path: str | Path, series_list: Sequence[LabeledSeries]) -> None:
-    """Write labeled series as ``serial,date,rul,smart_<n>,...`` with LF endings.
+    """Write labeled series as ``serial,date,rul,smart_<n>,...`` (see :func:`_write_drive_csv`).
 
     There is a column for every attribute some drive reports at least once,
     and an empty cell is a value the drive did not report. Drives keep their
     order, which fixes the bits of the scores computed over them.
     """
     feature_ids = sorted({fid for s in series_list for fid in s.rows.reported()})
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        header = ["serial", "date", "rul"] + [f"smart_{fid}" for fid in feature_ids]
-        fh.write(",".join(header) + "\n")
-        for series in series_list:
-            values = series.rows.columns(feature_ids).tolist()
-            for day, rul, row in zip(series.rows.dates, series.rul, values):
-                cells = [series.serial, day.isoformat(), str(rul)]
-                cells += ["" if math.isnan(v) else repr(v) for v in row]
-                fh.write(",".join(cells) + "\n")
-
-
-def _series_from_rows(path, rows, feature_ids: list[int]) -> LabeledSeries:
-    """One drive's series; a bad date, label or number, or a non-finite value,
-    is a DataError naming the file and the drive."""
-    serial = rows[0][0]
-    try:
-        values = np.array([[float(c) if c else math.nan for c in row[3:]] for row in rows])
-        dates = [Date.fromisoformat(row[1]) for row in rows]
-        rul = [int(row[2]) for row in rows]
-    except ValueError as exc:
-        raise DataError(f"{path}: drive {serial}: {exc}") from exc
-    values = values.reshape(len(rows), len(feature_ids))
-    for k, j in np.argwhere(~np.isfinite(values)).tolist():
-        if rows[k][3 + j]:  # an empty cell is NaN, a written nan or inf is not
-            raise DataError(f"{path}: drive {serial}: smart_{feature_ids[j]} is "
-                            f"{float(values[k, j])} on {dates[k]}, not a finite number")
-    return LabeledSeries(serial, DriveRows(serial, "", feature_ids, dates, [False] * len(dates), values),
-                         rul)
+    _write_drive_csv(path, feature_ids,
+                     ((s.serial, s.rows.dates, s.rul, s.rows.columns(feature_ids))
+                      for s in series_list))
 
 
 def read_scoring_csv(path: str | Path) -> tuple[list[int], list[LabeledSeries]]:
     """The attribute ids and the drives of a scoring CSV (inverse of write).
 
     An empty cell is an unreported value (NaN); the rows carry no drive
-    model or failure flag. A file with fewer than two drive-days, a row of the
-    wrong width, a bad date or number or a non-finite value raises DataError
-    naming the file.
+    model or failure flag. Besides the rules of :func:`_read_drive_csv`, a
+    file without a ``rul`` column or with fewer than two drive-days raises
+    DataError naming the file.
     """
-    with _csv_reader(path) as reader:
-        header = next(reader, [])
-        if header[:3] != ["serial", "date", "rul"]:
-            raise DataError(f"{path}: not a scoring CSV: unexpected header {header[:3]}")
-        feature_ids = _feature_columns(path, header[3:])
-        rows = _data_rows(path, reader, len(header))
-    if len(rows) < 2:
-        raise DataError(f"{path}: {len(rows)} drive-days; scoring needs at least two")
-    by_serial: dict[str, list] = {}
-    for row in rows:
-        by_serial.setdefault(row[0], []).append(row)
-    return feature_ids, [_series_from_rows(path, group, feature_ids) for group in by_serial.values()]
+    feature_ids, has_rul, drives = _read_drive_csv(path)
+    if not has_rul:
+        raise DataError(f"{path}: not a scoring CSV: no rul column")
+    n_days = sum(len(dates) for _, dates, _, _ in drives)
+    if n_days < 2:
+        raise DataError(f"{path}: {n_days} drive-days; scoring needs at least two")
+    return feature_ids, [LabeledSeries(serial, DriveRows(serial, "", feature_ids, dates,
+                                                         [False] * len(dates), values), rul)
+                         for serial, dates, rul, values in drives]

@@ -707,25 +707,61 @@ def test_bad_config_exits_one(tmp_path, capsys, command, extra, named):
     assert named in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("row", [
-    "T60-0000,2020-01-01",  # short
-    "T60-0000,2020-01-01,3,1.0,2.0,3.0,4.0,5.0,6.0",  # one field too many
-    "T60-0000,2020-13-01,3,1.0,2.0,3.0,4.0,5.0",  # no such date
-    "T60-0000,2020-01-01,3,1.0,2.0,x,4.0,5.0",  # not a number
-    "T60-0000,2020-01-01,3,1.0,2.0,nan,4.0,5.0",  # not a finite number
-    "T60-0000,2020-01-02,3,1.0,2.0,3.0,4.0,5.0\nT60-0000,2020-01-01,3,1.0,2.0,3.0,4.0,5.0",
-    "T60-0000,2020-01-01,3,1.0,2.0,3.0,4.0,5.0\nT60-0000,2020-01-01,3,1.0,2.0,3.0,4.0,5.0",
-    "T60-0000,2020-01-01,3,1.0,2.0," + "3" * 200_000 + ",4.0,5.0",  # over csv's field limit
-], ids=["short", "long", "bad_date", "bad_number", "non_finite", "unsorted", "duplicate_day",
-        "oversized_cell"])
-def test_malformed_cohort_is_data_error(tiny_run, tmp_path, capsys, row):
-    args = _copy_run(tiny_run, tmp_path / "run")
-    path = tmp_path / "run" / "out" / "cohorts" / "test60.csv"
+# the drive CSVs of a tiny run and the command that reads each
+_DRIVE_FILES = [("out/cohorts/test60.csv", "evaluate"), ("out/cohorts/scoring.csv", "features"),
+                ("history.csv", "predict")]
+
+# rows that break one rule each, for a drive the file holds ({serial}), and
+# a fragment of the error that rule gives
+_MALFORMED_ROWS = {
+    "short": ("{serial},2030-01-01", "2 fields, expected 8"),
+    "long": ("{serial},2030-01-01,3,1.0,2.0,3.0,4.0,5.0,6.0", "9 fields, expected 8"),
+    "bad_date": ("{serial},2030-13-01,3,1.0,2.0,3.0,4.0,5.0", "month must be in 1..12"),
+    "bad_number": ("{serial},2030-01-01,3,1.0,2.0,x,4.0,5.0", "could not convert"),
+    "non_finite": ("{serial},2030-01-01,3,1.0,2.0,nan,4.0,5.0", "not a finite number"),
+    "unsorted": ("{serial},2030-01-02,3,1.0,2.0,3.0,4.0,5.0\n"
+                 "{serial},2030-01-01,3,1.0,2.0,3.0,4.0,5.0", "dates must strictly increase"),
+    "duplicate_day": ("{serial},2030-01-01,3,1.0,2.0,3.0,4.0,5.0\n"
+                      "{serial},2030-01-01,3,1.0,2.0,3.0,4.0,5.0", "dates must strictly increase"),
+    "oversized_cell": ("{serial},2030-01-01,3,1.0,2.0," + "3" * 200_000 + ",4.0,5.0",
+                       "field larger than field limit"),
+}
+
+
+@pytest.mark.parametrize("name,command,row,error", [
+    pytest.param(name, command, row, error, id=prefix + case)
+    for prefix, (name, command) in zip(["", "scoring-", "history-"], _DRIVE_FILES)
+    for case, (row, error) in _MALFORMED_ROWS.items()
+])
+def test_malformed_cohort_is_data_error(tiny_run, tmp_path, capsys, name, command, row, error):
+    """A cohort, scoring or history row that breaks a rule of the drive CSV ends in
+    exit 2 naming the file."""
+    dest = tmp_path / "run"
+    args = _copy_run(tiny_run, dest)
+    path = dest / name
+    serial = path.read_text().splitlines()[1].split(",")[0]
     with open(path, "a") as fh:
-        fh.write(row + "\n")
+        fh.write(row.format(serial=serial) + "\n")
     capsys.readouterr()
-    assert main(["evaluate", *args]) == 2
-    assert str(path) in capsys.readouterr().err
+    assert main([command, *args, *_input_args(command, dest)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and error in err
+
+
+@pytest.mark.parametrize("name,command", _DRIVE_FILES, ids=["cohort", "scoring", "history"])
+@pytest.mark.parametrize("repeat", ["smart_7", "smart_07"])
+def test_repeated_attribute_is_data_error(tiny_run, tmp_path, capsys, name, command, repeat):
+    """A header that names an attribute twice ends in exit 2 naming the file."""
+    dest = tmp_path / "run"
+    args = _copy_run(tiny_run, dest)
+    path = dest / name
+    header, rest = path.read_text().split("\n", 1)
+    assert header.startswith("serial,date,rul,smart_7,")
+    path.write_text(header.rsplit(",", 1)[0] + "," + repeat + "\n" + rest)
+    capsys.readouterr()
+    assert main([command, *args, *_input_args(command, dest)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "attribute 7 named twice" in err
 
 
 @pytest.mark.parametrize("edit", [
@@ -776,6 +812,10 @@ def _directory(path):
     path.mkdir()
 
 
+def _empty(path):
+    path.write_bytes(b"")
+
+
 @pytest.mark.parametrize("name,command,edit", [
     ("out/cohorts/test60.csv", "evaluate", _ff_in_middle),
     ("snapshots/part0.csv", "ingest", _ff_in_middle),
@@ -787,11 +827,14 @@ def _directory(path):
     ("out/reports/lstm_t3_test60.csv", "report", _directory),
     ("out/cohorts/scoring.csv", "features", _ff_in_middle),
     ("out/cohorts/scoring.csv", "features", _directory),
+    ("out/cohorts/test60.csv", "evaluate", _empty),
+    ("history.csv", "predict", _empty),
+    ("out/cohorts/scoring.csv", "features", _empty),
 ], ids=["cohort", "snapshot", "history", "model", "history_dir", "model_dir", "snapshot_dir",
-        "report_dir", "scoring", "scoring_dir"])
+        "report_dir", "scoring", "scoring_dir", "cohort_empty", "history_empty", "scoring_empty"])
 def test_non_utf8_input_is_data_error(tiny_run, tmp_path, capsys, name, command, edit):
-    """Bytes that are not UTF-8 text (or not a model container), or a directory
-    where a file belongs, end in exit 2 naming the path."""
+    """Bytes that are not UTF-8 text (or not a model container), a directory
+    where a file belongs, or an empty drive CSV, end in exit 2 naming the path."""
     dest = tmp_path / "run"
     args = _copy_run(tiny_run, dest)
     path = dest / name

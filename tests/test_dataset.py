@@ -518,14 +518,23 @@ def test_history_csv_without_rul(tmp_path):
 def test_history_csv_rejects_mixed_drives(tmp_path):
     path = tmp_path / "history.csv"
     path.write_text("serial,date,smart_7\nA,2020-01-01,1\nB,2020-01-02,2\n")
-    with pytest.raises(Exception):
+    with pytest.raises(DataError, match="history.csv"):
+        ds.read_history_csv(path)
+
+
+@pytest.mark.parametrize("header", ["serial,date,smart_\u00b2", "serial,smart_7", "serial,date,smart_7,rul"],
+                         ids=["superscript_digit", "no_date", "rul_last"])
+def test_history_csv_bad_header_is_data_error(tmp_path, header):
+    path = tmp_path / "history.csv"
+    path.write_text(header + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match="history.csv"):
         ds.read_history_csv(path)
 
 
 @pytest.mark.parametrize("row", ["A,2020-01-02", "A,2020-01-02,1,2", "A,2020-02-30,1", "A,2020-01-02,x",
-                                 "A,2020-01-02,inf", "A,2019-12-31,1", "A,2020-01-01,2"],
+                                 "A,2020-01-02,inf", "A,2019-12-31,1", "A,2020-01-01,2", "A,2020-01-02,"],
                          ids=["short", "long", "bad_date", "bad_number", "non_finite", "unsorted",
-                              "duplicate_day"])
+                              "duplicate_day", "empty_cell"])
 def test_history_csv_malformed_row_is_data_error(tmp_path, row):
     path = tmp_path / "history.csv"
     path.write_text(f"serial,date,smart_7\nA,2020-01-01,1\n{row}\n")
