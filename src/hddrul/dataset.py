@@ -656,7 +656,7 @@ def _write_drive_csv(path: str | Path, feature_ids: Sequence[int], drives: Itera
         for serial, dates, rul, values in drives:
             for day, label, row in zip(dates, rul, values.tolist()):
                 cells = [serial, day.isoformat(), str(label)]
-                cells += [repr(v) if v == v else "" for v in row]
+                cells += ["" if math.isnan(v) else repr(v) for v in row]
                 fh.write(",".join(cells) + "\n")
 
 
