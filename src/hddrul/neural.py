@@ -16,8 +16,9 @@ bit-for-bit.
 
 Gradients are exact backpropagation through time for the mean-squared-error
 loss, accumulated over the full unrolled sequence and both directions. The
-forward/backward kernels at the bottom of the module run both directions at
-once, stacked on a leading axis.
+model holds each cell parameter with its directions stacked on a leading
+axis, the layout the forward/backward kernels at the bottom of the module
+read, so they run both directions at once on the model's own arrays.
 """
 from __future__ import annotations
 
@@ -33,39 +34,6 @@ from . import container
 from .errors import ConfigError, DivergenceError, NumericError
 from .preprocess import WindowedDataset
 from .seeding import rng_for
-
-
-@dataclass
-class LstmCellParams:
-    """Stacked gate parameters: w_x (F, 4H), w_h (H, 4H), bias (4H,)."""
-
-    w_x: np.ndarray
-    w_h: np.ndarray
-    bias: np.ndarray
-
-    @property
-    def input_size(self) -> int:
-        return self.w_x.shape[0]
-
-    @property
-    def hidden_size(self) -> int:
-        return self.w_h.shape[0]
-
-    @classmethod
-    def zeros(cls, input_size: int, hidden_size: int) -> "LstmCellParams":
-        return cls(
-            w_x=np.zeros((input_size, 4 * hidden_size)),
-            w_h=np.zeros((hidden_size, 4 * hidden_size)),
-            bias=np.zeros(4 * hidden_size),
-        )
-
-
-@dataclass
-class DenseParams:
-    """Linear head: one weight per (direction-concatenated) hidden unit."""
-
-    weights: np.ndarray  # (H,) or (2H,)
-    bias: np.ndarray  # (1,)
 
 
 @dataclass
@@ -85,21 +53,34 @@ class TrainSettings:
 
 @dataclass
 class BiLstmModel:
-    forward_cell: LstmCellParams
-    backward_cell: LstmCellParams | None
-    dense: DenseParams
-    bidirectional: bool
+    """The cells of the D directions stacked on a leading axis, as the kernels read them.
+
+    D is 1 for the vanilla model and 2 (forward, backward) for the
+    bidirectional one: w_x (D, F, 4H), w_h (D, H, 4H) and bias (D, 4H). The
+    head maps the D final hidden states, concatenated, through head_weights
+    (D*H,) and head_bias (1,).
+    """
+
+    w_x: np.ndarray
+    w_h: np.ndarray
+    bias: np.ndarray
+    head_weights: np.ndarray
+    head_bias: np.ndarray
     timesteps: int
     feature_ids: list[int]
     settings: TrainSettings
 
     @property
+    def bidirectional(self) -> bool:
+        return len(self.w_x) == 2
+
+    @property
     def hidden_size(self) -> int:
-        return self.forward_cell.hidden_size
+        return self.w_h.shape[1]
 
     @property
     def n_features(self) -> int:
-        return self.forward_cell.input_size
+        return self.w_x.shape[1]
 
     def predict(self, windows: np.ndarray) -> np.ndarray:
         """Raw RUL estimates for a (n, timesteps, features) block."""
@@ -144,12 +125,16 @@ def _glorot_stack(rng: np.random.Generator, fan_in: int, hidden: int) -> np.ndar
     return w
 
 
-def _init_cell(rng: np.random.Generator, n_features: int, hidden: int) -> LstmCellParams:
+def _init_cell(rng: np.random.Generator, n_features: int, hidden: int):
     w_x = _glorot_stack(rng, n_features, hidden)
     w_h = _glorot_stack(rng, hidden, hidden)
     bias = np.zeros(4 * hidden)
     bias[hidden : 2 * hidden] = 1.0  # forget-gate bias starts open
-    return LstmCellParams(w_x=w_x, w_h=w_h, bias=bias)
+    return w_x, w_h, bias
+
+
+# the directions in stacking order; each names its parameters in model files
+_DIRECTIONS = ("forward", "backward")
 
 
 def init_model(
@@ -158,19 +143,15 @@ def init_model(
     timesteps: int,
     feature_ids: Sequence[int] | None = None,
 ) -> BiLstmModel:
-    forward_cell = _init_cell(rng_for(settings.seed, "init/forward"), n_features, settings.hidden_size)
-    backward_cell = None
-    if settings.bidirectional:
-        backward_cell = _init_cell(rng_for(settings.seed, "init/backward"), n_features, settings.hidden_size)
-    concat = settings.hidden_size * (2 if settings.bidirectional else 1)
-    rng = rng_for(settings.seed, "init/dense")
+    directions = _DIRECTIONS[: 2 if settings.bidirectional else 1]
+    cells = [_init_cell(rng_for(settings.seed, f"init/{d}"), n_features, settings.hidden_size)
+             for d in directions]
+    concat = settings.hidden_size * len(directions)
     limit = math.sqrt(6.0 / (concat + 1))
-    dense = DenseParams(weights=rng.uniform(-limit, limit, size=concat), bias=np.zeros(1))
     return BiLstmModel(
-        forward_cell=forward_cell,
-        backward_cell=backward_cell,
-        dense=dense,
-        bidirectional=settings.bidirectional,
+        *(np.stack(p) for p in zip(*cells)),
+        head_weights=rng_for(settings.seed, "init/dense").uniform(-limit, limit, size=concat),
+        head_bias=np.zeros(1),
         timesteps=timesteps,
         feature_ids=list(feature_ids) if feature_ids is not None else list(range(n_features)),
         settings=settings,
@@ -179,14 +160,11 @@ def init_model(
 
 def parameter_arrays(model: BiLstmModel) -> tuple[list[str], list[np.ndarray]]:
     """Named live views of every trainable array, in serialization order."""
-    names = ["forward.w_x", "forward.w_h", "forward.bias"]
-    arrays = [model.forward_cell.w_x, model.forward_cell.w_h, model.forward_cell.bias]
-    if model.bidirectional:
-        names += ["backward.w_x", "backward.w_h", "backward.bias"]
-        arrays += [model.backward_cell.w_x, model.backward_cell.w_h, model.backward_cell.bias]
-    names += ["dense.weights", "dense.bias"]
-    arrays += [model.dense.weights, model.dense.bias]
-    return names, arrays
+    names, arrays = [], []
+    for d, prefix in enumerate(_DIRECTIONS[: len(model.w_x)]):
+        names += [f"{prefix}.w_x", f"{prefix}.w_h", f"{prefix}.bias"]
+        arrays += [model.w_x[d], model.w_h[d], model.bias[d]]
+    return names + ["dense.weights", "dense.bias"], arrays + [model.head_weights, model.head_bias]
 
 
 # ---------------------------------------------------------------------------
@@ -209,20 +187,6 @@ class Gradients:
                 a *= scale
 
 
-def _stacked_cells(model: BiLstmModel):
-    """Cell parameters of the D directions stacked on a leading axis.
-
-    Returns w_x (D, F, 4H), w_h (D, H, 4H) and bias (D, 1, 4H); D is 1 for the
-    vanilla model and 2 (forward, backward) for the bidirectional one.
-    """
-    cells = [model.forward_cell] + ([model.backward_cell] if model.bidirectional else [])
-    return (
-        np.stack([c.w_x for c in cells]),
-        np.stack([c.w_h for c in cells]),
-        np.stack([c.bias for c in cells])[:, None, :],
-    )
-
-
 def _direction_inputs(model: BiLstmModel, X: np.ndarray) -> np.ndarray:
     """(n, T, F) windows as the (T, D, n, F) kernel input; direction 1 runs time reversed."""
     X_tbf = X.transpose(1, 0, 2)
@@ -234,10 +198,10 @@ def _direction_inputs(model: BiLstmModel, X: np.ndarray) -> np.ndarray:
 def _head(model: BiLstmModel, h_last: np.ndarray) -> np.ndarray:
     """Linear head over the final hidden states (D, n, H), one dot product per direction."""
     hidden = model.hidden_size
-    preds = h_last[0] @ model.dense.weights[:hidden]
+    preds = h_last[0] @ model.head_weights[:hidden]
     if model.bidirectional:
-        preds = preds + h_last[1] @ model.dense.weights[hidden:]
-    return preds + model.dense.bias[0]
+        preds = preds + h_last[1] @ model.head_weights[hidden:]
+    return preds + model.head_bias[0]
 
 
 # most rows per forward pass in predict: bounds its working set whatever the batch size
@@ -251,10 +215,10 @@ def _predict_batch(model: BiLstmModel, X: np.ndarray) -> np.ndarray:
     n = X.shape[0]
     n_chunks = -(-n // _PREDICT_CHUNK)
     bounds = [n * k // n_chunks for k in range(n_chunks + 1)]
-    w_x, w_h, bias = _stacked_cells(model)
-    h_last = np.empty((w_x.shape[0], n, model.hidden_size))
+    h_last = np.empty((len(model.w_x), n, model.hidden_size))
     for lo, hi in zip(bounds, bounds[1:]):
-        h_last[:, lo:hi] = _lstm_last_state(_direction_inputs(model, X[lo:hi]), w_x, w_h, bias)
+        h_last[:, lo:hi] = _lstm_last_state(_direction_inputs(model, X[lo:hi]), model.w_x,
+                                            model.w_h, model.bias[:, None])
     return _head(model, h_last)
 
 
@@ -271,14 +235,13 @@ def _loss_and_gradients(model: BiLstmModel, windows: np.ndarray, targets: np.nda
     hidden = model.hidden_size
 
     X_dir = _direction_inputs(model, X)
-    w_x, w_h, bias = _stacked_cells(model)
-    cache = _lstm_forward(X_dir, w_x, w_h, bias)
+    cache = _lstm_forward(X_dir, model.w_x, model.w_h, model.bias[:, None])
     h_last = cache[0][-1]
     preds = _head(model, h_last)
 
     dy = 2.0 * (preds - y) / n
-    dh_last = dy[None, :, None] * model.dense.weights.reshape(-1, 1, hidden)
-    d_wx, d_wh, d_b = _lstm_backward(X_dir, w_h, *cache, dh_last)
+    dh_last = dy[None, :, None] * model.head_weights.reshape(-1, 1, hidden)
+    d_wx, d_wh, d_b = _lstm_backward(X_dir, model.w_h, *cache, dh_last)
     names, _ = parameter_arrays(model)
     arrays = [grad for d in range(len(h_last)) for grad in (d_wx[d], d_wh[d], d_b[d])]
     arrays += [np.concatenate([h.T @ dy for h in h_last]), np.array([dy.sum()])]
@@ -418,7 +381,7 @@ def _model_from_members(member) -> BiLstmModel:
                              grad_clip=float(clip[0]) if clip.size else None)
     feature_ids = member("feature_ids", np.int64, 1).tolist()
     hidden = settings.hidden_size
-    directions = ("forward", "backward") if settings.bidirectional else ("forward",)
+    directions = _DIRECTIONS[: 2 if settings.bidirectional else 1]
     expected = {"dense.weights": (hidden * len(directions),), "dense.bias": (1,)}
     for prefix in directions:
         expected[f"{prefix}.w_x"] = (len(feature_ids), 4 * hidden)
@@ -431,12 +394,10 @@ def _model_from_members(member) -> BiLstmModel:
     timesteps = member("timesteps", np.int64, 0)
     if timesteps < 1:
         raise ValueError(f"timesteps {timesteps} is not >= 1")
-    cells = [LstmCellParams(*(blocks[f"{d}.{p}"] for p in ("w_x", "w_h", "bias"))) for d in directions]
     return BiLstmModel(
-        forward_cell=cells[0],
-        backward_cell=cells[1] if settings.bidirectional else None,
-        dense=DenseParams(weights=blocks["dense.weights"], bias=blocks["dense.bias"]),
-        bidirectional=settings.bidirectional,
+        *(np.stack([blocks[f"{d}.{p}"] for d in directions]) for p in ("w_x", "w_h", "bias")),
+        head_weights=blocks["dense.weights"],
+        head_bias=blocks["dense.bias"],
         timesteps=timesteps,
         feature_ids=feature_ids,
         settings=settings,

@@ -128,10 +128,10 @@ def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def lstm_cell_forward(params, x_t, h_prev, c_prev):
-    """One cell step; returns (h_t, c_t, gate cache)."""
-    hidden = params.hidden_size
-    z = x_t @ params.w_x + h_prev @ params.w_h + params.bias
+def lstm_cell_forward(w_x, w_h, bias, x_t, h_prev, c_prev):
+    """One step of the cell w_x (F, 4H), w_h (H, 4H), bias (4H,); returns (h_t, c_t, gate cache)."""
+    hidden = w_h.shape[0]
+    z = x_t @ w_x + h_prev @ w_h + bias
     i = _sigmoid(z[..., :hidden])
     f = _sigmoid(z[..., hidden : 2 * hidden])
     g = np.tanh(z[..., 2 * hidden : 3 * hidden])
@@ -143,12 +143,12 @@ def lstm_cell_forward(params, x_t, h_prev, c_prev):
     return h_t, c_t, cache
 
 
-def lstm_forward(params, window) -> np.ndarray:
+def lstm_forward(w_x, w_h, bias, window) -> np.ndarray:
     """Run the cell over a (timesteps, features) window; returns the last hidden state."""
-    h = np.zeros(params.hidden_size)
-    c = np.zeros(params.hidden_size)
+    h = np.zeros(w_h.shape[0])
+    c = np.zeros(w_h.shape[0])
     for x_t in np.asarray(window, dtype=np.float64):
-        h, c, _ = lstm_cell_forward(params, x_t, h, c)
+        h, c, _ = lstm_cell_forward(w_x, w_h, bias, x_t, h, c)
     return h
 
 

@@ -11,12 +11,24 @@ import oracles
 
 
 def _scalar_cell(w_xi, w_xf, w_xg, w_xo, w_hi, w_hf, w_hg, w_ho, b):
-    """1-unit cell with distinct per-gate scalar weights (gate order i,f,g,o)."""
-    return neural.LstmCellParams(
-        w_x=np.array([[w_xi, w_xf, w_xg, w_xo]]),
-        w_h=np.array([[w_hi, w_hf, w_hg, w_ho]]),
-        bias=np.array(b, dtype=float),
-    )
+    """1-unit cell (w_x, w_h, bias) with distinct per-gate scalar weights (gate order i,f,g,o)."""
+    return (np.array([[w_xi, w_xf, w_xg, w_xo]]), np.array([[w_hi, w_hf, w_hg, w_ho]]),
+            np.array(b, dtype=float))
+
+
+def _zero_cell(input_size, hidden_size):
+    return (np.zeros((input_size, 4 * hidden_size)), np.zeros((hidden_size, 4 * hidden_size)),
+            np.zeros(4 * hidden_size))
+
+
+def _random_cell(rng, input_size, hidden_size):
+    return (rng.normal(size=(input_size, 4 * hidden_size)), rng.normal(size=(hidden_size, 4 * hidden_size)),
+            rng.normal(size=4 * hidden_size))
+
+
+def _cell(model, d):
+    """Direction ``d``'s (w_x, w_h, bias), as views of the model's stacked arrays."""
+    return model.w_x[d], model.w_h[d], model.bias[d]
 
 
 def _sig(z):
@@ -24,17 +36,15 @@ def _sig(z):
 
 
 def test_cell_zero_params_zero_state():
-    params = neural.LstmCellParams.zeros(3, 4)
-    h, c, _ = oracles.lstm_cell_forward(params, np.array([5.0, -2.0, 7.0]), np.zeros(4), np.zeros(4))
+    x = np.array([5.0, -2.0, 7.0])
+    h, c, _ = oracles.lstm_cell_forward(*_zero_cell(3, 4), x, np.zeros(4), np.zeros(4))
     assert np.array_equal(h, np.zeros(4))
     assert np.array_equal(c, np.zeros(4))
 
 
 def test_cell_activation_ranges(rng):
-    params = neural.LstmCellParams(
-        w_x=rng.normal(size=(3, 8)), w_h=rng.normal(size=(2, 8)), bias=rng.normal(size=8)
-    )
-    _, _, cache = oracles.lstm_cell_forward(params, rng.normal(size=3), rng.normal(size=2), rng.normal(size=2))
+    cell = _random_cell(rng, 3, 2)
+    _, _, cache = oracles.lstm_cell_forward(*cell, rng.normal(size=3), rng.normal(size=2), rng.normal(size=2))
     for gate in ("i", "f", "o"):
         assert np.all((cache[gate] > 0.0) & (cache[gate] < 1.0))
     assert np.all((cache["g"] > -1.0) & (cache["g"] < 1.0))
@@ -49,18 +59,16 @@ def test_cell_scalar_hand_trace():
     o = _sig(0.2 * x + 0.7 * h0 + 0.0)
     c1 = f * c0 + i * g
     h1 = o * math.tanh(c1)
-    h, c, _ = oracles.lstm_cell_forward(params, np.array([x]), np.array([h0]), np.array([c0]))
+    h, c, _ = oracles.lstm_cell_forward(*params, np.array([x]), np.array([h0]), np.array([c0]))
     assert h[0] == pytest.approx(h1, abs=1e-15)
     assert c[0] == pytest.approx(c1, abs=1e-15)
 
 
 def test_cell_contraction_property(rng):
-    params = neural.LstmCellParams(
-        w_x=rng.normal(size=(2, 12)), w_h=rng.normal(size=(3, 12)), bias=rng.normal(size=12)
-    )
+    cell = _random_cell(rng, 2, 3)
     for _ in range(50):
         c_prev = rng.normal(size=3) * 5
-        _, c, _ = oracles.lstm_cell_forward(params, rng.normal(size=2), rng.normal(size=3), c_prev)
+        _, c, _ = oracles.lstm_cell_forward(*cell, rng.normal(size=2), rng.normal(size=3), c_prev)
         assert np.abs(c).max() <= np.abs(c_prev).max() + 1.0
 
 
@@ -74,17 +82,14 @@ def test_predict_rejects_nonfinite_window(rng):
 
 
 def test_lstm_forward_single_step_equals_cell(rng):
-    params = neural.LstmCellParams(
-        w_x=rng.normal(size=(3, 8)), w_h=rng.normal(size=(2, 8)), bias=rng.normal(size=8)
-    )
+    cell = _random_cell(rng, 3, 2)
     window = rng.normal(size=(1, 3))
-    expected, _, _ = oracles.lstm_cell_forward(params, window[0], np.zeros(2), np.zeros(2))
-    assert np.array_equal(oracles.lstm_forward(params, window), expected)
+    expected, _, _ = oracles.lstm_cell_forward(*cell, window[0], np.zeros(2), np.zeros(2))
+    assert np.array_equal(oracles.lstm_forward(*cell, window), expected)
 
 
 def test_lstm_forward_zero_params_zero_output(rng):
-    params = neural.LstmCellParams.zeros(3, 5)
-    assert np.array_equal(oracles.lstm_forward(params, rng.normal(size=(7, 3))), np.zeros(5))
+    assert np.array_equal(oracles.lstm_forward(*_zero_cell(3, 5), rng.normal(size=(7, 3))), np.zeros(5))
 
 
 def test_lstm_forward_two_step_scalar_trace():
@@ -98,7 +103,7 @@ def test_lstm_forward_two_step_scalar_trace():
         o = _sig(0.2 * x + 0.7 * h + 0.0)
         c = f * c + i * g
         h = o * math.tanh(c)
-    out = oracles.lstm_forward(params, np.array(xs).reshape(2, 1))
+    out = oracles.lstm_forward(*params, np.array(xs).reshape(2, 1))
     assert out[0] == pytest.approx(h, abs=1e-15)
 
 
@@ -109,24 +114,21 @@ def _model(settings, n_features, timesteps):
 def test_bilstm_zero_params_predicts_bias(rng):
     settings = neural.TrainSettings(bidirectional=True, hidden_size=4, seed=1)
     model = _model(settings, 3, 5)
-    model.forward_cell = neural.LstmCellParams.zeros(3, 4)
-    model.backward_cell = neural.LstmCellParams.zeros(3, 4)
-    model.dense.bias = np.array([2.5])
+    for p in (model.w_x, model.w_h, model.bias):
+        p[:] = 0.0
+    model.head_bias[:] = 2.5
     assert model.predict(rng.normal(size=(5, 3))[None])[0] == 2.5
 
 
 def test_bilstm_palindrome_symmetry(rng):
     settings = neural.TrainSettings(bidirectional=True, hidden_size=3, seed=2)
     model = _model(settings, 2, 5)
-    model.backward_cell = neural.LstmCellParams(
-        w_x=model.forward_cell.w_x.copy(),
-        w_h=model.forward_cell.w_h.copy(),
-        bias=model.forward_cell.bias.copy(),
-    )
+    for p in (model.w_x, model.w_h, model.bias):
+        p[1] = p[0]
     half = rng.normal(size=(2, 2))
     window = np.concatenate([half, half[0:1], half[::-1]])  # palindrome in time
-    h_fwd = oracles.lstm_forward(model.forward_cell, window)
-    h_bwd = oracles.lstm_forward(model.backward_cell, window[::-1])
+    h_fwd = oracles.lstm_forward(*_cell(model, 0), window)
+    h_bwd = oracles.lstm_forward(*_cell(model, 1), window[::-1])
     assert h_fwd == pytest.approx(h_bwd, abs=1e-12)
 
 
@@ -135,19 +137,20 @@ def test_bilstm_scalar_hand_trace():
     bwd = _scalar_cell(-0.2, 0.6, 0.3, -0.5, 0.9, -0.1, 0.2, 0.3, [0.0, 0.1, -0.2, 0.3])
     settings = neural.TrainSettings(bidirectional=True, hidden_size=1, seed=0)
     model = neural.BiLstmModel(
-        forward_cell=fwd, backward_cell=bwd,
-        dense=neural.DenseParams(weights=np.array([1.25, -0.75]), bias=np.array([0.5])),
-        bidirectional=True, timesteps=2, feature_ids=[7], settings=settings,
+        *(np.stack(p) for p in zip(fwd, bwd)),
+        head_weights=np.array([1.25, -0.75]), head_bias=np.array([0.5]),
+        timesteps=2, feature_ids=[7], settings=settings,
     )
     window = np.array([[1.5], [-0.7]])
 
-    def run(cell_w, xs):
+    def run(cell, xs):
+        w_x, w_h, bias = cell
         h, c = 0.0, 0.0
         for x in xs:
-            i = _sig(cell_w.w_x[0, 0] * x + cell_w.w_h[0, 0] * h + cell_w.bias[0])
-            f = _sig(cell_w.w_x[0, 1] * x + cell_w.w_h[0, 1] * h + cell_w.bias[1])
-            g = math.tanh(cell_w.w_x[0, 2] * x + cell_w.w_h[0, 2] * h + cell_w.bias[2])
-            o = _sig(cell_w.w_x[0, 3] * x + cell_w.w_h[0, 3] * h + cell_w.bias[3])
+            i = _sig(w_x[0, 0] * x + w_h[0, 0] * h + bias[0])
+            f = _sig(w_x[0, 1] * x + w_h[0, 1] * h + bias[1])
+            g = math.tanh(w_x[0, 2] * x + w_h[0, 2] * h + bias[2])
+            o = _sig(w_x[0, 3] * x + w_h[0, 3] * h + bias[3])
             c = f * c + i * g
             h = o * math.tanh(c)
         return h
@@ -159,15 +162,15 @@ def test_bilstm_scalar_hand_trace():
 def test_bilstm_zeroed_backward_equals_vanilla_exactly(rng):
     bi_settings = neural.TrainSettings(bidirectional=True, hidden_size=6, seed=5)
     bi = _model(bi_settings, 4, 7)
-    bi.backward_cell = neural.LstmCellParams.zeros(4, 6)
-    bi.dense.weights[6:] = 0.0
+    for p in (bi.w_x, bi.w_h, bi.bias):
+        p[1] = 0.0
+    bi.head_weights[6:] = 0.0
 
     vanilla_settings = neural.TrainSettings(bidirectional=False, hidden_size=6, seed=5)
     vanilla = _model(vanilla_settings, 4, 7)
-    vanilla.forward_cell = neural.LstmCellParams(
-        w_x=bi.forward_cell.w_x.copy(), w_h=bi.forward_cell.w_h.copy(), bias=bi.forward_cell.bias.copy()
-    )
-    vanilla.dense = neural.DenseParams(weights=bi.dense.weights[:6].copy(), bias=bi.dense.bias.copy())
+    vanilla.w_x, vanilla.w_h, vanilla.bias = (p[:1].copy() for p in (bi.w_x, bi.w_h, bi.bias))
+    vanilla.head_weights = bi.head_weights[:6].copy()
+    vanilla.head_bias = bi.head_bias.copy()
 
     windows = rng.normal(size=(9, 7, 4))
     assert np.array_equal(bi.predict(windows), vanilla.predict(windows))
@@ -180,9 +183,9 @@ def test_predict_matches_reference_forward(rng):
     batched = model.predict(windows)
     hidden = model.hidden_size
     for k in range(8):
-        h_f = oracles.lstm_forward(model.forward_cell, windows[k])
-        h_b = oracles.lstm_forward(model.backward_cell, windows[k][::-1])
-        ref = h_f @ model.dense.weights[:hidden] + h_b @ model.dense.weights[hidden:] + model.dense.bias[0]
+        h_f = oracles.lstm_forward(*_cell(model, 0), windows[k])
+        h_b = oracles.lstm_forward(*_cell(model, 1), windows[k][::-1])
+        ref = h_f @ model.head_weights[:hidden] + h_b @ model.head_weights[hidden:] + model.head_bias[0]
         assert batched[k] == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
@@ -314,6 +317,21 @@ def test_adam_three_step_hand_trace():
     assert state.t == 3
 
 
+@pytest.mark.parametrize("bidirectional", [False, True])
+def test_parameter_arrays_are_views_that_adam_updates(bidirectional):
+    settings = neural.TrainSettings(bidirectional=bidirectional, hidden_size=3, seed=8)
+    model = neural.init_model(settings, n_features=2, timesteps=4)
+    directions = ["forward", "backward"][: 2 if bidirectional else 1]
+    names, params = neural.parameter_arrays(model)
+    assert names == [f"{d}.{p}" for d in directions for p in ("w_x", "w_h", "bias")] + [
+        "dense.weights", "dense.bias"]
+    stacked = [model.w_x, model.w_h, model.bias] * len(directions) + [model.head_weights, model.head_bias]
+    assert all(np.shares_memory(p, s) for p, s in zip(params, stacked))
+    before = [s.copy() for s in stacked]
+    neural.adam_step(neural.AdamState.for_params(params), params, [np.ones_like(p) for p in params])
+    assert all(np.all(s != b) for s, b in zip(stacked, before))
+
+
 def _toy_dataset(rng, n=40, timesteps=4, features=2):
     windows = rng.normal(size=(n, timesteps, features))
     targets = windows[:, -1, 0] * 2.0 + 1.0
@@ -431,11 +449,10 @@ def test_chunked_predict_matches_one_pass_oracle(rng, bidirectional):
     model = neural.init_model(settings, n_features=3, timesteps=4)
     windows = rng.normal(size=(257, 4, 3))
     X_tbf = np.ascontiguousarray(windows.transpose(1, 0, 2))
-    cells = [model.forward_cell, model.backward_cell][: 2 if bidirectional else 1]
     inputs = [X_tbf, np.ascontiguousarray(X_tbf[::-1])]
     want = 0.0
-    for d, cell in enumerate(cells):
-        h_last = oracles._lstm_forward_tbf(inputs[d], cell.w_x, cell.w_h, cell.bias)[0][-1]
-        want = want + h_last @ model.dense.weights[d * H : (d + 1) * H]
-    want = want + model.dense.bias[0]
+    for d in range(len(model.w_x)):
+        h_last = oracles._lstm_forward_tbf(inputs[d], *_cell(model, d))[0][-1]
+        want = want + h_last @ model.head_weights[d * H : (d + 1) * H]
+    want = want + model.head_bias[0]
     assert np.array_equal(model.predict(windows), want)
