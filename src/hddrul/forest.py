@@ -66,13 +66,13 @@ def _best_split(X, y, s, s2, sse):
 
 
 def _grow_tree_arrays(X, y, min_samples_split):
-    """Depth-first growth; a split numbers its two children next, left first."""
+    """Depth-first growth; a split numbers its two children next, left first,
+    so the right child of node i is ``left[i] + 1``."""
     n = X.shape[0]
     max_nodes = 2 * n + 1
     feature = np.full(max_nodes, -1, dtype=np.int64)
     threshold = np.zeros(max_nodes)
     left = np.full(max_nodes, -1, dtype=np.int64)
-    right = np.full(max_nodes, -1, dtype=np.int64)
     value = np.zeros(max_nodes)
     impurity = np.zeros(max_nodes)
     counts = np.zeros(max_nodes, dtype=np.int64)
@@ -103,30 +103,30 @@ def _grow_tree_arrays(X, y, min_samples_split):
         feature[node] = f
         threshold[node] = thr
         left[node] = n_nodes
-        right[node] = n_nodes + 1
         n_nodes += 2
-        stack.append((right[node], rows[~goes_left]))
+        stack.append((left[node] + 1, rows[~goes_left]))
         stack.append((left[node], rows[goes_left]))
 
     # copies, so that a fitted tree does not keep all 2n+1 slots alive
-    return tuple(a[:n_nodes].copy() for a in (feature, threshold, left, right, value, impurity, counts))
+    return tuple(a[:n_nodes].copy() for a in (feature, threshold, left, value, impurity, counts))
 
 
-def _predict_tree_arrays(feature, threshold, left, right, value, X):
-    """All rows descend together, one tree level per step."""
+def _predict_tree_arrays(feature, threshold, left, value, X):
+    """All rows descend together, one tree level per step; a NaN fails ``<=`` and goes right."""
     node = np.zeros(X.shape[0], dtype=np.int64)
     rows = np.arange(X.shape[0])
     while rows.size:
         at = node[rows]
         inner = feature[at] >= 0
         rows, at = rows[inner], at[inner]
-        node[rows] = np.where(X[rows, feature[at]] <= threshold[at], left[at], right[at])
+        node[rows] = np.where(X[rows, feature[at]] <= threshold[at], left[at], left[at] + 1)
     return value[node]
 
 
 @dataclass
 class RegressionTree:
-    """Flat node arrays; ``feature[i] == -1`` marks a leaf.
+    """Flat node arrays; ``feature[i] == -1`` marks a leaf, and an inner node's
+    children are ``left[i]`` and ``left[i] + 1``.
 
     ``impurity`` and ``n_node_samples`` serve :meth:`importance_raw` only, so
     a model file does not hold them and a loaded tree has None there.
@@ -135,7 +135,6 @@ class RegressionTree:
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
-    right: np.ndarray
     value: np.ndarray
     impurity: np.ndarray | None = None
     n_node_samples: np.ndarray | None = None
@@ -146,19 +145,18 @@ class RegressionTree:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.ascontiguousarray(np.atleast_2d(X), dtype=np.float64)
-        return _predict_tree_arrays(self.feature, self.threshold, self.left, self.right, self.value, X)
+        return _predict_tree_arrays(self.feature, self.threshold, self.left, self.value, X)
 
     def importance_raw(self, n_features: int) -> np.ndarray:
         """Total squared-error decrease attributed to each feature (fit trees only)."""
         if self.impurity is None:
             raise ValueError("importances need a fit tree; a loaded one holds no impurities")
-        out = np.zeros(n_features)
+        inner = self.feature >= 0
+        left = self.left[inner]
         sse = self.impurity * self.n_node_samples
-        for node in range(self.n_nodes):
-            f = self.feature[node]
-            if f >= 0:
-                out[f] += sse[node] - sse[self.left[node]] - sse[self.right[node]]
-        return out
+        # bincount adds in node order, as a loop over the nodes would
+        return np.bincount(self.feature[inner], weights=sse[inner] - sse[left] - sse[left + 1],
+                           minlength=n_features)
 
 
 def fit_tree(X: np.ndarray, y: np.ndarray, min_samples_split: int = 2) -> RegressionTree:
@@ -233,9 +231,9 @@ def fit_forest(
 
 KIND = "forest"
 
-# RegressionTree's predict arrays in field order, with their dtypes
-_NODES = {"feature": np.int64, "threshold": np.float64, "left": np.int64, "right": np.int64,
-          "value": np.float64}
+# RegressionTree's predict arrays in field order, with their dtypes; the ``right``
+# member of older files, always ``left + 1``, is not read
+_NODES = {"feature": np.int64, "threshold": np.float64, "left": np.int64, "value": np.float64}
 
 
 def save_forest(forest: RandomForest, path: str | Path) -> None:
@@ -264,7 +262,7 @@ def _forest_from_members(member) -> RandomForest:
     local = np.arange(counts.sum()) - np.repeat(starts, counts)
     feature, left = nodes["feature"], nodes["left"]
     bad = (feature >= 0) & ((feature >= len(feature_ids)) | (left <= local)
-                            | (nodes["right"] != left + 1) | (left + 1 >= np.repeat(counts, counts)))
+                            | (left + 1 >= np.repeat(counts, counts)))
     if bad.any():
         node = np.argmax(bad)
         tree = np.searchsorted(starts, node, side="right") - 1

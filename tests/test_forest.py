@@ -50,8 +50,8 @@ def test_fitted_trees_own_their_node_arrays(rng):
     y = rng.normal(size=40)
     trees = [forest.fit_tree(X, y)] + forest.fit_forest(X, y, n_estimators=3, seed=2).trees
     for tree in trees:
-        arrays = [tree.feature, tree.threshold, tree.left, tree.right, tree.value,
-                  tree.impurity, tree.n_node_samples]
+        arrays = [tree.feature, tree.threshold, tree.left, tree.value, tree.impurity,
+                  tree.n_node_samples]
         assert all(a.base is None and len(a) == tree.n_nodes for a in arrays)
 
 
@@ -146,16 +146,35 @@ def _same_arrays(got, want):
     return all(np.array_equal(g, w) and g.dtype == w.dtype for g, w in zip(got, want))
 
 
+def _oracle_tree(X, y, min_samples_split):
+    """The scalar oracle's node arrays without ``right``, and ``right`` apart.
+
+    The library derives an inner node's right child as ``left + 1``; the
+    oracle still links it, so check that they agree.
+    """
+    feature, threshold, left, right, *rest = oracles._grow_tree_arrays(X, y, min_samples_split)
+    inner = feature >= 0
+    assert np.array_equal(right[inner], left[inner] + 1)
+    return (feature, threshold, left, *rest), right
+
+
+def _oracle_predict(arrays, right, X):
+    feature, threshold, left, value = arrays[:4]
+    return oracles._predict_tree_arrays(feature, threshold, left, right, value, X)
+
+
 def test_tree_kernels_match_scalar_oracle(rng):
     for trial in range(40):
         n = int(rng.integers(1, 80))
         X = rng.normal(size=(n, int(rng.integers(1, 5))))
         y = rng.normal(size=n)
         arrays = forest._grow_tree_arrays(X, y, 2)
-        assert _same_arrays(arrays, oracles._grow_tree_arrays(X, y, 2)), f"trial {trial}"
+        want, right = _oracle_tree(X, y, 2)
+        assert _same_arrays(arrays, want), f"trial {trial}"
         queries = np.vstack([X, rng.normal(size=(10, X.shape[1]))])
-        got = forest._predict_tree_arrays(*arrays[:5], queries)
-        assert np.array_equal(got, oracles._predict_tree_arrays(*arrays[:5], queries))
+        queries[rng.random(queries.shape) < 0.1] = np.nan  # a NaN goes right
+        got = forest._predict_tree_arrays(*arrays[:4], queries)
+        assert np.array_equal(got, _oracle_predict(arrays, right, queries))
 
 
 @st.composite
@@ -176,6 +195,48 @@ def test_grow_kernel_matches_scalar_oracle_on_tie_heavy_trees(data):
     # small integers make many exactly tied gains and equal feature values
     X, y, min_samples_split = data
     arrays = forest._grow_tree_arrays(X, y, min_samples_split)
-    assert _same_arrays(arrays, oracles._grow_tree_arrays(X, y, min_samples_split))
-    assert np.array_equal(forest._predict_tree_arrays(*arrays[:5], X),
-                          oracles._predict_tree_arrays(*arrays[:5], X))
+    want, right = _oracle_tree(X, y, min_samples_split)
+    assert _same_arrays(arrays, want)
+    assert np.array_equal(forest._predict_tree_arrays(*arrays[:4], X),
+                          _oracle_predict(arrays, right, X))
+
+
+def _importance_loop(tree, right, n_features):
+    """Per-node accumulation of the squared-error decrease, in node order."""
+    out = np.zeros(n_features)
+    sse = tree.impurity * tree.n_node_samples
+    for node in range(tree.n_nodes):
+        f = tree.feature[node]
+        if f >= 0:
+            out[f] += sse[node] - sse[tree.left[node]] - sse[right[node]]
+    return out
+
+
+def test_importance_matches_node_loop(rng):
+    for trial in range(30):
+        n = int(rng.integers(1, 60))
+        n_features = int(rng.integers(1, 5))
+        X = rng.normal(size=(n, n_features))
+        y = rng.normal(size=n)
+        tree = forest.fit_tree(X, y)
+        _, right = _oracle_tree(X, y, 2)
+        got = tree.importance_raw(n_features + 1)
+        assert np.array_equal(got, _importance_loop(tree, right, n_features + 1)), f"trial {trial}"
+
+
+def test_forest_file_with_right_member_still_loads(rng, tmp_path):
+    """Files written when forests stored ``right`` load to the same trees."""
+    X = rng.normal(size=(30, 2))
+    y = rng.normal(size=30)
+    model = forest.fit_forest(X, y, n_estimators=3, seed=4)
+    path = tmp_path / "forest.model"
+    forest.save_forest(model, path)
+    with np.load(path) as archive:
+        members = dict(archive)
+    inner = members["feature"] >= 0
+    members["right"] = np.where(inner, members["left"] + 1, -1)
+    with open(path, "wb") as fh:
+        np.savez(fh, **members)
+    loaded = forest.load_forest(path)
+    queries = rng.normal(size=(20, 2))
+    assert np.array_equal(loaded.predict(queries), model.predict(queries))
