@@ -262,8 +262,8 @@ def _split_events(config: RunConfig):
     """Failures of ``model_filter`` drives, split into train and test drives.
 
     Returns ``(rows by serial, train events, test events)``, with each kept
-    drive's :class:`~hddrul.dataset.DriveRows`, or None when no drive of the
-    model failed. Each snapshot file is read once, last path
+    drive's :class:`~hddrul.dataset.DriveRows`; a corpus where no drive of the
+    model failed is a DataError. Each snapshot file is read once, last path
     first, which is newest first for daily files. When a file ends, each of
     its ``model_filter`` failures registers its drive's window, the failure
     day and the longest lookback before it, and the files read after it keep
@@ -300,7 +300,7 @@ def _split_events(config: RunConfig):
             registered[rec.serial] = len(read)
     events = ds.scan_failures(failures, config.model_filter)
     if not events:
-        return None
+        raise DataError(f"{snapshot_dir}: no failure of a {config.model_filter!r} drive to label")
 
     rereads: dict[Path, dict[str, tuple[date, date]]] = {}
     for serial, (first, last) in windows.items():
@@ -329,15 +329,7 @@ def _labeled_series(by_serial, events, lookback: int) -> list[ds.LabeledSeries]:
 
 
 def cmd_ingest(config: RunConfig) -> int:
-    split = _split_events(config)
-    if split is None:
-        print("ingest: no matching failures found; wrote empty manifest", file=sys.stderr)
-        out = Path(config.out)
-        (out / "cohorts").mkdir(parents=True, exist_ok=True)
-        _write_manifest(out / "cohorts" / "manifest.csv", [])
-        _write_run_config(config, out)
-        return 0
-    by_serial, train_events, test_events = split
+    by_serial, train_events, test_events = _split_events(config)
     labeled = {
         "train": _labeled_series(by_serial, train_events, config.lookback_train),
         "test60": _labeled_series(by_serial, test_events, config.lookback_test),

@@ -237,7 +237,7 @@ def _header_layout(header: tuple[str, ...]) -> _Layout:
     for i, name in enumerate(header):
         if name.startswith("smart_") and name.endswith("_raw"):
             mid = name[len("smart_"):-len("_raw")]
-            if mid.isdigit():
+            if mid.isdecimal():
                 smart[int(mid)] = i
     ids = tuple(sorted(smart))
     identity = (names["date"], names["serial_number"], names["model"], names["failure"])

@@ -178,13 +178,14 @@ def parse_snapshot_row(header, row, row_index=0):
     smart = {}
     for col, name in enumerate(header):
         mid = name[len("smart_"):-len("_raw")]
-        if name.startswith("smart_") and name.endswith("_raw") and mid.isdigit():
+        if name.startswith("smart_") and name.endswith("_raw") and mid.isdecimal():
             smart[int(mid)] = _parse_float(row[col]) if col < len(row) else None
     return ds.DriveRecord(row[layout.serial].strip(), day, row[layout.model].strip(), smart, failed)
 
 
 def split_events_one_pass(config):
-    """``cli._split_events`` over the whole corpus: (records by serial, train, test) or None."""
+    """``cli._split_events`` over the whole corpus: (records by serial, train, test);
+    a corpus without a ``model_filter`` failure is a DataError, as there."""
     records = []
     for path in sorted(Path(config.snapshot_dir).glob("*.csv")):
         with open(path, newline="", encoding="utf-8") as fh:
@@ -196,7 +197,7 @@ def split_events_one_pass(config):
     records.sort(key=lambda r: (r.serial, r.date))
     events = ds.scan_failures(records, config.model_filter)
     if not events:
-        return None
+        raise DataError(f"{config.snapshot_dir}: no {config.model_filter!r} failure")
     by_serial = {}
     for rec in records:
         by_serial.setdefault(rec.serial, []).append(rec)

@@ -379,15 +379,48 @@ def test_ingest_builds_cohorts(tmp_path):
     assert all(len(f.dates) == 19 for f in test120)
 
 
-def test_ingest_empty_dir_warns_and_succeeds(tmp_path, capsys):
-    snapshot_dir = tmp_path / "snapshots"
-    snapshot_dir.mkdir()
+@pytest.mark.parametrize("rows", [False, True], ids=["empty_dir", "other_model"])
+def test_ingest_without_target_failure_is_data_error(tmp_path, capsys, rows):
+    """No model_filter failure to label ends ingest, naming the directory and the model."""
+    if rows:
+        series = ds.generate_synthetic(ds.SynthConfig(n_drives=2, lookback_days=10, jump_day=4, seed=5))
+        snapshot_dir = _write_snapshots(tmp_path, series, n_files=2)
+    else:
+        snapshot_dir = tmp_path / "snapshots"
+        snapshot_dir.mkdir()
     out = tmp_path / "out"
-    cfg = _config_file(tmp_path, out, extra=f"snapshot_dir {snapshot_dir}\n")
-    assert main(["ingest", "--config", cfg]) == 0
-    assert "no matching failures" in capsys.readouterr().err
-    manifest = (out / "cohorts" / "manifest.csv").read_text().splitlines()
-    assert len(manifest) == 1
+    cfg = _config_file(tmp_path, out, extra=f"snapshot_dir {snapshot_dir}\nmodel_filter M1\n")
+    assert main(["ingest", "--config", cfg]) == 2
+    assert f"data error: {snapshot_dir}: no failure of a 'M1' drive to label" in capsys.readouterr().err
+    assert not (out / "cohorts").exists()
+
+
+def _add_superscript_column(snapshot_dir):
+    """Every snapshot file with a ``smart_\u00b2_raw`` column (a digit ``int`` rejects) before ``failure``."""
+    for path in snapshot_dir.glob("*.csv"):
+        lines = path.read_text().splitlines()
+        rows = [line.split(",") for line in lines]
+        at = rows[0].index("failure")
+        for k, row in enumerate(rows):
+            row.insert(at, "smart_\u00b2_raw" if k == 0 else "7")
+        path.write_text("".join(",".join(row) + "\n" for row in rows))
+
+
+def test_ingest_skips_non_decimal_attribute_column(tmp_path):
+    """A ``smart_<n>_raw`` column whose n is not decimal is skipped like any other column."""
+    series = ds.generate_synthetic(ds.SynthConfig(n_drives=6, lookback_days=25, jump_day=4, seed=5))
+    outputs = []
+    for name in ("plain", "superscript"):
+        root = tmp_path / name
+        root.mkdir()
+        snapshot_dir = _write_snapshots(root, series)
+        if name == "superscript":
+            _add_superscript_column(snapshot_dir)
+        cfg = _config_file(root, root / "out", extra=(
+            f"snapshot_dir {snapshot_dir}\nmodel_filter {ds.SYNTHETIC_MODEL}\nlookback_extrap 18\n"))
+        assert main(["ingest", "--config", cfg]) == 0
+        outputs.append({n: (root / "out" / "cohorts" / n).read_bytes() for n in COHORT_FILES})
+    assert outputs[0] == outputs[1]
 
 
 def test_ingest_malformed_snapshot_is_data_error(tmp_path, capsys):
@@ -650,7 +683,7 @@ def test_ingest_in_any_path_order_matches_one_pass_oracle(tmp_path_factory, file
         "lookback_train 3\nlookback_test 3\nlookback_extrap 5\n"))
     codes = _ingest_both_ways(tmp_path, cfg)
     assert codes[0] == codes[1]
-    if codes[0] == 0 and (tmp_path / "oracle" / "cohorts" / "train.csv").exists():
+    if codes[0] == 0:
         _assert_same_cohorts(tmp_path)
 
 
