@@ -105,7 +105,6 @@ class FeatureScoreTable:
 
     correlation: dict[int, float] = field(default_factory=dict)
     importance: dict[int, float] = field(default_factory=dict)
-    degenerate_tree: bool = False
 
     @property
     def attributes(self) -> list[int]:
@@ -150,10 +149,7 @@ def score_features(
     frames = materialize_cohort(cohort, tree_ids)
     X = np.concatenate([f.values for f in frames], axis=0)
     y = np.concatenate([f.rul.astype(np.float64) for f in frames])
-    imp = tree_importances(X, y, tree_ids)
-    return FeatureScoreTable(
-        correlation=corr, importance=imp.values, degenerate_tree=imp.degenerate
-    )
+    return FeatureScoreTable(correlation=corr, importance=tree_importances(X, y, tree_ids).values)
 
 
 def select_features(
