@@ -7,10 +7,14 @@ matrix), ``predict`` (per-day RUL for one drive history), ``report``
 (reassemble summary tables from report files).
 
 A run is described by a flat key/value config file (one ``key value`` pair
-per line, ``#`` comments, ``schema_version 1``); every key can be overridden
-by a command-line flag, and flags win. All randomness derives from the single
-``seed`` key. Exit codes: 0 success, 1 configuration error, 2 data error,
-3 numeric divergence.
+per line, ``#`` comments, ``schema_version 1``). The flags ``--out``,
+``--seed``, ``--timesteps``, ``--lookback`` (``lookback_train`` and
+``lookback_test``), ``--cap``, ``--model-filter``, ``--threads`` and, on
+``ingest``, ``--snapshot-dir`` override their keys, and flags win. ``threads``
+is the most workers a run may use; every stage runs in the calling thread for
+now. All randomness derives from the single ``seed`` key. Exit codes:
+0 success, 1 configuration error (a bad flag and an output path that cannot be
+written included), 2 data error, 3 numeric divergence.
 """
 from __future__ import annotations
 
@@ -93,6 +97,13 @@ class RunConfig:
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.replace(",", " ").split())
+
+
+def _int_list_flag(text: str) -> tuple[int, ...]:
+    try:
+        return _parse_int_list(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}") from None
 
 
 def _format_value(name: str, value) -> str:
@@ -452,7 +463,6 @@ def cmd_train(config: RunConfig) -> int:
         seed=derive_seed(config.seed, "train/forest"),
         bootstrap=config.rf_bootstrap,
         feature_ids=rf_ids,
-        threads=config.threads,
     )
     rf.save_forest(model, out / "models" / "forest.model")
     print(f"train: forest with {model.n_estimators} trees on {len(rf_ids)} features")
@@ -535,16 +545,24 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="run configuration file")
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--seed", type=int, help="root seed")
-    parser.add_argument("--timesteps", type=_parse_int_list,
+    parser.add_argument("--timesteps", type=_int_list_flag,
                         help="comma-separated lookback steps, e.g. 5,10,15,30")
     parser.add_argument("--lookback", type=int, help="train/test window length in days")
     parser.add_argument("--cap", type=int, help="RUL cap in days")
     parser.add_argument("--model-filter", dest="model_filter", help="drive model to ingest")
-    parser.add_argument("--threads", type=int, help="worker threads (default 1)")
+    parser.add_argument("--threads", type=int,
+                        help="most workers a run may use (default 1; every stage runs in one thread)")
+
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error raises ConfigError, so it exits 1 like a bad config key."""
+
+    def error(self, message: str):
+        raise ConfigError(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hddrul", description="Hard-drive remaining-useful-life pipeline"
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -586,8 +604,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         config = _resolve_config(args)
         if args.command == "synth":
             return cmd_synth(config)
@@ -613,6 +631,9 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # every read turns its OSError into a DataError naming the file
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -97,7 +97,7 @@ def evaluate_pairs(
 def per_day_rows(
     frames: Sequence[DriveFrame], feature_ids: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Raw per-day feature rows and targets, ordered like window() provenance."""
+    """Raw per-day feature rows and targets, in the drive-day order of window()."""
     ordered = sorted(frames, key=lambda f: f.serial)
     selected = [f.select(feature_ids) for f in ordered]
     X = np.concatenate([f.values for f in selected], axis=0)

@@ -71,7 +71,6 @@ def correlation_scores(
 @dataclass
 class TreeImportances:
     values: dict[int, float]
-    degenerate: bool = False
 
 
 def tree_importances(
@@ -79,8 +78,7 @@ def tree_importances(
 ) -> TreeImportances:
     """Impurity-decrease importances of one regression tree, normalized to 1.
 
-    A constant target grows no splits; the result is then all zeros with the
-    degenerate flag set.
+    A constant target grows no splits; the result is then all zeros.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64)
@@ -92,11 +90,9 @@ def tree_importances(
     raw = tree.importance_raw(X.shape[1])
     total = raw.sum()
     if total <= 0.0:
-        return TreeImportances({fid: 0.0 for fid in attribute_ids}, degenerate=True)
+        return TreeImportances({fid: 0.0 for fid in attribute_ids})
     norm = raw / total
-    return TreeImportances(
-        {fid: float(norm[j]) for j, fid in enumerate(attribute_ids)}, degenerate=False
-    )
+    return TreeImportances({fid: float(norm[j]) for j, fid in enumerate(attribute_ids)})
 
 
 @dataclass

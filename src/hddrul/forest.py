@@ -13,7 +13,6 @@ No per-split feature subsampling: every feature is considered at every node.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -197,7 +196,6 @@ def fit_forest(
     seed: int = 0,
     bootstrap: bool = True,
     feature_ids: Sequence[int] | None = None,
-    threads: int = 1,
 ) -> RandomForest:
     """Fit ``n_estimators`` trees on per-tree seeded bootstrap resamples."""
     X = np.ascontiguousarray(np.atleast_2d(X), dtype=np.float64)
@@ -216,11 +214,7 @@ def fit_forest(
             return fit_tree(X[rows], y[rows])
         return fit_tree(X, y)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            trees = list(pool.map(one, range(n_estimators)))
-    else:
-        trees = [one(i) for i in range(n_estimators)]
+    trees = [one(i) for i in range(n_estimators)]
     ids = list(feature_ids) if feature_ids is not None else list(range(X.shape[1]))
     return RandomForest(trees=trees, feature_ids=ids, seed=seed, bootstrap=bootstrap)
 

@@ -13,7 +13,6 @@ per-drive sample count equal to the series length and fabricates no trend.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import date as Date
 from typing import Sequence
 
 import numpy as np
@@ -47,11 +46,10 @@ def standardize_per_device(frame: DriveFrame) -> DriveFrame:
 
 @dataclass
 class WindowedDataset:
-    """samples x timesteps x features block with aligned targets and provenance."""
+    """samples x timesteps x features block with aligned targets."""
 
     windows: np.ndarray  # (n, timesteps, features) float64
     targets: np.ndarray  # (n,) float64
-    provenance: list[tuple[str, Date]]  # (serial, date) of each window's last day
     feature_ids: list[int]
 
     @property
@@ -70,8 +68,9 @@ class WindowedDataset:
 def window(cohort: Sequence[DriveFrame], timesteps: int) -> WindowedDataset:
     """One window per drive-day: that day plus the ``timesteps - 1`` before it.
 
-    Windows never mix drives; missing history at the start of a series is
-    filled by replicating the earliest record. The target is the day's RUL.
+    Windows follow the drives in serial order and each drive's days in order,
+    and never mix drives; missing history at the start of a series is filled
+    by replicating the earliest record. The target is the day's RUL.
     """
     if timesteps < 1:
         raise ValueError("timesteps must be >= 1")
@@ -80,23 +79,19 @@ def window(cohort: Sequence[DriveFrame], timesteps: int) -> WindowedDataset:
         return WindowedDataset(
             windows=np.zeros((0, timesteps, 0)),
             targets=np.zeros(0),
-            provenance=[],
             feature_ids=[],
         )
     feature_ids = frames[0].feature_ids
     # row (d, k) of a drive's gather is the day at step k of day d's window
     offsets = np.arange(1 - timesteps, 1)
     blocks = []
-    provenance = []
     for frame in frames:
         if frame.feature_ids != feature_ids:
             raise DataError("all frames must share the same feature columns")
         days = np.arange(len(frame.dates))[:, None]
         blocks.append(frame.values[np.maximum(days + offsets, 0)])
-        provenance += [(frame.serial, day) for day in frame.dates]
     return WindowedDataset(
         windows=np.concatenate(blocks),
         targets=np.concatenate([frame.rul for frame in frames]).astype(np.float64),
-        provenance=provenance,
         feature_ids=list(feature_ids),
     )

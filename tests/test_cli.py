@@ -319,6 +319,59 @@ def test_exit_code_config_error(tmp_path):
     assert main(["synth", "--config", str(bad)]) == 1
 
 
+@pytest.mark.parametrize("argv,named", [
+    (["synth", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+    (["synth", "--timesteps", "5,x"],
+     "argument --timesteps: not a comma-separated list of integers: '5,x'"),
+    (["synth", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    (["predict", "--history", "history.csv"], "the following arguments are required: --model"),
+], ids=["seed", "timesteps", "unknown_flag", "predict_without_model"])
+def test_bad_flag_exits_one(capsys, argv, named):
+    assert main(argv) == 1
+    assert named in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--help"])
+    assert exc.value.code == 0
+    assert "--threads" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "predict"])
+def test_unwritable_output_exits_one(tiny_run, tmp_path, capsys, command):
+    """An --out that is a file, or a --prediction-out that is a directory."""
+    dest = tmp_path / "run"
+    args = _copy_run(tiny_run, dest)
+    if command == "predict":
+        path = dest / "prediction.csv"
+        path.mkdir()
+    else:
+        path = tmp_path / "file"
+        path.write_text("")
+        args += ["--out", str(path)]
+    capsys.readouterr()
+    assert main([command, *args, *_input_args(command, dest)]) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and "Traceback" not in err
+
+
+def _file_bytes(root):
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_threads_write_identical_models_and_reports(tmp_path):
+    """traces/ is left out: it holds per-epoch seconds."""
+    cfg = _config_file(tmp_path, tmp_path / "out")
+    outs = [tmp_path / "threads1", tmp_path / "threads2"]
+    for out, threads in zip(outs, ("1", "2")):
+        for command in ("synth", "train", "evaluate"):
+            assert main([command, "--config", cfg, "--out", str(out), "--threads", threads]) == 0
+    for sub in ("models", "reports"):
+        written = _file_bytes(outs[0] / sub)
+        assert written and written == _file_bytes(outs[1] / sub)
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_exit_code_divergence(tmp_path):

@@ -51,9 +51,7 @@ def test_metric_permutation_invariance(rng):
 def _dataset(rng, n=40):
     targets = rng.integers(0, 31, size=n).astype(float)
     windows = rng.normal(size=(n, 3, 2))
-    provenance = [(f"D{i:03d}", None) for i in range(n)]
-    return WindowedDataset(windows=windows, targets=targets, provenance=provenance,
-                           feature_ids=[7, 9])
+    return WindowedDataset(windows=windows, targets=targets, feature_ids=[7, 9])
 
 
 def test_evaluate_oracle_predictor(rng):

@@ -133,15 +133,6 @@ def test_forest_serialization_roundtrip(rng, tmp_path):
     assert again.read_bytes() == path.read_bytes()
 
 
-def test_forest_threads_match_sequential(rng):
-    X = rng.normal(size=(40, 3))
-    y = rng.normal(size=40)
-    seq = forest.fit_forest(X, y, n_estimators=6, seed=11, threads=1)
-    par = forest.fit_forest(X, y, n_estimators=6, seed=11, threads=4)
-    queries = rng.normal(size=(10, 3))
-    assert np.array_equal(seq.predict(queries), par.predict(queries))
-
-
 def _same_arrays(got, want):
     return all(np.array_equal(g, w) and g.dtype == w.dtype for g, w in zip(got, want))
 

@@ -335,10 +335,7 @@ def test_parameter_arrays_are_views_that_adam_updates(bidirectional):
 def _toy_dataset(rng, n=40, timesteps=4, features=2):
     windows = rng.normal(size=(n, timesteps, features))
     targets = windows[:, -1, 0] * 2.0 + 1.0
-    return pp.WindowedDataset(
-        windows=windows, targets=targets,
-        provenance=[("T", None)] * n, feature_ids=list(range(features)),
-    )
+    return pp.WindowedDataset(windows=windows, targets=targets, feature_ids=list(range(features)))
 
 
 def _same_parameters(a, b):

@@ -91,13 +91,13 @@ def test_window_left_padding_replicates_earliest():
     assert wd.windows[2, :, 0].tolist() == [0.0, 0.0, 1.0, 2.0]
 
 
-def test_window_provenance_dereferences_exactly(small_frames):
+def test_window_dereferences_drive_days_exactly(small_frames):
+    """Window k ends on the k-th drive-day, drives in serial order, and targets its RUL."""
     wd = pp.window(small_frames, 7)
-    frames = {f.serial: f for f in small_frames}
-    for k in (0, 5, len(wd.provenance) - 1):
-        serial, day = wd.provenance[k]
-        frame = frames[serial]
-        d = frame.dates.index(day)
+    drive_days = [(frame, d) for frame in sorted(small_frames, key=lambda f: f.serial)
+                  for d in range(len(frame.dates))]
+    assert len(drive_days) == wd.n_samples
+    for k, (frame, d) in enumerate(drive_days):
         rows = np.maximum(np.arange(d - 6, d + 1), 0)
         assert np.array_equal(wd.windows[k], frame.values[rows])
         assert wd.targets[k] == frame.rul[d]
@@ -108,7 +108,10 @@ def test_window_never_mixes_serials(small_frames):
     start = 0
     for frame in sorted(small_frames, key=lambda f: f.serial):
         n = len(frame.dates)
-        assert all(s == frame.serial for s, _ in wd.provenance[start : start + n])
+        own = {row.tobytes() for row in frame.values}
+        steps = wd.windows[start : start + n].reshape(-1, wd.n_features)
+        assert all(step.tobytes() in own for step in steps)
+        assert np.array_equal(wd.targets[start : start + n], frame.rul)
         start += n
     assert start == wd.n_samples
 
