@@ -96,12 +96,9 @@ class RunConfig:
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.replace(",", " ").split())
-
-
-def _int_list_flag(text: str) -> tuple[int, ...]:
+    # argparse prints an ArgumentTypeError's message after the flag's name
     try:
-        return _parse_int_list(text)
+        return tuple(int(tok) for tok in text.replace(",", " ").split())
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}") from None
 
@@ -161,7 +158,7 @@ def load_config(path: str | Path) -> RunConfig:
             raise ConfigError(f"{path}:{ln}: unknown config key {key!r}")
         try:
             setattr(config, key, _parse_value(key, _FIELD_TYPES[key], value))
-        except ValueError as exc:
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             raise ConfigError(f"{path}:{ln}: bad value for {key}: {exc}") from exc
     if not seen_version:
         raise ConfigError(f"{path}: missing schema_version")
@@ -545,7 +542,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="run configuration file")
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--seed", type=int, help="root seed")
-    parser.add_argument("--timesteps", type=_int_list_flag,
+    parser.add_argument("--timesteps", type=_parse_int_list,
                         help="comma-separated lookback steps, e.g. 5,10,15,30")
     parser.add_argument("--lookback", type=int, help="train/test window length in days")
     parser.add_argument("--cap", type=int, help="RUL cap in days")
