@@ -78,6 +78,8 @@ class RunConfig:
             raise ConfigError("timesteps must lie in 1..lookback_train")
         if len(set(self.timesteps)) != len(self.timesteps):
             raise ConfigError("timesteps must not repeat a window length")
+        if self.features is not None and len(set(self.features)) != len(self.features):
+            raise ConfigError("features must not repeat an attribute")
         for name in ("lookback_train", "lookback_test", "lookback_extrap", "cap",
                      "hidden_size", "batch_size", "rf_estimators", "threads"):
             if getattr(self, name) < 1:
@@ -414,13 +416,13 @@ def _write_summaries(reports: list[ev.EvalReport], reports_dir: Path) -> None:
 
 def cmd_train(config: RunConfig) -> int:
     out = Path(config.out)
-    (out / "models").mkdir(parents=True, exist_ok=True)
-    (out / "traces").mkdir(parents=True, exist_ok=True)
     frames = _read_cohort(out, "train")
     selected = _selected_features(config)
     missing = [f for f in selected if f not in frames[0].feature_ids]
     if missing:
         raise ConfigError(f"selected features {missing} absent from the train cohort")
+    (out / "models").mkdir(parents=True, exist_ok=True)
+    (out / "traces").mkdir(parents=True, exist_ok=True)
 
     standardized = [pp.standardize_per_device(f.select(selected)) for f in frames]
     for arch, bidirectional in (("lstm", False), ("bilstm", True)):
@@ -479,7 +481,6 @@ def cmd_train(config: RunConfig) -> int:
 
 def cmd_evaluate(config: RunConfig) -> int:
     out = Path(config.out)
-    (out / "reports").mkdir(parents=True, exist_ok=True)
     paths = _model_paths(config, out)
     missing = [str(p) for p in paths.values() if not p.exists()]
     if missing:
@@ -491,6 +492,7 @@ def cmd_evaluate(config: RunConfig) -> int:
         if len({int(v) for f in frames for v in f.rul}) < 2:
             raise DataError(f"{out / 'cohorts' / name}.csv: one RUL on every day, R2 undefined")
     reports = ev.run_matrix(models, cohorts, clip=_prediction_clip(config))
+    (out / "reports").mkdir(parents=True, exist_ok=True)
     for report in reports:
         ev.write_report_csv(report, out / "reports" / f"{report.model_id}_{report.cohort_id}.csv")
     _write_summaries(reports, out / "reports")

@@ -5,9 +5,9 @@ with ``date``, ``serial_number``, ``model``, ``failure`` and any number of
 ``smart_<n>_raw`` / ``smart_<n>_normalized`` columns. Normalized columns are
 dropped (we standardize ourselves). The raw columns of a kept row go straight
 into its drive's storage (:class:`KeptRows`, then :class:`DriveRows`): a list
-of days, a list of failure flags and a float64 matrix with one row per day
-and one column per attribute, NaN where a cell is missing, empty,
-unparseable or not finite. No dict is built per row.
+of days and a float64 matrix with one row per day and one column per
+attribute, NaN where a cell is missing, empty, unparseable or not finite. No
+dict is built per row.
 Ingest reads each file once with :func:`scan_snapshot_file`, newest first: it
 checks every row's identity cells, keeps the failure rows, and parses in full
 only the rows of drives whose failure window is already known. A drive's own
@@ -38,7 +38,6 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-import warnings
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -95,15 +94,14 @@ def _columns(values: np.ndarray, have: Sequence[int], want: Sequence[int]) -> np
 
 @dataclass
 class DriveRows:
-    """One drive's rows in the order given: the days, the failure flags, and a
-    float64 matrix with one row per day and one column per attribute of
-    ``feature_ids``, NaN where the drive reported no value."""
+    """One drive's rows in the order given: the days and a float64 matrix with
+    one row per day and one column per attribute of ``feature_ids``, NaN where
+    the drive reported no value."""
 
     serial: str
     model: str
     feature_ids: list[int]
     dates: list[Date]
-    failed: list[bool]
     values: np.ndarray  # (len(dates), len(feature_ids)) float64
 
     @classmethod
@@ -114,15 +112,7 @@ class DriveRows:
         serial, model = (records[0].serial, records[0].model) if records else ("", "")
         values = np.array([[rec.smart.get(fid) for fid in ids] for rec in records],
                           dtype=np.float64).reshape(len(records), len(ids))
-        return cls(serial, model, ids, [rec.date for rec in records],
-                   [rec.failed for rec in records], values)
-
-    def records(self) -> list[DriveRecord]:
-        """The rows as records, NaN as None (the inverse of :meth:`from_records`)."""
-        return [DriveRecord(self.serial, day, self.model,
-                            {fid: None if math.isnan(v) else v for fid, v in zip(self.feature_ids, row)},
-                            failed)
-                for day, failed, row in zip(self.dates, self.failed, self.values.tolist())]
+        return cls(serial, model, ids, [rec.date for rec in records], values)
 
     def reported(self) -> list[int]:
         """The attributes with a value on at least one day."""
@@ -140,7 +130,7 @@ class LabeledSeries:
 
     ``rows`` may be given as a sequence of :class:`DriveRecord`; it is then
     converted once (:meth:`DriveRows.from_records`), and ``records`` converts
-    back.
+    back, NaN as None, with the day labeled 0 as the failure day.
     """
 
     serial: str
@@ -153,7 +143,11 @@ class LabeledSeries:
 
     @property
     def records(self) -> list[DriveRecord]:
-        return self.rows.records()
+        rows = self.rows
+        return [DriveRecord(rows.serial, day, rows.model,
+                            {fid: None if math.isnan(v) else v for fid, v in zip(rows.feature_ids, row)},
+                            label == 0)
+                for day, label, row in zip(rows.dates, self.rul, rows.values.tolist())]
 
     def __len__(self) -> int:
         return len(self.rows.dates)
@@ -322,7 +316,6 @@ class _Block(NamedTuple):
 
     feature_ids: tuple[int, ...]
     dates: list[Date]
-    failed: list[bool]
     cells: array  # float64, row after row
 
 
@@ -330,10 +323,9 @@ class KeptRows:
     """Snapshot rows of some drives, stored per drive as they are read.
 
     A drive holds its model (that of its first row) and blocks of rows read
-    with the same attribute columns: their days, their failure flags and
-    their float64 cells, row after row, NaN for a missing, empty or
-    unparseable cell. ``len()`` counts rows. :meth:`drives` turns each drive
-    into :class:`DriveRows`.
+    with the same attribute columns: their days and their float64 cells, row
+    after row, NaN for a missing, empty or unparseable cell. ``len()`` counts
+    rows. :meth:`drives` turns each drive into :class:`DriveRows`.
     """
 
     def __init__(self):
@@ -342,15 +334,14 @@ class KeptRows:
     def __len__(self) -> int:
         return sum(len(b.dates) for _, blocks in self._drives.values() for b in blocks)
 
-    def add(self, layout: _Layout, row: Sequence[str], day: Date, failed: bool) -> None:
+    def add(self, layout: _Layout, row: Sequence[str], day: Date) -> None:
         """Keep a row whose identity cells passed :func:`_row_identity`."""
         _, blocks = self._drives.setdefault(row[layout.serial].strip(),
                                             (row[layout.model].strip(), []))
         if not blocks or blocks[-1].feature_ids != layout.feature_ids:
-            blocks.append(_Block(layout.feature_ids, [], [], array("d")))
+            blocks.append(_Block(layout.feature_ids, [], array("d")))
         block = blocks[-1]
         block.dates.append(day)
-        block.failed.append(failed)
         try:
             block.cells.fromlist([float(c) if c else math.nan for c in [row[j] for j in layout.columns]])
         except (IndexError, ValueError):
@@ -363,7 +354,6 @@ class KeptRows:
             for block in blocks:
                 if mine and mine[-1].feature_ids == block.feature_ids:
                     mine[-1].dates.extend(block.dates)
-                    mine[-1].failed.extend(block.failed)
                     mine[-1].cells.extend(block.cells)
                 else:
                     mine.append(block)
@@ -383,8 +373,7 @@ class KeptRows:
                          b.feature_ids, ids)
                 for b in blocks])
             values[~np.isfinite(values)] = np.nan
-            out[serial] = DriveRows(serial, model, ids, [d for b in blocks for d in b.dates],
-                                    [f for b in blocks for f in b.failed], values)
+            out[serial] = DriveRows(serial, model, ids, [d for b in blocks for d in b.dates], values)
         return out
 
 
@@ -446,7 +435,7 @@ def scan_snapshot_file(path: str | Path, windows: dict[str, tuple[Date, Date]]) 
             if windows:
                 window = windows.get(row[serial_col].strip())
                 if window is not None and window[0] <= day <= window[1]:
-                    kept.add(layout, row if line is None else line.split(","), day, failed)
+                    kept.add(layout, row if line is None else line.split(","), day)
     days = [day for day, _ in seen.values()]
     return SnapshotScan(failures, (min(days), max(days)) if days else None, kept)
 
@@ -502,7 +491,7 @@ def build_labeled_series(
             f"drive {event.serial} has no record on its failure day {event.fail_date}"
         )
     rows = DriveRows(corpus.serial, corpus.model, corpus.feature_ids, window,
-                     [corpus.failed[k] for k in keep], corpus.values[np.asarray(keep, dtype=np.intp)])
+                     corpus.values[np.asarray(keep, dtype=np.intp)])
     return LabeledSeries(event.serial, rows, [(end - day).days for day in window])
 
 
@@ -579,8 +568,7 @@ def generate_synthetic(config: SynthConfig, serial_prefix: str = "SYN") -> list[
                 vals = intercept - slope * rul + noise
             columns[:, j] = np.maximum(vals, 0.0)
         rows = DriveRows(serial, SYNTHETIC_MODEL, list(ids),
-                         [fail_date - timedelta(days=r) for r in rul.tolist()],
-                         [k == n_days - 1 for k in range(n_days)], columns)
+                         [fail_date - timedelta(days=r) for r in rul.tolist()], columns)
         out.append(LabeledSeries(serial, rows, rul.tolist()))
     return out
 
@@ -589,22 +577,22 @@ def generate_synthetic(config: SynthConfig, serial_prefix: str = "SYN") -> list[
 # Materialization (per-drive rows with gaps -> dense per-drive frames)
 
 
-def materialize_series(series: LabeledSeries, feature_ids: Sequence[int]) -> DriveFrame | None:
-    """Dense frame for one drive, or None when an attribute is never reported.
+def materialize_series(series: LabeledSeries, feature_ids: Sequence[int]) -> DriveFrame:
+    """Dense frame for one drive.
 
     Gaps inside an attribute's history are forward-filled from the previous
     day; a gap at the start takes the first observed value. A drive missing
-    one of ``feature_ids`` on every day cannot be filled and is excluded
-    (with a warning).
+    one of ``feature_ids`` on every day cannot be filled and raises ValueError
+    naming the drive and the attribute. Callers pass attributes every drive
+    reports.
     """
     n = len(series)
     raw = series.rows.columns(feature_ids)
     reported = ~np.isnan(raw)
     missing = np.flatnonzero(~reported.any(axis=0))
     if missing.size:
-        warnings.warn(f"drive {series.serial}: attribute {feature_ids[missing[0]]} "
-                      "missing on every day; drive excluded")
-        return None
+        raise ValueError(f"drive {series.serial}: attribute {feature_ids[missing[0]]} "
+                         "is missing on every day")
     # each day takes the value of the last reported day up to it, and a day
     # before the first report the value of the next reported day
     days = np.arange(n)[:, None]
@@ -622,12 +610,7 @@ def materialize_series(series: LabeledSeries, feature_ids: Sequence[int]) -> Dri
 def materialize_cohort(
     series_list: Sequence[LabeledSeries], feature_ids: Sequence[int]
 ) -> list[DriveFrame]:
-    frames = []
-    for series in series_list:
-        frame = materialize_series(series, feature_ids)
-        if frame is not None:
-            frames.append(frame)
-    return frames
+    return [materialize_series(series, feature_ids) for series in series_list]
 
 
 def attributes_on_every_drive(series_list: Sequence[LabeledSeries]) -> list[int]:
@@ -780,9 +763,9 @@ def read_scoring_csv(path: str | Path) -> tuple[list[int], list[LabeledSeries]]:
     """The attribute ids and the drives of a scoring CSV (inverse of write).
 
     An empty cell is an unreported value (NaN); the rows carry no drive
-    model or failure flag. Besides the rules of :func:`_read_drive_csv`, a
-    file without a ``rul`` column or with fewer than two drive-days raises
-    DataError naming the file.
+    model. Besides the rules of :func:`_read_drive_csv`, a file without a
+    ``rul`` column or with fewer than two drive-days raises DataError naming
+    the file.
     """
     feature_ids, has_rul, drives = _read_drive_csv(path)
     if not has_rul:
@@ -790,6 +773,5 @@ def read_scoring_csv(path: str | Path) -> tuple[list[int], list[LabeledSeries]]:
     n_days = sum(len(dates) for _, dates, _, _ in drives)
     if n_days < 2:
         raise DataError(f"{path}: {n_days} drive-days; scoring needs at least two")
-    return feature_ids, [LabeledSeries(serial, DriveRows(serial, "", feature_ids, dates,
-                                                         [False] * len(dates), values), rul)
+    return feature_ids, [LabeledSeries(serial, DriveRows(serial, "", feature_ids, dates, values), rul)
                          for serial, dates, rul, values in drives]

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import csv
 import math
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -285,16 +284,13 @@ def read_snapshot_csv_csv(path, windows):
 
 def materialize_series_loop(serial, records, rul, feature_ids):
     """``dataset.materialize_series`` of a drive's chronological records, as a
-    loop over each attribute's days."""
+    loop over each attribute's days; an attribute never reported is a ValueError."""
     n = len(records)
     values = np.empty((n, len(feature_ids)))
     for j, fid in enumerate(feature_ids):
         raw = [rec.smart.get(fid) for rec in records]
         if all(v is None for v in raw):
-            warnings.warn(
-                f"drive {serial}: attribute {fid} missing on every day; drive excluded"
-            )
-            return None
+            raise ValueError(f"drive {serial}: attribute {fid} is missing on every day")
         first = next(v for v in raw if v is not None)
         prev = first
         for k, v in enumerate(raw):

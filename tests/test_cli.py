@@ -356,6 +356,19 @@ def test_unwritable_output_exits_one(tiny_run, tmp_path, capsys, command):
     assert str(path) in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command,error", [("train", "cohort file"),
+                                           ("evaluate", "missing model files")],
+                         ids=["train", "evaluate"])
+def test_missing_input_creates_nothing(tmp_path, capsys, command, error):
+    """train without cohorts and evaluate without models exit 1 and leave the
+    out directory as they found it."""
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main([command, "--config", _config_file(tmp_path, out)]) == 1
+    assert error in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def _file_bytes(root):
     return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
@@ -639,6 +652,26 @@ def _assert_same_cohorts(tmp_path):
         assert stream == (tmp_path / "oracle" / "cohorts" / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_labeled_failure_day_matches_snapshot_flags(tmp_path, load_perfbench, seed):
+    """Each series ingest labels marks as failed exactly the days whose snapshot
+    row says ``failure`` 1: its last day, labeled 0, and no other."""
+    cfg, _ = _small_corpus(tmp_path, load_perfbench("corpus"), seed)
+    config = load_config(cfg)
+    by_serial, train, test = cli._split_events(config)
+    records, _, _ = oracles.split_events_one_pass(config)
+    checked = 0
+    for events, lookback in ((train, config.lookback_train), (test, config.lookback_test),
+                             (test, config.lookback_extrap)):
+        for series in cli._labeled_series(by_serial, events, lookback):
+            flags = {rec.date: rec.failed for rec in records[series.serial]}
+            got = [rec.failed for rec in series.records]
+            assert got == [flags[rec.date] for rec in series.records], series.serial
+            assert got[-1] and not any(got[:-1]), series.serial
+            checked += 1
+    assert checked
+
+
 @pytest.mark.parametrize("second", [45, 36])
 @pytest.mark.parametrize("daily", [False, True], ids=["one_file", "daily_files"])
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
@@ -778,9 +811,11 @@ def test_features_matches_snapshot_scoring_oracle(tmp_path, capsys, load_perfben
     ("train", "grad_clip nan\n", "grad_clip"),
     ("train", "learning_rate -0.001\n", "learning_rate"),
     ("train", "learning_rate nan\n", "learning_rate"),
+    ("train", "features 7,7\n", "features"),
 ], ids=["batch_size", "hidden_size", "rf_estimators", "epochs", "lookback_test", "jump_day",
         "synth_features", "synth_noise", "missing_file", "empty_timesteps", "dup_timesteps",
-        "negative_grad_clip", "nan_grad_clip", "negative_learning_rate", "nan_learning_rate"])
+        "negative_grad_clip", "nan_grad_clip", "negative_learning_rate", "nan_learning_rate",
+        "dup_features"])
 def test_bad_config_exits_one(tmp_path, capsys, command, extra, named):
     out = tmp_path / "out"
     assert main(["synth", "--config", _config_file(tmp_path, out)]) == 0

@@ -1,6 +1,5 @@
 import re
 import tracemalloc
-import warnings
 from datetime import date, timedelta
 
 import numpy as np
@@ -28,17 +27,18 @@ def _read_row(tmp_path, row):
     scan = ds.scan_snapshot_file(path, windows)
     kept = ds.read_snapshot_csv(path, windows).drives()
     assert scan.kept.drives().keys() == kept.keys() == {"Z12"}
-    for got, want in zip(scan.kept.drives()["Z12"].records(), kept["Z12"].records()):
-        assert got == want
-    return scan.failures, kept["Z12"]
+    got, want = scan.kept.drives()["Z12"], kept["Z12"]
+    assert (got.serial, got.model, got.feature_ids, got.dates) == (
+        want.serial, want.model, want.feature_ids, want.dates)
+    assert got.values.tobytes() == want.values.tobytes()
+    return scan.failures, want
 
 
 def test_parse_row_basic_fields(tmp_path):
     row = ["2020-01-05", "Z12", "ST4000DM000", "4000787030016", "1", "1234", "100", ""]
     failures, rows = _read_row(tmp_path, row)
     assert failures == [ds.DriveRecord("Z12", date(2020, 1, 5), "ST4000DM000", {}, True)]
-    assert (rows.serial, rows.model, rows.dates, rows.failed) == (
-        "Z12", "ST4000DM000", [date(2020, 1, 5)], [True])
+    assert (rows.serial, rows.model, rows.dates) == ("Z12", "ST4000DM000", [date(2020, 1, 5)])
 
 
 def test_parse_row_drops_normalized_keeps_raw(tmp_path):
@@ -146,15 +146,15 @@ def _outcome(read, *args):
 
 
 def _kept(kept):
-    """(serial, day, failure flag, attribute map) of each row of a KeptRows, drive by drive."""
-    return [(rec.serial, rec.date, rec.failed, rec.smart)
-            for rows in kept.drives().values() for rec in rows.records()]
+    """(serial, day, attribute map) of each row of a KeptRows, drive by drive; NaN as None."""
+    return [(rows.serial, day, {fid: None if np.isnan(v) else v for fid, v in zip(rows.feature_ids, row)})
+            for rows in kept.drives().values() for day, row in zip(rows.dates, rows.values.tolist())]
 
 
 def _kept_csv(records):
     """The same of the oracle's records; a drive's rows keep their order."""
     order = list(dict.fromkeys(rec.serial for rec in records))
-    return [(rec.serial, rec.date, rec.failed, rec.smart)
+    return [(rec.serial, rec.date, rec.smart)
             for rec in sorted(records, key=lambda rec: order.index(rec.serial))]
 
 
@@ -407,21 +407,23 @@ _SMART_VALUE = st.none() | st.sampled_from([0.0, -0.0, 5e-324, 1e16, 0.1 + 0.2])
                 min_size=1, max_size=12),
        st.sampled_from([[7], [9, 7], [7, 9, 240], []]))
 def test_materialize_matches_forward_fill_loop(smart_maps, feature_ids):
-    """Bit-identical frames, leading gaps and never-reported attributes included, and
-    the same warnings."""
+    """Bit-identical frames with leading gaps, and the same ValueError for a
+    never-reported attribute."""
     recs = [_record("A", date(2020, 1, 1) + timedelta(days=k), smart=smart)
             for k, smart in enumerate(smart_maps)]
     rul = list(range(len(recs) - 1, -1, -1))
-    frames = []
+    outcomes = []
     for materialize in (lambda: ds.materialize_series(ds.LabeledSeries("A", recs, rul), feature_ids),
                         lambda: oracles.materialize_series_loop("A", recs, rul, feature_ids)):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            frames.append((materialize(), [str(w.message) for w in caught]))
-    (got, got_warnings), (want, want_warnings) = frames
-    assert got_warnings == want_warnings
-    assert (got is None) == (want is None)
-    if want is not None:
+        try:
+            outcomes.append(("ok", materialize()))
+        except ValueError as exc:
+            outcomes.append(("error", str(exc)))
+    (got_kind, got), (want_kind, want) = outcomes
+    assert got_kind == want_kind
+    if want_kind == "error":
+        assert got == want
+    else:
         assert (got.serial, got.dates, got.feature_ids) == (want.serial, want.dates, want.feature_ids)
         assert got.values.shape == want.values.shape
         assert got.values.tobytes() == want.values.tobytes()
@@ -448,14 +450,14 @@ def test_writers_match_cell_at_a_time_writers(tmp_path):
         "-0.0", "5e-324", "1e+16", "0.30000000000000004"]
 
 
-def test_materialize_excludes_all_missing_drive():
-    recs = [_record("A", date(2020, 1, 1), smart={7: None}),
-            _record("A", date(2020, 1, 2), smart={7: None})]
+def test_materialize_rejects_all_missing_drive():
+    recs = [_record("A", date(2020, 1, 1), smart={7: None, 9: 1.0}),
+            _record("A", date(2020, 1, 2), smart={7: None, 9: 2.0})]
     series = ds.LabeledSeries("A", recs, [1, 0])
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert ds.materialize_series(series, [7]) is None
-    assert any("excluded" in str(w.message) for w in caught)
+    with pytest.raises(ValueError, match="drive A: attribute 7 is missing on every day"):
+        ds.materialize_series(series, [9, 7])
+    with pytest.raises(ValueError, match="drive A: attribute 7"):
+        ds.materialize_cohort([series], [7])
 
 
 # values whose bits a text round trip can lose: signed zero, subnormals, and
@@ -478,7 +480,7 @@ def test_scoring_csv_roundtrip_is_bit_exact(tmp_path):
         values[rng.random((n, 4)) < 0.3] = np.nan
         values[0] = _AWKWARD[d:d + 4]  # every column reported somewhere
         dates = [date(2020, 1, 1) + timedelta(days=k) for k in range(n)]
-        rows = ds.DriveRows(f"D{2 - d}", "M", [5, 7, 9, 240], dates, [False] * n, values)
+        rows = ds.DriveRows(f"D{2 - d}", "M", [5, 7, 9, 240], dates, values)
         written.append(ds.LabeledSeries(rows.serial, rows, list(range(n - 1, -1, -1))))
     path = tmp_path / "scoring.csv"
     ds.write_scoring_csv(path, written)
