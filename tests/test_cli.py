@@ -340,12 +340,17 @@ def test_help_exits_zero(capsys):
 
 @pytest.mark.parametrize("command", ["synth", "train", "predict"])
 def test_unwritable_output_exits_one(tiny_run, tmp_path, capsys, command):
-    """An --out that is a file, or a --prediction-out that is a directory."""
+    """An --out that is a file, a models/ that is a file under train's --out (whose
+    cohorts must be read first), or a --prediction-out that is a directory."""
     dest = tmp_path / "run"
     args = _copy_run(tiny_run, dest)
     if command == "predict":
         path = dest / "prediction.csv"
         path.mkdir()
+    elif command == "train":
+        path = dest / "out" / "models"
+        shutil.rmtree(path)
+        path.write_text("")
     else:
         path = tmp_path / "file"
         path.write_text("")
