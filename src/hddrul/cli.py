@@ -1,7 +1,7 @@
 """Command-line orchestration of the full pipeline.
 
 Subcommands: ``synth`` (seeded synthetic cohorts), ``ingest`` (snapshot CSVs
-to cohort CSVs), ``features`` (score table + predictor selection), ``train``
+to cohort CSVs), ``features`` (score table; prints the predictor set), ``train``
 (all sequence models + forest baseline), ``evaluate`` (dual-horizon report
 matrix), ``predict`` (per-day RUL for one drive history), ``report``
 (reassemble summary tables from report files).
@@ -366,16 +366,17 @@ def cmd_features(config: RunConfig) -> int:
     if not path.exists():
         raise ConfigError(f"scoring file {path} not found; run `synth` or `ingest` first")
     scoreable, series = ds.read_scoring_csv(path)
-    (out / "features").mkdir(parents=True, exist_ok=True)
     tree_ids = ds.attributes_on_every_drive(series)
     table = feat.score_features(series, scoreable, tree_attributes=tree_ids)
-    selection = feat.select_features(table, config.features)
+    # only an override is checked: the default five need not all be scored
+    scored = set(table.attributes)
+    missing = [fid for fid in config.features or () if fid not in scored]
+    if missing:
+        raise ConfigError(f"features names attributes that {path} does not score: {missing}")
+    (out / "features").mkdir(parents=True, exist_ok=True)
     table.to_csv(out / "features" / "features.csv")
-    (out / "features" / "selected.txt").write_text(
-        ",".join(str(f) for f in selection) + "\n", encoding="utf-8", newline="\n"
-    )
     _write_run_config(config, out)
-    print("features: selected " + ",".join(str(f) for f in selection))
+    print("features: selected " + ",".join(str(f) for f in _selected_features(config)))
     return 0
 
 
@@ -568,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, text in [
         ("ingest", "build cohort CSVs from daily snapshot files"),
         ("synth", "generate seeded synthetic cohorts"),
-        ("features", "score attributes and emit the predictor selection"),
+        ("features", "score attributes and print the predictor set"),
         ("train", "train all sequence models and the forest baseline"),
         ("evaluate", "evaluate every model on both test cohorts"),
         ("predict", "per-day RUL estimates for one drive history"),

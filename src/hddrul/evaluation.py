@@ -166,8 +166,7 @@ def write_report_csv(report: EvalReport, path: str | Path) -> None:
         fh.write("# r2 %.17g\n" % report.r2)
         fh.write("# mae %.17g\n" % report.mae)
         fh.write("actual,predicted\n")
-        for actual, predicted in report.pairs:
-            fh.write("%.17g,%.17g\n" % (actual, predicted))
+        fh.write(("%.17g,%.17g\n" * report.n_samples) % tuple(report.pairs.ravel().tolist()))
 
 
 def read_report_csv(path: str | Path) -> EvalReport:

@@ -1,11 +1,11 @@
-"""Attribute scoring and predictor selection.
+"""Attribute scoring and the default predictor set.
 
 Two scores per SMART attribute: the absolute value of the per-drive Pearson
 correlations with the RUL label averaged across drives (signed average first,
 then absolute value), and the impurity-decrease importance from a single
 regression tree fit on the pooled drive-days. The default predictor set is
 attributes 7, 9, 240, 241 and 242 (seek errors, power-on hours, head flying
-hours, LBAs written/read); an explicit override replaces it.
+hours, LBAs written/read); a run's ``features`` key replaces it.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import forest
 from .dataset import LabeledSeries, materialize_cohort
-from .errors import ConfigError, UndefinedCorrelationError
+from .errors import UndefinedCorrelationError
 
 DEFAULT_FEATURES = [7, 9, 240, 241, 242]
 
@@ -147,19 +147,3 @@ def score_features(
     y = np.concatenate([f.rul.astype(np.float64) for f in frames])
     return FeatureScoreTable(correlation=corr, importance=tree_importances(X, y, tree_ids).values)
 
-
-def select_features(
-    table: FeatureScoreTable, override: Sequence[int] | None = None
-) -> list[int]:
-    """The predictor set: the override when given, else the default five.
-
-    An override naming an attribute absent from the score table is a
-    configuration error.
-    """
-    if override is None:
-        return list(DEFAULT_FEATURES)
-    available = set(table.attributes)
-    missing = [fid for fid in override if fid not in available]
-    if missing:
-        raise ConfigError(f"override names attributes absent from the cohort: {missing}")
-    return list(override)

@@ -128,7 +128,8 @@ class RegressionTree:
     children are ``left[i]`` and ``left[i] + 1``.
 
     ``impurity`` and ``n_node_samples`` serve :meth:`importance_raw` only, so
-    a model file does not hold them and a loaded tree has None there.
+    only :func:`fit_tree` keeps them: a forest's trees and a loaded tree have
+    None there, and a model file does not hold them.
     """
 
     feature: np.ndarray
@@ -209,10 +210,9 @@ def fit_forest(
         raise ValueError("cannot fit a forest on zero rows")
 
     def one(i: int) -> RegressionTree:
-        if bootstrap:
-            rows = rng_for(seed, f"tree-{i}").integers(0, n, size=n)
-            return fit_tree(X[rows], y[rows])
-        return fit_tree(X, y)
+        rows = rng_for(seed, f"tree-{i}").integers(0, n, size=n) if bootstrap else slice(None)
+        tree = fit_tree(X[rows], y[rows])
+        return RegressionTree(tree.feature, tree.threshold, tree.left, tree.value)
 
     trees = [one(i) for i in range(n_estimators)]
     ids = list(feature_ids) if feature_ids is not None else list(range(X.shape[1]))

@@ -213,7 +213,7 @@ def _predict_batch(model: BiLstmModel, X: np.ndarray) -> np.ndarray:
     # does: BLAS multiplies a one-row matrix on its vector path, whose sums
     # differ in the last bits from those of the matrix path
     n = X.shape[0]
-    n_chunks = -(-n // _PREDICT_CHUNK)
+    n_chunks = max(1, -(-n // _PREDICT_CHUNK))  # one empty chunk for zero rows
     bounds = [n * k // n_chunks for k in range(n_chunks + 1)]
     h_last = np.empty((len(model.w_x), n, model.hidden_size))
     for lo, hi in zip(bounds, bounds[1:]):

@@ -143,14 +143,29 @@ def test_features_command_default_selection(tmp_path, capsys):
     cfg = _config_file(tmp_path, out)
     assert main(["synth", "--config", cfg]) == 0
     assert main(["features", "--config", cfg]) == 0
-    selected = (out / "features" / "selected.txt").read_text().strip()
-    assert selected == "7,9,240,241,242"
+    assert capsys.readouterr().out.splitlines()[-1] == "features: selected 7,9,240,241,242"
+    assert [p.name for p in (out / "features").iterdir()] == ["features.csv"]
     lines = (out / "features" / "features.csv").read_text().splitlines()
     assert lines[0] == "attribute,correlation_score,tree_importance"
     corr = [float(r.split(",")[1]) for r in lines[1:] if r.split(",")[1]]
     imp = [float(r.split(",")[2]) for r in lines[1:] if r.split(",")[2]]
     assert all(0.0 <= v <= 1.0 for v in corr)
     assert sum(imp) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_features_override_checked_against_score_table(tmp_path, capsys):
+    """features prints a scored override and writes only the score table; an
+    override the score table lacks exits 1 and creates nothing."""
+    out = tmp_path / "out"
+    assert main(["synth", "--config", _config_file(tmp_path, out)]) == 0
+    assert main(["features", "--config", _config_file(tmp_path, out, "features 241,9\n")]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "features: selected 241,9"
+    assert [p.name for p in (out / "features").iterdir()] == ["features.csv"]
+    shutil.rmtree(out / "features")
+    assert main(["features", "--config", _config_file(tmp_path, out, "features 7,999\n")]) == 1
+    err = capsys.readouterr().err
+    assert "[999]" in err and str(out / "cohorts" / "scoring.csv") in err
+    assert not (out / "features").exists()
 
 
 def _run_pipeline(tmp_path, out):
@@ -792,12 +807,8 @@ def test_features_matches_snapshot_scoring_oracle(tmp_path, capsys, load_perfben
         assert f"ingest: skipping drive {serial}: " in err and serial not in train
     assert main(["features", "--config", cfg]) == 0
 
-    config = load_config(cfg)
-    table = oracles.score_snapshot_train_split(config)
-    table.to_csv(tmp_path / "features.csv")
+    oracles.score_snapshot_train_split(load_config(cfg)).to_csv(tmp_path / "features.csv")
     assert (out / "features" / "features.csv").read_bytes() == (tmp_path / "features.csv").read_bytes()
-    selected = ",".join(str(f) for f in feat.select_features(table, config.features)) + "\n"
-    assert (out / "features" / "selected.txt").read_text() == selected
 
 
 @pytest.mark.parametrize("command,extra,named", [

@@ -103,6 +103,19 @@ def test_report_bytes_deterministic(rng, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_report_rows_match_row_at_a_time_writer(rng, tmp_path):
+    """All rows in one format call give the bytes of one write per pair."""
+    values = np.concatenate([[-0.0, 5e-324, 1e16, 0.1 + 0.2, 0.0, -1e-300, 30.0],
+                             rng.normal(size=93) * 10.0 ** rng.integers(-20, 20, size=93)])
+    pairs = values.reshape(-1, 2)
+    report = ev.EvalReport("m", None, "c", 0.5, 0.25, 1.0, pairs)
+    path = tmp_path / "report.csv"
+    ev.write_report_csv(report, path)
+    rows = path.read_text().split("actual,predicted\n", 1)[1]
+    assert rows == "".join("%.17g,%.17g\n" % (actual, predicted) for actual, predicted in pairs)
+    assert rows.startswith("-0,4.9406564584124654e-324\n10000000000000000,0.30000000000000004\n")
+
+
 def test_noise_does_not_help_in_expectation(rng):
     actuals = rng.integers(0, 31, size=200).astype(float)
     preds = actuals + rng.uniform(-0.3, 0.3, size=200)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hddrul import dataset as ds
 from hddrul import features as feat
-from hddrul.errors import ConfigError, UndefinedCorrelationError
+from hddrul.errors import UndefinedCorrelationError
 from oracles import brute_force_predictions, pearson_mp
 
 
@@ -133,15 +133,6 @@ def test_tree_predictions_match_brute_force_oracle(rng):
         assert np.array_equal(tree.predict(X), brute_force_predictions(X, y, X)), (
             f"trial {trial}: fast tree diverged from exhaustive oracle"
         )
-
-
-def test_select_features_default_and_override(small_cohort):
-    ids = ds.synthetic_attribute_ids(5)
-    table = feat.score_features(small_cohort, ids)
-    assert feat.select_features(table) == [7, 9, 240, 241, 242]
-    assert feat.select_features(table, [9]) == [9]
-    with pytest.raises(ConfigError):
-        feat.select_features(table, [7, 999])
 
 
 def test_score_table_csv(tmp_path, small_cohort):

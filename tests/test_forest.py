@@ -45,14 +45,17 @@ def test_tree_matches_oracle_with_exact_ties():
 
 
 def test_fitted_trees_own_their_node_arrays(rng):
-    """A fitted tree holds its nodes only, not views of the 2n+1-slot growth arrays."""
+    """A fitted tree holds its nodes only, not views of the 2n+1-slot growth arrays;
+    a forest's trees hold only the arrays predict reads."""
     X = rng.normal(size=(40, 3))
     y = rng.normal(size=40)
-    trees = [forest.fit_tree(X, y)] + forest.fit_forest(X, y, n_estimators=3, seed=2).trees
-    for tree in trees:
-        arrays = [tree.feature, tree.threshold, tree.left, tree.value, tree.impurity,
-                  tree.n_node_samples]
-        assert all(a.base is None and len(a) == tree.n_nodes for a in arrays)
+    tree = forest.fit_tree(X, y)
+    trees = forest.fit_forest(X, y, n_estimators=3, seed=2).trees
+    names = [*forest._NODES, "impurity", "n_node_samples"]
+    for t, owned in [(tree, names)] + [(t, list(forest._NODES)) for t in trees]:
+        assert all(getattr(t, name).base is None and len(getattr(t, name)) == t.n_nodes
+                   for name in owned)
+    assert all(t.impurity is None and t.n_node_samples is None for t in trees)
 
 
 def test_forest_is_mean_of_trees(rng):

@@ -81,6 +81,15 @@ def test_predict_rejects_nonfinite_window(rng):
         model.predict(windows)
 
 
+@pytest.mark.parametrize("bidirectional", [False, True])
+def test_predict_on_zero_windows_is_empty(bidirectional):
+    """Like the forest's predict on zero rows, no windows give no estimates."""
+    settings = neural.TrainSettings(bidirectional=bidirectional, hidden_size=2, seed=1)
+    model = neural.init_model(settings, n_features=2, timesteps=3)
+    preds = model.predict(np.empty((0, 3, 2)))
+    assert preds.shape == (0,) and preds.dtype == np.float64
+
+
 def test_lstm_forward_single_step_equals_cell(rng):
     cell = _random_cell(rng, 3, 2)
     window = rng.normal(size=(1, 3))
