@@ -465,7 +465,7 @@ def cmd_train(config: RunConfig) -> int:
         feature_ids=rf_ids,
     )
     rf.save_forest(model, out / "models" / "forest.model")
-    print(f"train: forest with {model.n_estimators} trees on {len(rf_ids)} features")
+    print(f"train: forest with {config.rf_estimators} trees on {len(rf_ids)} features")
     # a set, not np.unique, which would import numpy.ma (about 1.7 MB)
     if len(set(y[holdout_rows].tolist())) < 2:
         print("train: no forest holdout report: under two distinct RUL values", file=sys.stderr)

@@ -86,13 +86,10 @@ def tree_importances(
         raise ValueError("need at least two rows")
     if X.shape[1] != len(attribute_ids):
         raise ValueError("attribute_ids must match the columns of X")
-    tree = forest.fit_tree(X, y)
-    raw = tree.importance_raw(X.shape[1])
+    raw = forest.fit_tree(X, y).importance_raw(X.shape[1])
     total = raw.sum()
-    if total <= 0.0:
-        return TreeImportances({fid: 0.0 for fid in attribute_ids})
-    norm = raw / total
-    return TreeImportances({fid: float(norm[j]) for j, fid in enumerate(attribute_ids)})
+    norm = raw / total if total > 0.0 else np.zeros_like(raw)
+    return TreeImportances(dict(zip(attribute_ids, norm.tolist())))
 
 
 @dataclass

@@ -8,8 +8,9 @@ feature index, then the lowest threshold; "equal" means within a small
 relative tolerance so that float noise cannot flip the choice.
 
 The forest fits each tree on a bootstrap resample (size n, with replacement)
-drawn from a per-tree seeded stream, and predicts the mean of its trees.
-No per-split feature subsampling: every feature is considered at every node.
+drawn from a per-tree seeded stream, and predicts the mean of its trees. No
+per-split feature subsampling: every feature is considered at every node. A
+forest holds its trees' node arrays concatenated, the layout of its model file.
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import container
+from .errors import ConfigError
 from .seeding import rng_for
 
 # A candidate split wins only if its gain beats the incumbent beyond float
@@ -127,17 +129,16 @@ class RegressionTree:
     """Flat node arrays; ``feature[i] == -1`` marks a leaf, and an inner node's
     children are ``left[i]`` and ``left[i] + 1``.
 
-    ``impurity`` and ``n_node_samples`` serve :meth:`importance_raw` only, so
-    only :func:`fit_tree` keeps them: a forest's trees and a loaded tree have
-    None there, and a model file does not hold them.
+    ``impurity`` and ``n_node_samples`` serve :meth:`importance_raw` only; a
+    forest keeps neither.
     """
 
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
     value: np.ndarray
-    impurity: np.ndarray | None = None
-    n_node_samples: np.ndarray | None = None
+    impurity: np.ndarray
+    n_node_samples: np.ndarray
 
     @property
     def n_nodes(self) -> int:
@@ -148,9 +149,7 @@ class RegressionTree:
         return _predict_tree_arrays(self.feature, self.threshold, self.left, self.value, X)
 
     def importance_raw(self, n_features: int) -> np.ndarray:
-        """Total squared-error decrease attributed to each feature (fit trees only)."""
-        if self.impurity is None:
-            raise ValueError("importances need a fit tree; a loaded one holds no impurities")
+        """Total squared-error decrease attributed to each feature."""
         inner = self.feature >= 0
         left = self.left[inner]
         sse = self.impurity * self.n_node_samples
@@ -159,7 +158,7 @@ class RegressionTree:
                            minlength=n_features)
 
 
-def fit_tree(X: np.ndarray, y: np.ndarray, min_samples_split: int = 2) -> RegressionTree:
+def fit_tree(X: np.ndarray, y: np.ndarray) -> RegressionTree:
     """Grow one unpruned variance-reduction regression tree."""
     X = np.ascontiguousarray(np.atleast_2d(X), dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.float64)
@@ -167,27 +166,33 @@ def fit_tree(X: np.ndarray, y: np.ndarray, min_samples_split: int = 2) -> Regres
         raise ValueError("cannot fit a tree on zero rows")
     if X.shape[0] != y.shape[0]:
         raise ValueError("X and y row counts differ")
-    arrays = _grow_tree_arrays(X, y, min_samples_split)
-    return RegressionTree(*arrays)
+    return RegressionTree(*_grow_tree_arrays(X, y, 2))
 
 
 @dataclass
 class RandomForest:
-    trees: list[RegressionTree]
+    """The trees' predict arrays concatenated in tree order, as a model file holds
+    them: tree i owns the next ``tree_nodes[i]`` entries of each, and its ``left``
+    links count from its own first node."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    value: np.ndarray
+    tree_nodes: np.ndarray
     feature_ids: list[int]
     seed: int
     bootstrap: bool = True
 
-    @property
-    def n_estimators(self) -> int:
-        return len(self.trees)
-
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.ascontiguousarray(np.atleast_2d(X), dtype=np.float64)
+        if X.shape[1] != len(self.feature_ids):
+            raise ConfigError(f"{X.shape[1]} columns for a forest on {len(self.feature_ids)} features")
         acc = np.zeros(X.shape[0])
-        for tree in self.trees:
-            acc += tree.predict(X)
-        return acc / len(self.trees)
+        ends = np.cumsum(self.tree_nodes).tolist()
+        for start, end in zip([0] + ends, ends):
+            acc += _predict_tree_arrays(*(getattr(self, name)[start:end] for name in _NODES), X)
+        return acc / len(self.tree_nodes)
 
 
 def fit_forest(
@@ -205,18 +210,24 @@ def fit_forest(
         raise ValueError("n_estimators must be >= 1")
     if seed < 0:  # forest files store the seed unsigned
         raise ValueError(f"seed must be >= 0, got {seed}")
+    ids = list(feature_ids) if feature_ids is not None else list(range(X.shape[1]))
+    if len(ids) != X.shape[1]:
+        raise ValueError(f"{len(ids)} feature_ids for {X.shape[1]} columns")
     n = X.shape[0]
     if n == 0:
         raise ValueError("cannot fit a forest on zero rows")
 
-    def one(i: int) -> RegressionTree:
+    per_tree = {name: [] for name in _NODES}
+    for i in range(n_estimators):
         rows = rng_for(seed, f"tree-{i}").integers(0, n, size=n) if bootstrap else slice(None)
         tree = fit_tree(X[rows], y[rows])
-        return RegressionTree(tree.feature, tree.threshold, tree.left, tree.value)
-
-    trees = [one(i) for i in range(n_estimators)]
-    ids = list(feature_ids) if feature_ids is not None else list(range(X.shape[1]))
-    return RandomForest(trees=trees, feature_ids=ids, seed=seed, bootstrap=bootstrap)
+        for name, arrays in per_tree.items():
+            arrays.append(getattr(tree, name))
+    tree_nodes = np.array([len(a) for a in per_tree["feature"]], dtype=np.int64)
+    # one name at a time, so no array is held both per tree and concatenated
+    nodes = {name: np.concatenate(per_tree.pop(name)) for name in _NODES}
+    return RandomForest(**nodes, tree_nodes=tree_nodes, feature_ids=ids, seed=seed,
+                        bootstrap=bootstrap)
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +246,8 @@ def save_forest(forest: RandomForest, path: str | Path) -> None:
         "feature_ids": np.array(forest.feature_ids, dtype=np.int64),
         "seed": np.array(forest.seed, dtype=np.uint64),
         "bootstrap": np.array(forest.bootstrap),
-        "tree_nodes": np.array([tree.n_nodes for tree in forest.trees], dtype=np.int64),
-        **{name: np.concatenate([getattr(tree, name) for tree in forest.trees]) for name in _NODES},
+        "tree_nodes": forest.tree_nodes,
+        **{name: getattr(forest, name) for name in _NODES},
     })
 
 
@@ -262,9 +273,9 @@ def _forest_from_members(member) -> RandomForest:
         tree = np.searchsorted(starts, node, side="right") - 1
         raise ValueError(f"node {local[node]} of tree {tree} has a feature index past "
                          "feature_ids or child links that do not point forward")
-    pieces = [np.split(a, starts[1:]) for a in nodes.values()]
     return RandomForest(
-        trees=[RegressionTree(*arrays) for arrays in zip(*pieces)],
+        **nodes,
+        tree_nodes=counts,
         feature_ids=feature_ids,
         seed=member("seed", np.uint64, 0),
         bootstrap=member("bootstrap", np.bool_, 0),

@@ -1,3 +1,4 @@
+import re
 import shutil
 from datetime import date, timedelta
 
@@ -809,6 +810,40 @@ def test_features_matches_snapshot_scoring_oracle(tmp_path, capsys, load_perfben
 
     oracles.score_snapshot_train_split(load_config(cfg)).to_csv(tmp_path / "features.csv")
     assert (out / "features" / "features.csv").read_bytes() == (tmp_path / "features.csv").read_bytes()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_snapshot_path_end_to_end(tmp_path, capsys, load_perfbench, seed):
+    """ingest, features, train and evaluate on a snapshot corpus, the paper's own path."""
+    corpus = load_perfbench("corpus")
+    cfg, truth = _small_corpus(tmp_path, corpus, seed)
+    with open(cfg, "a", encoding="utf-8") as fh:
+        fh.write("timesteps 5,15\n")
+    outs = [tmp_path / "out", tmp_path / "again"]
+    for out in outs:
+        for command in ("ingest", "features", "train", "evaluate"):
+            assert main([command, "--config", cfg, "--out", str(out)]) == 0, command
+        err = capsys.readouterr().err
+        assert set(re.findall(r"ingest: skipping drive (.+?): ", err)) == truth.skipped
+    # the cohorts hold every failed target drive but the skipped ones, each with
+    # its rows inside the cohort's lookback
+    cohorts = {}
+    for name, lookback in corpus.LOOKBACKS.items():
+        frames = ds.read_cohort_csv(outs[0] / "cohorts" / f"{name}.csv")
+        cohorts[name] = {f.serial: len(f.dates) for f in frames}
+        assert all(n == truth.rows[(serial, lookback)] for serial, n in cohorts[name].items())
+    assert cohorts["test60"].keys() == cohorts["test120"].keys()
+    assert sorted([*cohorts["train"], *cohorts["test60"]]) == sorted(set(truth.failed) - truth.skipped)
+    reports = [p for p in (outs[0] / "reports").iterdir() if not p.name.startswith("summary_")]
+    assert len(reports) == 2 * 5  # (LSTM, Bi-LSTM) x (5, 15) and the forest, on two cohorts
+    for path in reports:
+        report = ev.read_report_csv(path)
+        again = ev.evaluate_pairs(report.pairs[:, 0], report.pairs[:, 1],
+                                  model_id=report.model_id, cohort_id=report.cohort_id)
+        for metric in ("accuracy", "r2", "mae"):
+            assert getattr(again, metric) == pytest.approx(getattr(report, metric), abs=1e-12)
+    for sub in ("models", "reports"):
+        assert _file_bytes(outs[0] / sub) == _file_bytes(outs[1] / sub)
 
 
 @pytest.mark.parametrize("command,extra,named", [

@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hddrul import forest
+from hddrul.errors import ConfigError
+from hddrul.seeding import rng_for
 import oracles
 from oracles import brute_force_predictions
 
@@ -46,24 +48,39 @@ def test_tree_matches_oracle_with_exact_ties():
 
 def test_fitted_trees_own_their_node_arrays(rng):
     """A fitted tree holds its nodes only, not views of the 2n+1-slot growth arrays;
-    a forest's trees hold only the arrays predict reads."""
+    a forest holds only the arrays predict reads, each one block of all trees."""
     X = rng.normal(size=(40, 3))
     y = rng.normal(size=40)
     tree = forest.fit_tree(X, y)
-    trees = forest.fit_forest(X, y, n_estimators=3, seed=2).trees
     names = [*forest._NODES, "impurity", "n_node_samples"]
-    for t, owned in [(tree, names)] + [(t, list(forest._NODES)) for t in trees]:
-        assert all(getattr(t, name).base is None and len(getattr(t, name)) == t.n_nodes
-                   for name in owned)
-    assert all(t.impurity is None and t.n_node_samples is None for t in trees)
+    assert all(getattr(tree, name).base is None and len(getattr(tree, name)) == tree.n_nodes
+               for name in names)
+    model = forest.fit_forest(X, y, n_estimators=3, seed=2)
+    assert model.tree_nodes.dtype == np.int64 and len(model.tree_nodes) == 3
+    assert all(getattr(model, name).base is None
+               and len(getattr(model, name)) == model.tree_nodes.sum() for name in forest._NODES)
+
+
+def _tree_blocks(model):
+    """Each tree's (feature, threshold, left, value), sliced from the forest's arrays."""
+    ends = np.cumsum(model.tree_nodes)
+    return [[getattr(model, name)[end - n:end] for name in forest._NODES]
+            for n, end in zip(model.tree_nodes, ends)]
 
 
 def test_forest_is_mean_of_trees(rng):
     X = rng.normal(size=(30, 2))
     y = X[:, 0] + rng.normal(size=30) * 0.1
     model = forest.fit_forest(X, y, n_estimators=7, seed=5)
+    trees = []
+    for i in range(7):
+        rows = rng_for(5, f"tree-{i}").integers(0, 30, size=30)
+        trees.append(forest.fit_tree(X[rows], y[rows]))
+    # the forest's blocks are those trees, in order
+    for block, tree in zip(_tree_blocks(model), trees, strict=True):
+        assert _same_arrays(block, [getattr(tree, name) for name in forest._NODES])
     queries = rng.normal(size=(10, 2))
-    per_tree = np.stack([t.predict(queries) for t in model.trees])
+    per_tree = np.stack([t.predict(queries) for t in trees])
     assert model.predict(queries) == pytest.approx(per_tree.mean(axis=0), rel=1e-12)
 
 
@@ -96,11 +113,27 @@ def test_forest_prediction_tree_order_invariant(rng):
     model = forest.fit_forest(X, y, n_estimators=9, seed=2)
     queries = rng.normal(size=(6, 2))
     base = model.predict(queries)
+    order = rng.permutation(9)
+    blocks = _tree_blocks(model)
     shuffled = forest.RandomForest(
-        trees=[model.trees[i] for i in rng.permutation(9)],
-        feature_ids=model.feature_ids, seed=model.seed,
+        *(np.concatenate(arrays) for arrays in zip(*(blocks[i] for i in order))),
+        tree_nodes=model.tree_nodes[order], feature_ids=model.feature_ids, seed=model.seed,
     )
+    assert not np.array_equal(shuffled.feature, model.feature)
     assert shuffled.predict(queries) == pytest.approx(base, rel=1e-12)
+
+
+def test_forest_predict_rejects_wrong_width(rng):
+    model = forest.fit_forest(rng.normal(size=(20, 3)), rng.normal(size=20), n_estimators=2)
+    for width in (1, 6):
+        with pytest.raises(ConfigError, match=f"{width} columns"):
+            model.predict(rng.normal(size=(4, width)))
+
+
+def test_fit_forest_rejects_feature_ids_of_another_width(rng):
+    with pytest.raises(ValueError, match="feature_ids"):
+        forest.fit_forest(rng.normal(size=(10, 3)), rng.normal(size=10), n_estimators=2,
+                          feature_ids=[7])
 
 
 def test_forest_predictions_within_target_range(rng):
@@ -124,12 +157,9 @@ def test_forest_serialization_roundtrip(rng, tmp_path):
     assert np.array_equal(model.predict(queries), loaded.predict(queries))
     assert loaded.feature_ids == [7, 9]
     assert loaded.seed == 2**64 - 1 and loaded.bootstrap is True
-    # the file holds the arrays predict reads, not the ones only importances use
-    for got, want in zip(loaded.trees, model.trees):
-        assert _same_arrays(*([getattr(t, name) for name in forest._NODES] for t in (got, want)))
-        assert got.impurity is None and got.n_node_samples is None
-    with pytest.raises(ValueError, match="fit tree"):
-        loaded.trees[0].importance_raw(2)
+    # the file holds the forest's arrays as they are
+    names = [*forest._NODES, "tree_nodes"]
+    assert _same_arrays(*([getattr(f, name) for name in names] for f in (loaded, model)))
     # saving again gives the same bytes
     again = tmp_path / "again.model"
     forest.save_forest(loaded, again)
