@@ -130,7 +130,9 @@ def _parse_value(name: str, ftype: str, text: str):
     if ftype == "float":
         return float(text)
     if ftype == "bool":
-        return bool(int(text))
+        if text not in ("0", "1"):
+            raise ValueError(f"{text!r} is neither 0 nor 1")
+        return text == "1"
     return text
 
 
@@ -273,14 +275,16 @@ def _split_events(config: RunConfig):
 
     Returns ``(rows by serial, train events, test events)``, with each kept
     drive's :class:`~hddrul.dataset.DriveRows`; a corpus where no drive of the
-    model failed is a DataError. Each snapshot file is read once, last path
-    first, which is newest first for daily files. When a file ends, each of
-    its ``model_filter`` failures registers its drive's window, the failure
-    day and the longest lookback before it, and the files read after it keep
-    the drive's rows inside that window. A drive stops reporting after it
-    fails, so on daily files only its failure-day file was read before its
-    window: at the end, each file read before a drive's window was registered
-    is read again for that drive if its days meet the window. An earlier
+    model failed is a DataError. Every read is one
+    :func:`~hddrul.dataset.read_snapshot_csv` call. Each snapshot file is
+    read once, last path first, which is newest first for daily files. When
+    a file ends, each of its ``model_filter`` failures registers its drive's
+    window, the failure day and the longest lookback before it, and the files
+    read after it keep the drive's rows inside that window. A drive stops
+    reporting after it fails, so on daily files only its failure-day file was
+    read before its window: at the end, each file read before a drive's
+    window was registered is read again, with the windows of just those
+    drives, if its days meet one of them. An earlier
     failure of a drive found later registers the drive again with the earlier
     window and drops the rows kept so far. So memory scales with the failed
     drives, not with the corpus. The split is the seeded ``ingest_train_frac``
@@ -297,7 +301,7 @@ def _split_events(config: RunConfig):
     failures: list[ds.DriveRecord] = []
     kept = ds.KeptRows()
     for path in sorted(snapshot_dir.glob("*.csv"), reverse=True):
-        scan = ds.scan_snapshot_file(path, windows)
+        scan = ds.read_snapshot_csv(path, windows)
         read.append((path, scan.days))
         failures += scan.failures
         kept.update(scan.kept)
@@ -318,7 +322,7 @@ def _split_events(config: RunConfig):
             if days is not None and days[0] <= last and first <= days[1]:
                 rereads.setdefault(path, {})[serial] = (first, last)
     for path, wanted in rereads.items():
-        kept.update(ds.read_snapshot_csv(path, wanted))
+        kept.update(ds.read_snapshot_csv(path, wanted).kept)
 
     perm = np.random.default_rng(derive_seed(config.seed, "ingest/split")).permutation(len(events))
     n_train = max(1, min(len(events) - 1, round(len(events) * config.ingest_train_frac)))

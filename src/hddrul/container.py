@@ -46,7 +46,8 @@ def read(path: str | Path, kind: str, build):
     """``build(member)`` over the container at ``path``, which must be of ``kind``.
 
     ``member(name, dtype, ndim)`` returns the named array, or the Python value
-    of a 0-d one, after checking its dtype and dimensions. Every failure,
+    of a 0-d one, after checking its dtype and dimensions, and that a float64
+    one holds no NaN or infinity. Every failure,
     including a ``KeyError`` or ``ValueError`` that ``build`` raises for
     content that does not fit, is a DataError naming the file.
     """
@@ -60,6 +61,8 @@ def read(path: str | Path, kind: str, build):
             if array.dtype != dtype or array.ndim != ndim:
                 raise ValueError(f"{name} is {array.ndim}-d {array.dtype}, "
                                  f"expected {ndim}-d {np.dtype(dtype)}")
+            if array.dtype == np.float64 and not np.isfinite(array).all():
+                raise ValueError(f"{name} holds a value that is not finite")
             return array.item() if ndim == 0 else array
 
         return build(member)

@@ -8,15 +8,15 @@ into its drive's storage (:class:`KeptRows`, then :class:`DriveRows`): a list
 of days and a float64 matrix with one row per day and one column per
 attribute, NaN where a cell is missing, empty, unparseable or not finite. No
 dict is built per row.
-Ingest reads each file once with :func:`scan_snapshot_file`, newest first: it
-checks every row's identity cells, keeps the failure rows, and parses in full
-only the rows of drives whose failure window is already known. A drive's own
-failure-day file is read before its window is, so :func:`read_snapshot_csv`
-scans such a file again for just those drives. A scan splits a line only as
-far as it needs, parses each distinct (``date``, ``failure``) cell pair once
-per file, and sends a line holding a quote through ``csv.reader``. A drive that
-fails on several days counts as failed on the earliest
-(:func:`scan_failures`).
+Every snapshot read is one call of :func:`read_snapshot_csv`: it checks every
+row's identity cells, keeps the failure rows, and parses in full only the rows
+inside the windows it is given. Ingest reads each file once, newest first,
+with the windows of the drives whose failure is already known. A drive's own
+failure-day file is read before its window is, so ingest reads such a file
+again with just those drives' windows. A read splits a line only as far as it
+needs, parses each distinct (``date``, ``failure``) cell pair once per file,
+and sends a line holding a quote through ``csv.reader``. A drive that fails on
+several days counts as failed on the earliest (:func:`scan_failures`).
 
 A failed drive's history is turned into a :class:`LabeledSeries`: the rows
 covering the lookback window before failure, each labeled with its remaining
@@ -377,15 +377,20 @@ class KeptRows:
         return out
 
 
-class SnapshotScan(NamedTuple):
-    """What one read of a snapshot file gives ingest (see :func:`scan_snapshot_file`)."""
+@dataclass
+class SnapshotScan:
+    """What one read of a snapshot file gives (see :func:`read_snapshot_csv`);
+    ``len()`` counts the kept rows."""
 
     failures: list[DriveRecord]  # the failure rows, without attributes
     days: tuple[Date, Date] | None  # first and last day of its rows; None without rows
     kept: KeptRows  # the rows inside ``windows``
 
+    def __len__(self) -> int:
+        return len(self.kept)
 
-def scan_snapshot_file(path: str | Path, windows: dict[str, tuple[Date, Date]]) -> SnapshotScan:
+
+def read_snapshot_csv(path: str | Path, windows: dict[str, tuple[Date, Date]]) -> SnapshotScan:
     """Read one snapshot file: check every row, keep its failure rows and the rows in ``windows``.
 
     A row too short to hold the identity cells, a malformed date or a
@@ -438,12 +443,6 @@ def scan_snapshot_file(path: str | Path, windows: dict[str, tuple[Date, Date]]) 
                     kept.add(layout, row if line is None else line.split(","), day)
     days = [day for day, _ in seen.values()]
     return SnapshotScan(failures, (min(days), max(days)) if days else None, kept)
-
-
-def read_snapshot_csv(path: str | Path, windows: dict[str, tuple[Date, Date]]) -> KeptRows:
-    """The rows of one snapshot file that fall in ``windows``, every row checked
-    (the kept rows of :func:`scan_snapshot_file`)."""
-    return scan_snapshot_file(path, windows).kept
 
 
 # ---------------------------------------------------------------------------

@@ -170,7 +170,8 @@ def write_report_csv(report: EvalReport, path: str | Path) -> None:
 
 
 def read_report_csv(path: str | Path) -> EvalReport:
-    """Inverse of write_report_csv; a malformed or truncated file raises DataError naming it."""
+    """Inverse of write_report_csv; a malformed or truncated file, or a metric or
+    pair cell that is not a finite number, raises DataError naming it."""
     meta: dict[str, str] = {}
     pairs = []
     try:
@@ -185,14 +186,17 @@ def read_report_csv(path: str | Path) -> EvalReport:
                     pairs.append((float(a), float(p)))
         if len(pairs) != int(meta["samples"]):
             raise ValueError(f"{len(pairs)} rows, but the header says {meta['samples']}")
+        metrics = {name: float(meta[name]) for name in ("accuracy", "r2", "mae")}
+        values = np.array(pairs).reshape(-1, 2)
+        for name, value in [*metrics.items(), ("a pair cell", values)]:
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} is not a finite number")
         return EvalReport(
             model_id=meta["model"],
             timesteps=None if meta["timesteps"] == "NA" else int(meta["timesteps"]),
             cohort_id=meta["cohort"],
-            accuracy=float(meta["accuracy"]),
-            r2=float(meta["r2"]),
-            mae=float(meta["mae"]),
-            pairs=np.array(pairs).reshape(-1, 2),
+            pairs=values,
+            **metrics,
         )
     except (OSError, KeyError, ValueError) as exc:
         raise DataError(f"{path}: cannot read the report file ({type(exc).__name__}: {exc})") from exc

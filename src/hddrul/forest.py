@@ -2,8 +2,9 @@
 
 Trees are CART-style: at each node the split maximizing weighted variance
 reduction is chosen, with candidate thresholds at midpoints between
-consecutive distinct sorted values. Growth continues until a node is pure or
-unsplittable (no depth cap). Ties between equal-gain splits go to the lowest
+consecutive distinct sorted values. Growth continues until a node's targets
+are all equal (as a one-row node's are) or no split gains; there is no depth
+cap and no minimum node size. Ties between equal-gain splits go to the lowest
 feature index, then the lowest threshold; "equal" means within a small
 relative tolerance so that float noise cannot flip the choice.
 
@@ -66,9 +67,10 @@ def _best_split(X, y, s, s2, sse):
     return f, 0.5 * (xs[k, f] + xs[k + 1, f])
 
 
-def _grow_tree_arrays(X, y, min_samples_split):
-    """Depth-first growth; a split numbers its two children next, left first,
-    so the right child of node i is ``left[i] + 1``."""
+def _grow_tree_arrays(X, y):
+    """Depth-first growth until a node's targets are all equal or no split
+    gains; a split numbers its two children next, left first, so the right
+    child of node i is ``left[i] + 1``."""
     n = X.shape[0]
     max_nodes = 2 * n + 1
     feature = np.full(max_nodes, -1, dtype=np.int64)
@@ -94,7 +96,7 @@ def _grow_tree_arrays(X, y, min_samples_split):
         impurity[node] = sse / m
         counts[node] = m
 
-        if m < min_samples_split or ys.min() == ys.max():
+        if ys.min() == ys.max():  # a one-row node stops here too
             continue
         split = _best_split(X[rows], ys, s, s2, sse)
         if split is None:
@@ -166,7 +168,7 @@ def fit_tree(X: np.ndarray, y: np.ndarray) -> RegressionTree:
         raise ValueError("cannot fit a tree on zero rows")
     if X.shape[0] != y.shape[0]:
         raise ValueError("X and y row counts differ")
-    return RegressionTree(*_grow_tree_arrays(X, y, 2))
+    return RegressionTree(*_grow_tree_arrays(X, y))
 
 
 @dataclass

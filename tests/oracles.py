@@ -235,7 +235,7 @@ def _snapshot_header(path, reader):
 
 
 def read_failure_rows_csv(path):
-    """The failure rows of ``dataset.scan_snapshot_file`` over ``csv.reader``."""
+    """The failure rows of ``dataset.read_snapshot_csv`` over ``csv.reader``."""
     failures = []
     with ds._csv_reader(path) as reader:
         found = _snapshot_header(path, reader)
@@ -258,7 +258,7 @@ def read_failure_rows_csv(path):
 
 
 def read_snapshot_csv_csv(path, windows):
-    """The rows in ``windows`` that ``dataset.scan_snapshot_file`` keeps, over
+    """The rows in ``windows`` that ``dataset.read_snapshot_csv`` keeps, over
     ``csv.reader``; only the rows of those drives are checked."""
     records = []
     with ds._csv_reader(path) as reader:

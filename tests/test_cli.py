@@ -619,43 +619,60 @@ def _small_corpus(tmp_path, corpus, seed):
     return cfg, truth
 
 
+def _rows_in_windows(corpus, truth):
+    """The rows ingest keeps over all its reads: each failed target drive's rows
+    inside its longest lookback, and the duplicated day of a skipped drive twice."""
+    longest = max(corpus.LOOKBACKS.values())
+    return sum(truth.rows[(serial, longest)] for serial in truth.failed) + len(truth.skipped)
+
+
+def _failure_day_files(truth):
+    return {f"{day.isoformat()}.csv" for day in truth.failed.values()}
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_streaming_ingest_matches_one_pass_oracle(tmp_path, monkeypatch, load_perfbench, seed):
     corpus = load_perfbench("corpus")
     cfg, truth = _small_corpus(tmp_path, corpus, seed)
-    lookbacks = corpus.LOOKBACKS
-    scans, reread = [], []
-    scan_snapshot_file, read_snapshot_csv = ds.scan_snapshot_file, ds.read_snapshot_csv
+    reads = []
+    read_snapshot_csv = ds.read_snapshot_csv
 
-    def scanning(path, windows):
-        scan = scan_snapshot_file(path, windows)
-        scans.append((path.name, len(scan.kept)))
+    def reading(path, windows):
+        scan = read_snapshot_csv(path, windows)
+        reads.append((path.name, len(scan)))
         return scan
 
-    def rereading(path, windows):
-        reread.append(path.name)
-        return read_snapshot_csv(path, windows)
-
     with monkeypatch.context() as patch:
-        patch.setattr(ds, "scan_snapshot_file", scanning)
-        patch.setattr(ds, "read_snapshot_csv", rereading)
+        patch.setattr(ds, "read_snapshot_csv", reading)
         assert main(["ingest", "--config", cfg, "--out", str(tmp_path / "stream")]) == 0
     with monkeypatch.context() as patch:
         patch.setattr(cli, "_split_events", oracles.split_events_one_pass)
         assert main(["ingest", "--config", cfg, "--out", str(tmp_path / "oracle")]) == 0
 
     _assert_same_cohorts(tmp_path)
-    # the single read and the re-reads keep each failed target drive's rows
-    # inside its longest lookback, the duplicated day of a skipped drive twice,
-    # and nothing else
-    longest = max(lookbacks.values())
-    in_windows = sum(truth.rows[(serial, longest)] for serial in truth.failed) + len(truth.skipped)
-    assert sum(n for _, n in scans) == in_windows < truth.rows_total / 2
-    # every file is read once, and only the failure-day files again, once each
-    files = sorted(path.name for path in (tmp_path / "snapshots").glob("*.csv"))
-    assert sorted(name for name, _ in scans) == sorted(files + reread)
+    # the single pass and the re-reads keep the rows in the windows and nothing else
+    assert sum(n for _, n in reads) == _rows_in_windows(corpus, truth) < truth.rows_total / 2
+    # every file is read once, newest first, and only the failure-day files
+    # again, once each
+    files = sorted((path.name for path in (tmp_path / "snapshots").glob("*.csv")), reverse=True)
+    names = [name for name, _ in reads]
+    assert names[:len(files)] == files
+    reread = names[len(files):]
     assert len(reread) == len(set(reread))
-    assert set(reread) == {f"{day.isoformat()}.csv" for day in truth.failed.values()}
+    assert set(reread) == _failure_day_files(truth)
+
+
+def test_traced_ingest_times_every_snapshot_read(tmp_path, load_perfbench):
+    """The benchmark's tracer sees every snapshot read of an ingest: one span per
+    read, and the kept rows of all of them as ``dataset.rows_parsed``."""
+    corpus, tracer = load_perfbench("corpus"), load_perfbench("tracer")
+    cfg, truth = _small_corpus(tmp_path, corpus, 1)
+    traced = tracer.Tracer()
+    with tracer.installed(traced):
+        assert main(["ingest", "--config", cfg]) == 0
+    n_files = len(list((tmp_path / "snapshots").glob("*.csv")))
+    assert traced.calls()["dataset.read_snapshot_csv"] == n_files + len(_failure_day_files(truth))
+    assert traced.counts["dataset.rows_parsed"] == _rows_in_windows(corpus, truth)
 
 
 def _ingest_both_ways(tmp_path, cfg):
@@ -863,10 +880,12 @@ def test_snapshot_path_end_to_end(tmp_path, capsys, load_perfbench, seed):
     ("train", "learning_rate -0.001\n", "learning_rate"),
     ("train", "learning_rate nan\n", "learning_rate"),
     ("train", "features 7,7\n", "features"),
+    ("evaluate", "clip_predictions 2\n", "bad.cfg:19: bad value for clip_predictions"),
+    ("train", "rf_bootstrap -1\n", "bad.cfg:19: bad value for rf_bootstrap"),
 ], ids=["batch_size", "hidden_size", "rf_estimators", "epochs", "lookback_test", "jump_day",
         "synth_features", "synth_noise", "missing_file", "empty_timesteps", "dup_timesteps",
         "negative_grad_clip", "nan_grad_clip", "negative_learning_rate", "nan_learning_rate",
-        "dup_features"])
+        "dup_features", "bool_two", "bool_negative"])
 def test_bad_config_exits_one(tmp_path, capsys, command, extra, named):
     out = tmp_path / "out"
     assert main(["synth", "--config", _config_file(tmp_path, out)]) == 0
@@ -940,14 +959,49 @@ def test_repeated_attribute_is_data_error(tiny_run, tmp_path, capsys, name, comm
     lambda text: text.replace("# model lstm_t3\n", ""),
     lambda text: text + "3,four\n",
     lambda text: text.rsplit("\n", 2)[0] + "\n",  # last row cut off
-], ids=["no_model_line", "bad_number", "missing_row"])
+    lambda text: re.sub(r"# accuracy .*", "# accuracy nan", text),
+    lambda text: re.sub(r"# r2 .*", "# r2 inf", text),
+    lambda text: re.sub(r"\n[^\n]*\n$", "\n1,nan\n", text),  # the last pair
+], ids=["no_model_line", "bad_number", "missing_row", "nan_accuracy", "inf_r2", "nan_pair"])
 def test_malformed_report_is_data_error(tiny_run, tmp_path, capsys, edit):
     args = _copy_run(tiny_run, tmp_path / "run")
     path = tmp_path / "run" / "out" / "reports" / "lstm_t3_test60.csv"
-    path.write_text(edit(path.read_text()))
+    text = path.read_text()
+    path.write_text(edit(text))
+    assert path.read_text() != text
     capsys.readouterr()
     assert main(["report", *args]) == 2
     assert str(path) in capsys.readouterr().err
+
+
+def _set_model_member(path, name, index, value):
+    with np.load(path) as archive:
+        members = dict(archive)
+    members[name][index] = value
+    with open(path, "wb") as fh:
+        np.savez(fh, **members)
+
+
+@pytest.mark.parametrize("name,member,index,value", [
+    ("bilstm_t3.model", "forward.w_x", (0, 0), np.nan),
+    ("forest.model", "threshold", 0, np.nan),
+    ("forest.model", "value", -1, np.inf),
+], ids=["bilstm_weight", "forest_threshold", "forest_value"])
+@pytest.mark.parametrize("command", ["evaluate", "predict"])
+def test_non_finite_model_is_data_error(tiny_run, tmp_path, capsys, command, name, member,
+                                        index, value):
+    """A model file holding a NaN or an infinity ends in exit 2 naming it, and
+    ``evaluate`` writes no report from it."""
+    dest = tmp_path / "run"
+    args = _copy_run(tiny_run, dest)
+    shutil.rmtree(dest / "out" / "reports")
+    path = dest / "out" / "models" / name
+    _set_model_member(path, member, index, value)
+    capsys.readouterr()
+    assert main([command, *args, *_input_args(command, dest, model=name)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and f"{member} holds a value that is not finite" in err
+    assert not any((dest / "out" / "reports").glob(f"{name.split('.')[0]}_*.csv"))
 
 
 @pytest.mark.parametrize("name,command", [

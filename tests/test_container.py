@@ -70,9 +70,13 @@ def _directory(path):
     (_save_forest, _write(lambda raw: b"junk" + raw), forest.load_forest),
     (_save_lstm, _bare_npy, neural.load_model),
     (_save_lstm, _directory, neural.load_model),
+    (_save_lstm, _members(lambda m: m["forward.w_x"].__setitem__((0, 0), np.nan)),
+     neural.load_model),
+    (_save_forest, _members(lambda m: m["threshold"].__setitem__(0, np.nan)), forest.load_forest),
+    (_save_forest, _members(lambda m: m["value"].__setitem__(-1, np.inf)), forest.load_forest),
 ], ids=["param_shape", "timesteps", "seed_dtype", "link_backward", "feature_past_ids",
         "node_count", "forest_as_lstm", "version", "kind", "missing_member", "empty", "truncated",
-        "junk_prefix", "bare_npy", "directory"])
+        "junk_prefix", "bare_npy", "directory", "nan_weight", "nan_threshold", "inf_value"])
 def test_bad_container_is_data_error(tmp_path, save, damage, load):
     path = tmp_path / "x.model"
     save(path)

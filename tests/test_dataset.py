@@ -19,19 +19,14 @@ HEADER = [
 
 def _read_row(tmp_path, row):
     """The failure rows and the kept rows of a snapshot file holding ``row``
-    after one good row, as both reads see them."""
+    after one good row."""
     path = tmp_path / "day.csv"
     good = ["2020-01-04", "Y1", "M", "0", "0", "1", "100", "2"]
     path.write_text("\n".join(",".join(r) for r in (HEADER, good, row)) + "\n")
-    windows = {"Z12": (date(2020, 1, 1), date(2020, 1, 9))}
-    scan = ds.scan_snapshot_file(path, windows)
-    kept = ds.read_snapshot_csv(path, windows).drives()
-    assert scan.kept.drives().keys() == kept.keys() == {"Z12"}
-    got, want = scan.kept.drives()["Z12"], kept["Z12"]
-    assert (got.serial, got.model, got.feature_ids, got.dates) == (
-        want.serial, want.model, want.feature_ids, want.dates)
-    assert got.values.tobytes() == want.values.tobytes()
-    return scan.failures, want
+    scan = ds.read_snapshot_csv(path, {"Z12": (date(2020, 1, 1), date(2020, 1, 9))})
+    kept = scan.kept.drives()
+    assert kept.keys() == {"Z12"} and len(scan) == 1
+    return scan.failures, kept["Z12"]
 
 
 def test_parse_row_basic_fields(tmp_path):
@@ -161,23 +156,22 @@ def _kept_csv(records):
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=_snapshot_text(), windows=_WINDOWS)
 def test_snapshot_passes_match_csv_reader_oracle(tmp_path, text, windows):
-    """A scan gives the failure rows and the rows in ``windows``, or the error,
-    of a csv.reader over every row; a re-read gives the same rows."""
+    """A read gives the failure rows and the rows in ``windows``, or the error,
+    of a csv.reader over every row."""
     path = tmp_path / "day.csv"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(text)
-    scan = _outcome(ds.scan_snapshot_file, path, windows)
+    scan = _outcome(ds.read_snapshot_csv, path, windows)
     failures = _outcome(oracles.read_failure_rows_csv, path)
     if failures[0] != "ok":
         assert scan == failures
         return
     assert scan[1].failures == failures[1]
     assert _kept(scan[1].kept) == _kept_csv(oracles.read_snapshot_csv_csv(path, windows))
-    assert _kept(ds.read_snapshot_csv(path, windows)) == _kept(scan[1].kept)
 
 
 def test_read_failure_rows_streams(tmp_path):
-    """The scan holds a few lines of a file at a time, never the whole file."""
+    """A read holds a few lines of a file at a time, never the whole file."""
     path = tmp_path / "day.csv"
     header = ",".join(SNAPSHOT_COLUMNS[:5] + [f"smart_{i}_raw" for i in range(90)])
     tail = ",".join(str(1000 + i) for i in range(90))
@@ -189,7 +183,7 @@ def test_read_failure_rows_streams(tmp_path):
     assert size > 20_000_000
     tracemalloc.start()
     try:
-        failures = ds.scan_snapshot_file(path, {}).failures
+        failures = ds.read_snapshot_csv(path, {}).failures
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -220,7 +214,7 @@ def test_kept_rows_take_a_float64_row_each(tmp_path):
     try:
         kept = ds.KeptRows()
         for path in paths:
-            kept.update(ds.scan_snapshot_file(path, windows).kept)
+            kept.update(ds.read_snapshot_csv(path, windows).kept)
         held, _ = tracemalloc.get_traced_memory()
         drives = kept.drives()
         del kept
@@ -242,13 +236,13 @@ def test_snapshot_cell_size(tmp_path):
     huge = "0" * 200_000 + "5"
     path.write_text(header + f"2020-01-05,A,M,1,{huge},{'1' * 200_000}\n")
     window = {"A": (date(2020, 1, 5), date(2020, 1, 5))}
-    rows = ds.read_snapshot_csv(path, window).drives()["A"]
+    rows = ds.read_snapshot_csv(path, window).kept.drives()["A"]
     assert rows.values[0, 0] == 5.0 and np.isnan(rows.values[0, 1])
     path.write_text(header + f'2020-01-05,A,M,1,"{huge}",7\n')
-    for read in (lambda p: ds.scan_snapshot_file(p, {}), lambda p: ds.read_snapshot_csv(p, window)):
+    for windows in ({}, window):
         with pytest.raises(SnapshotParseError,
                            match=re.escape(f"{path}: row 1: field larger than field limit")):
-            read(path)
+            ds.read_snapshot_csv(path, windows)
 
 
 def _record(serial, day, model="M", failed=False, smart=None):

@@ -170,13 +170,14 @@ def _same_arrays(got, want):
     return all(np.array_equal(g, w) and g.dtype == w.dtype for g, w in zip(got, want))
 
 
-def _oracle_tree(X, y, min_samples_split):
-    """The scalar oracle's node arrays without ``right``, and ``right`` apart.
+def _oracle_tree(X, y):
+    """The scalar oracle's node arrays (grown with ``min_samples_split`` 2)
+    without ``right``, and ``right`` apart.
 
     The library derives an inner node's right child as ``left + 1``; the
     oracle still links it, so check that they agree.
     """
-    feature, threshold, left, right, *rest = oracles._grow_tree_arrays(X, y, min_samples_split)
+    feature, threshold, left, right, *rest = oracles._grow_tree_arrays(X, y, 2)
     inner = feature >= 0
     assert np.array_equal(right[inner], left[inner] + 1)
     return (feature, threshold, left, *rest), right
@@ -192,8 +193,8 @@ def test_tree_kernels_match_scalar_oracle(rng):
         n = int(rng.integers(1, 80))
         X = rng.normal(size=(n, int(rng.integers(1, 5))))
         y = rng.normal(size=n)
-        arrays = forest._grow_tree_arrays(X, y, 2)
-        want, right = _oracle_tree(X, y, 2)
+        arrays = forest._grow_tree_arrays(X, y)
+        want, right = _oracle_tree(X, y)
         assert _same_arrays(arrays, want), f"trial {trial}"
         queries = np.vstack([X, rng.normal(size=(10, X.shape[1]))])
         queries[rng.random(queries.shape) < 0.1] = np.nan  # a NaN goes right
@@ -210,16 +211,16 @@ def _tie_heavy_data(draw):
     y = np.array(draw(st.lists(cells, min_size=n, max_size=n)))
     # large targets make float noise in tied gains exceed the absolute tolerance
     y *= draw(st.sampled_from([1.0, 0.1, 1e7 / 3]))
-    return X, y, draw(st.integers(2, 4))
+    return X, y
 
 
 @given(_tie_heavy_data())
 @settings(deadline=None, max_examples=150)
 def test_grow_kernel_matches_scalar_oracle_on_tie_heavy_trees(data):
     # small integers make many exactly tied gains and equal feature values
-    X, y, min_samples_split = data
-    arrays = forest._grow_tree_arrays(X, y, min_samples_split)
-    want, right = _oracle_tree(X, y, min_samples_split)
+    X, y = data
+    arrays = forest._grow_tree_arrays(X, y)
+    want, right = _oracle_tree(X, y)
     assert _same_arrays(arrays, want)
     assert np.array_equal(forest._predict_tree_arrays(*arrays[:4], X),
                           _oracle_predict(arrays, right, X))
@@ -243,7 +244,7 @@ def test_importance_matches_node_loop(rng):
         X = rng.normal(size=(n, n_features))
         y = rng.normal(size=n)
         tree = forest.fit_tree(X, y)
-        _, right = _oracle_tree(X, y, 2)
+        _, right = _oracle_tree(X, y)
         got = tree.importance_raw(n_features + 1)
         assert np.array_equal(got, _importance_loop(tree, right, n_features + 1)), f"trial {trial}"
 
