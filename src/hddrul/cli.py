@@ -78,6 +78,8 @@ class RunConfig:
             raise ConfigError("timesteps must lie in 1..lookback_train")
         if len(set(self.timesteps)) != len(self.timesteps):
             raise ConfigError("timesteps must not repeat a window length")
+        if self.features is not None and not self.features:
+            raise ConfigError("features must name at least one attribute, or be 'default'")
         if self.features is not None and len(set(self.features)) != len(self.features):
             raise ConfigError("features must not repeat an attribute")
         for name in ("lookback_train", "lookback_test", "lookback_extrap", "cap",
@@ -276,17 +278,18 @@ def _split_events(config: RunConfig):
     Returns ``(rows by serial, train events, test events)``, with each kept
     drive's :class:`~hddrul.dataset.DriveRows`; a corpus where no drive of the
     model failed is a DataError. Every read is one
-    :func:`~hddrul.dataset.read_snapshot_csv` call. Each snapshot file is
-    read once, last path first, which is newest first for daily files. When
-    a file ends, each of its ``model_filter`` failures registers its drive's
-    window, the failure day and the longest lookback before it, and the files
-    read after it keep the drive's rows inside that window. A drive stops
-    reporting after it fails, so on daily files only its failure-day file was
-    read before its window: at the end, each file read before a drive's
-    window was registered is read again, with the windows of just those
-    drives, if its days meet one of them. An earlier
-    failure of a drive found later registers the drive again with the earlier
-    window and drops the rows kept so far. So memory scales with the failed
+    :func:`~hddrul.dataset.read_snapshot_csv` call, and every read adds its
+    rows to the run's one :class:`~hddrul.dataset.KeptRows`. Each snapshot
+    file is read once, last path first, which is newest first for daily
+    files. When a file ends, each of its ``model_filter`` failures registers
+    its drive's window, the failure day and the longest lookback before it,
+    and the files read after it keep the drive's rows inside that window. A
+    drive stops reporting after it fails, so on daily files only its
+    failure-day file was read before its window: at the end, each file read
+    before a drive's window was registered is read again, with the windows
+    of just those drives, if its days meet one of them. An earlier failure
+    of a drive found later registers the drive again with the earlier window
+    and drops the rows kept so far. So memory scales with the failed
     drives, not with the corpus. The split is the seeded ``ingest_train_frac``
     draw.
     """
@@ -301,10 +304,9 @@ def _split_events(config: RunConfig):
     failures: list[ds.DriveRecord] = []
     kept = ds.KeptRows()
     for path in sorted(snapshot_dir.glob("*.csv"), reverse=True):
-        scan = ds.read_snapshot_csv(path, windows)
+        scan = ds.read_snapshot_csv(path, windows, kept)
         read.append((path, scan.days))
         failures += scan.failures
-        kept.update(scan.kept)
         for rec in scan.failures:
             window = windows.get(rec.serial)
             if rec.model != config.model_filter or (window and window[1] <= rec.date):
@@ -322,7 +324,7 @@ def _split_events(config: RunConfig):
             if days is not None and days[0] <= last and first <= days[1]:
                 rereads.setdefault(path, {})[serial] = (first, last)
     for path, wanted in rereads.items():
-        kept.update(ds.read_snapshot_csv(path, wanted).kept)
+        ds.read_snapshot_csv(path, wanted, kept)
 
     perm = np.random.default_rng(derive_seed(config.seed, "ingest/split")).permutation(len(events))
     n_train = max(1, min(len(events) - 1, round(len(events) * config.ingest_train_frac)))
@@ -430,9 +432,9 @@ def cmd_train(config: RunConfig) -> int:
     (out / "traces").mkdir(parents=True, exist_ok=True)
 
     standardized = [pp.standardize_per_device(f.select(selected)) for f in frames]
-    for arch, bidirectional in (("lstm", False), ("bilstm", True)):
-        for timesteps in config.timesteps:
-            windows = pp.window(standardized, timesteps)
+    for timesteps in config.timesteps:
+        windows = pp.window(standardized, timesteps)  # both architectures train on them
+        for arch, bidirectional in (("lstm", False), ("bilstm", True)):
             settings = neural.TrainSettings(
                 bidirectional=bidirectional,
                 hidden_size=config.hidden_size,

@@ -10,8 +10,9 @@ attribute, NaN where a cell is missing, empty, unparseable or not finite. No
 dict is built per row.
 Every snapshot read is one call of :func:`read_snapshot_csv`: it checks every
 row's identity cells, keeps the failure rows, and parses in full only the rows
-inside the windows it is given. Ingest reads each file once, newest first,
-with the windows of the drives whose failure is already known. A drive's own
+inside the windows it is given, adding them to the caller's :class:`KeptRows`;
+ingest gives all its reads one store. Ingest reads each file once, newest
+first, with the windows of the drives whose failure is already known. A drive's own
 failure-day file is read before its window is, so ingest reads such a file
 again with just those drives' windows. A read splits a line only as far as it
 needs, parses each distinct (``date``, ``failure``) cell pair once per file,
@@ -169,8 +170,8 @@ class SynthConfig:
             raise ValueError("n_drives, lookback_days and n_features must be >= 1")
         if not 0 <= self.jump_day < self.lookback_days:
             raise ValueError("jump_day must satisfy 0 <= jump_day < lookback_days")
-        if not self.noise_scale >= 0.0:
-            raise ValueError("noise_scale must be >= 0")
+        if not (math.isfinite(self.noise_scale) and self.noise_scale >= 0.0):
+            raise ValueError("noise_scale must be a finite number >= 0")
         if self.n_features > len(_SYNTH_ID_POOL):
             raise ValueError(f"at most {len(_SYNTH_ID_POOL)} synthetic features supported")
 
@@ -322,17 +323,15 @@ class _Block(NamedTuple):
 class KeptRows:
     """Snapshot rows of some drives, stored per drive as they are read.
 
-    A drive holds its model (that of its first row) and blocks of rows read
-    with the same attribute columns: their days and their float64 cells, row
-    after row, NaN for a missing, empty or unparseable cell. ``len()`` counts
-    rows. :meth:`drives` turns each drive into :class:`DriveRows`.
+    One store takes the rows of every read of a run (:func:`read_snapshot_csv`
+    adds to the store it is given). A drive holds its model (that of its first
+    row) and blocks of rows read with the same attribute columns: their days
+    and their float64 cells, row after row, NaN for a missing, empty or
+    unparseable cell. :meth:`drives` turns each drive into :class:`DriveRows`.
     """
 
     def __init__(self):
         self._drives: dict[str, tuple[str, list[_Block]]] = {}
-
-    def __len__(self) -> int:
-        return sum(len(b.dates) for _, blocks in self._drives.values() for b in blocks)
 
     def add(self, layout: _Layout, row: Sequence[str], day: Date) -> None:
         """Keep a row whose identity cells passed :func:`_row_identity`."""
@@ -346,17 +345,6 @@ class KeptRows:
             block.cells.fromlist([float(c) if c else math.nan for c in [row[j] for j in layout.columns]])
         except (IndexError, ValueError):
             block.cells.fromlist([_cell_value(row, j) for j in layout.columns])
-
-    def update(self, other: "KeptRows") -> None:
-        """Append the rows of ``other``, which must not be used afterwards."""
-        for serial, (model, blocks) in other._drives.items():
-            mine = self._drives.setdefault(serial, (model, []))[1]
-            for block in blocks:
-                if mine and mine[-1].feature_ids == block.feature_ids:
-                    mine[-1].dates.extend(block.dates)
-                    mine[-1].cells.extend(block.cells)
-                else:
-                    mine.append(block)
 
     def pop(self, serial: str) -> None:
         """Forget the rows of ``serial``."""
@@ -380,18 +368,20 @@ class KeptRows:
 @dataclass
 class SnapshotScan:
     """What one read of a snapshot file gives (see :func:`read_snapshot_csv`);
-    ``len()`` counts the kept rows."""
+    ``len()`` counts the rows it added to the caller's :class:`KeptRows`."""
 
     failures: list[DriveRecord]  # the failure rows, without attributes
     days: tuple[Date, Date] | None  # first and last day of its rows; None without rows
-    kept: KeptRows  # the rows inside ``windows``
+    n_kept: int  # the rows inside ``windows``
 
     def __len__(self) -> int:
-        return len(self.kept)
+        return self.n_kept
 
 
-def read_snapshot_csv(path: str | Path, windows: dict[str, tuple[Date, Date]]) -> SnapshotScan:
-    """Read one snapshot file: check every row, keep its failure rows and the rows in ``windows``.
+def read_snapshot_csv(path: str | Path, windows: dict[str, tuple[Date, Date]],
+                      kept: KeptRows) -> SnapshotScan:
+    """Read one snapshot file: check every row, keep its failure rows, and add
+    the rows in ``windows`` to ``kept``.
 
     A row too short to hold the identity cells, a malformed date or a
     non-numeric failure flag raises :class:`SnapshotParseError` naming the
@@ -399,17 +389,19 @@ def read_snapshot_csv(path: str | Path, windows: dict[str, tuple[Date, Date]]) -
     ``enumerate(csv.reader(fh), start=1)`` does, blank lines included. The
     failure rows come back without attributes (an empty ``smart`` map).
     ``windows`` maps a serial to its first and last wanted day; a row of
-    such a serial inside them is kept in full. Every other unquoted line is
-    split only up to its identity cells, so unquoted cells have no size
-    limit. A line holding a quote is parsed by csv, with any following lines
-    a quoted cell spans; a csv error there is a :class:`SnapshotParseError`.
+    such a serial inside them is added to ``kept`` in full, after the rows
+    already there (a read that raises may have added some). Every other
+    unquoted line is split only up to its identity cells, so unquoted cells
+    have no size limit. A line holding a quote is parsed by csv, with any
+    following lines a quoted cell spans; a csv error there is a
+    :class:`SnapshotParseError`.
     """
     failures: list[DriveRecord] = []
-    kept = KeptRows()
+    n_kept = 0
     with _text_file(path) as fh:
         layout = _snapshot_layout(path, fh)
         if layout is None:
-            return SnapshotScan(failures, None, kept)
+            return SnapshotScan(failures, None, 0)
         width, serial_col = layout.width, layout.serial
         seen: dict[tuple[str, str] | None, tuple[Date, bool]] = {}  # see _row_identity
         for row_index, line in enumerate(fh, start=1):
@@ -441,8 +433,9 @@ def read_snapshot_csv(path: str | Path, windows: dict[str, tuple[Date, Date]]) -
                 window = windows.get(row[serial_col].strip())
                 if window is not None and window[0] <= day <= window[1]:
                     kept.add(layout, row if line is None else line.split(","), day)
+                    n_kept += 1
     days = [day for day, _ in seen.values()]
-    return SnapshotScan(failures, (min(days), max(days)) if days else None, kept)
+    return SnapshotScan(failures, (min(days), max(days)) if days else None, n_kept)
 
 
 # ---------------------------------------------------------------------------

@@ -86,7 +86,7 @@ def tree_importances(
         raise ValueError("need at least two rows")
     if X.shape[1] != len(attribute_ids):
         raise ValueError("attribute_ids must match the columns of X")
-    raw = forest.fit_tree(X, y).importance_raw(X.shape[1])
+    raw = forest.fit_tree(X, y).importance
     total = raw.sum()
     norm = raw / total if total > 0.0 else np.zeros_like(raw)
     return TreeImportances(dict(zip(attribute_ids, norm.tolist())))

@@ -6,7 +6,9 @@ consecutive distinct sorted values. Growth continues until a node's targets
 are all equal (as a one-row node's are) or no split gains; there is no depth
 cap and no minimum node size. Ties between equal-gain splits go to the lowest
 feature index, then the lowest threshold; "equal" means within a small
-relative tolerance so that float noise cannot flip the choice.
+relative tolerance so that float noise cannot flip the choice. Growth also
+sums each feature's squared-error decrease over the splits, the importance
+that attribute scoring reads from its one tree.
 
 The forest fits each tree on a bootstrap resample (size n, with replacement)
 drawn from a per-tree seeded stream, and predicts the mean of its trees. No
@@ -70,15 +72,18 @@ def _best_split(X, y, s, s2, sse):
 def _grow_tree_arrays(X, y):
     """Depth-first growth until a node's targets are all equal or no split
     gains; a split numbers its two children next, left first, so the right
-    child of node i is ``left[i] + 1``."""
+    child of node i is ``left[i] + 1``.
+
+    Returns ``(feature, threshold, left, value, importance)``: the node arrays
+    and each feature's total squared-error decrease over the inner nodes.
+    """
     n = X.shape[0]
     max_nodes = 2 * n + 1
     feature = np.full(max_nodes, -1, dtype=np.int64)
     threshold = np.zeros(max_nodes)
     left = np.full(max_nodes, -1, dtype=np.int64)
     value = np.zeros(max_nodes)
-    impurity = np.zeros(max_nodes)
-    counts = np.zeros(max_nodes, dtype=np.int64)
+    node_sse = np.zeros(max_nodes)
 
     stack = [(0, np.arange(n))]
     n_nodes = 1
@@ -93,8 +98,7 @@ def _grow_tree_arrays(X, y):
         if sse < 0.0:
             sse = 0.0
         value[node] = s / m
-        impurity[node] = sse / m
-        counts[node] = m
+        node_sse[node] = sse / m * m  # impurity times rows, whose bits the importance sums
 
         if ys.min() == ys.max():  # a one-row node stops here too
             continue
@@ -110,8 +114,15 @@ def _grow_tree_arrays(X, y):
         stack.append((left[node] + 1, rows[~goes_left]))
         stack.append((left[node], rows[goes_left]))
 
+    inner = feature >= 0  # the unused slots are -1 too
+    children = left[inner]
+    # bincount adds in node order, as a loop over the nodes would; without a
+    # split it counts nothing and gives int64 zeros
+    importance = np.bincount(feature[inner], minlength=X.shape[1],
+                             weights=node_sse[inner] - node_sse[children] - node_sse[children + 1])
+    importance = importance.astype(np.float64, copy=False)
     # copies, so that a fitted tree does not keep all 2n+1 slots alive
-    return tuple(a[:n_nodes].copy() for a in (feature, threshold, left, value, impurity, counts))
+    return (*(a[:n_nodes].copy() for a in (feature, threshold, left, value)), importance)
 
 
 def _predict_tree_arrays(feature, threshold, left, value, X):
@@ -131,16 +142,15 @@ class RegressionTree:
     """Flat node arrays; ``feature[i] == -1`` marks a leaf, and an inner node's
     children are ``left[i]`` and ``left[i] + 1``.
 
-    ``impurity`` and ``n_node_samples`` serve :meth:`importance_raw` only; a
-    forest keeps neither.
+    ``importance`` is the total squared-error decrease attributed to each
+    column of the fit's ``X``; a forest does not keep it.
     """
 
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
     value: np.ndarray
-    impurity: np.ndarray
-    n_node_samples: np.ndarray
+    importance: np.ndarray
 
     @property
     def n_nodes(self) -> int:
@@ -149,15 +159,6 @@ class RegressionTree:
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.ascontiguousarray(np.atleast_2d(X), dtype=np.float64)
         return _predict_tree_arrays(self.feature, self.threshold, self.left, self.value, X)
-
-    def importance_raw(self, n_features: int) -> np.ndarray:
-        """Total squared-error decrease attributed to each feature."""
-        inner = self.feature >= 0
-        left = self.left[inner]
-        sse = self.impurity * self.n_node_samples
-        # bincount adds in node order, as a loop over the nodes would
-        return np.bincount(self.feature[inner], weights=sse[inner] - sse[left] - sse[left + 1],
-                           minlength=n_features)
 
 
 def fit_tree(X: np.ndarray, y: np.ndarray) -> RegressionTree:

@@ -105,12 +105,14 @@ def test_load_config_requires_schema_version(tmp_path):
 
 
 def test_flags_override_config(tmp_path):
+    """A flag wins over its config key; --lookback sets lookback_train and lookback_test."""
     out = tmp_path / "out"
     cfg = _config_file(tmp_path, out)
-    rc = main(["synth", "--config", cfg, "--seed", "777", "--out", str(tmp_path / "other")])
+    rc = main(["synth", "--config", cfg, "--seed", "777", "--lookback", "9",
+               "--out", str(tmp_path / "other")])
     assert rc == 0
-    text = (tmp_path / "other" / "run_config.txt").read_text()
-    assert "seed 777" in text
+    lines = (tmp_path / "other" / "run_config.txt").read_text().splitlines()
+    assert {"seed 777", "lookback_train 9", "lookback_test 9", "lookback_extrap 20"} <= set(lines)
 
 
 def test_synth_outputs_and_determinism(tmp_path):
@@ -299,6 +301,16 @@ def test_predict_forest_matches_library(tiny_run, tmp_path):
     assert [float(line.split(",")[1]) for line in lines[1:]] == expected.tolist()
 
 
+def test_predict_without_prediction_out_writes_stdout(tiny_run, tmp_path, capsys):
+    dest = tmp_path / "run"
+    args = _copy_run(tiny_run, dest) + _input_args("predict", dest)
+    assert main(["predict", *args]) == 0
+    capsys.readouterr()
+    assert main(["predict", *args[:-2]]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("date,predicted_rul\n") and out == (dest / "prediction.csv").read_text()
+
+
 def test_clip_predictions_bounds_every_estimate(tiny_run, tmp_path):
     # cap 4 lies below the training cap of 8, so the forest's leaf means exceed it too
     dest = tmp_path / "run"
@@ -377,16 +389,28 @@ def test_unwritable_output_exits_one(tiny_run, tmp_path, capsys, command):
     assert str(path) in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("command,error", [("train", "cohort file"),
-                                           ("evaluate", "missing model files")],
-                         ids=["train", "evaluate"])
-def test_missing_input_creates_nothing(tmp_path, capsys, command, error):
-    """train without cohorts and evaluate without models exit 1 and leave the
-    out directory as they found it."""
+@pytest.mark.parametrize("command,extra,args,error", [
+    ("train", "", [], "cohort file"),
+    ("evaluate", "", [], "missing model files"),
+    ("ingest", "", [], "snapshot_dir '' is not a directory"),
+    ("ingest", "snapshot_dir {tmp}/run.cfg\n", [], "run.cfg' is not a directory"),
+    ("report", "", [], "no reports directory under"),
+    ("predict", "", ["--model", "{tmp}/missing.model", "--history", "{tmp}/run.cfg"],
+     "model file {tmp}/missing.model not found"),
+    ("predict", "", ["--model", "{tmp}/run.cfg", "--history", "{tmp}/missing.csv"],
+     "history file {tmp}/missing.csv not found"),
+], ids=["train", "evaluate", "ingest_unset", "ingest_file", "report", "predict_model",
+        "predict_history"])
+def test_missing_input_creates_nothing(tmp_path, capsys, command, extra, args, error):
+    """A command whose input is missing exits 1 naming it and leaves the out
+    directory as it found it: train without cohorts, evaluate without models,
+    ingest without a snapshot directory, report without reports/, and predict
+    without its model or history file."""
     out = tmp_path / "out"
     out.mkdir()
-    assert main([command, "--config", _config_file(tmp_path, out)]) == 1
-    assert error in capsys.readouterr().err
+    cfg = _config_file(tmp_path, out, extra=extra.format(tmp=tmp_path))
+    assert main([command, "--config", cfg, *(a.format(tmp=tmp_path) for a in args)]) == 1
+    assert error.format(tmp=tmp_path) in capsys.readouterr().err
     assert list(out.iterdir()) == []
 
 
@@ -404,6 +428,17 @@ def test_threads_write_identical_models_and_reports(tmp_path):
     for sub in ("models", "reports"):
         written = _file_bytes(outs[0] / sub)
         assert written and written == _file_bytes(outs[1] / sub)
+
+
+def test_rf_features_selected_fits_forest_on_features(tmp_path):
+    """``rf_features selected`` fits the forest on the ``features`` attributes only,
+    and evaluate reads those columns of the test cohorts."""
+    out = tmp_path / "out"
+    cfg = _config_file(tmp_path, out, extra="features 7,9\nrf_features selected\n")
+    for command in ("synth", "train", "evaluate"):
+        assert main([command, "--config", cfg]) == 0
+    assert forest.load_forest(out / "models" / "forest.model").feature_ids == [7, 9]
+    assert (out / "reports" / "forest_test60.csv").exists()
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -511,15 +546,37 @@ def test_ingest_skips_non_decimal_attribute_column(tmp_path):
 
 
 def test_ingest_malformed_snapshot_is_data_error(tmp_path, capsys):
+    """A malformed row, or a header without the failure column, names the file."""
     snapshot_dir = tmp_path / "snapshots"
     snapshot_dir.mkdir()
-    (snapshot_dir / "bad.csv").write_text(
-        "date,serial_number,model,failure\nnot-a-date,A,M,0\n"
-    )
     out = tmp_path / "out"
     cfg = _config_file(tmp_path, out, extra=f"snapshot_dir {snapshot_dir}\n")
-    assert main(["ingest", "--config", cfg]) == 2
-    assert f"{snapshot_dir / 'bad.csv'}: row 1: malformed date 'not-a-date'" in capsys.readouterr().err
+    for text, error in [
+        ("date,serial_number,model,failure\nnot-a-date,A,M,0\n", "row 1: malformed date 'not-a-date'"),
+        ("date,serial_number,model\n2020-01-01,A,M\n",
+         "snapshot header missing required column 'failure'"),
+    ]:
+        (snapshot_dir / "bad.csv").write_text(text)
+        assert main(["ingest", "--config", cfg]) == 2
+        assert f"{snapshot_dir / 'bad.csv'}: {error}" in capsys.readouterr().err
+
+
+def test_ingest_skips_empty_and_header_only_snapshots(tmp_path):
+    """An empty snapshot file and one holding only its header add nothing: the
+    cohorts are those of the same directory without them."""
+    series = ds.generate_synthetic(ds.SynthConfig(n_drives=6, lookback_days=25, jump_day=4, seed=5))
+    snapshot_dir = _write_snapshots(tmp_path, series)
+    cfg = _config_file(tmp_path, tmp_path / "out", extra=(
+        f"snapshot_dir {snapshot_dir}\nmodel_filter {ds.SYNTHETIC_MODEL}\nlookback_extrap 18\n"))
+    assert main(["ingest", "--config", cfg, "--out", str(tmp_path / "plain")]) == 0
+    header = (snapshot_dir / "part0.csv").read_text().split("\n", 1)[0]
+    # newest-first order reads the empty file first and the header-only one last
+    (snapshot_dir / "part_empty.csv").write_text("")
+    (snapshot_dir / "a_header_only.csv").write_text(header + "\n")
+    assert main(["ingest", "--config", cfg, "--out", str(tmp_path / "with_empty")]) == 0
+    for name in COHORT_FILES:
+        plain = (tmp_path / "plain" / "cohorts" / name).read_bytes()
+        assert plain == (tmp_path / "with_empty" / "cohorts" / name).read_bytes(), name
 
 
 def test_ingest_error_names_newest_malformed_file(tmp_path, capsys):
@@ -637,8 +694,8 @@ def test_streaming_ingest_matches_one_pass_oracle(tmp_path, monkeypatch, load_pe
     reads = []
     read_snapshot_csv = ds.read_snapshot_csv
 
-    def reading(path, windows):
-        scan = read_snapshot_csv(path, windows)
+    def reading(path, windows, kept):
+        scan = read_snapshot_csv(path, windows, kept)
         reads.append((path.name, len(scan)))
         return scan
 
@@ -872,6 +929,7 @@ def test_snapshot_path_end_to_end(tmp_path, capsys, load_perfbench, seed):
     ("synth", "lookback_train 10\nsynth_jump_day 15\n", "synth_jump_day"),
     ("synth", "synth_features 40\n", "synth_features"),
     ("synth", "synth_noise -1\n", "synth_noise"),
+    ("synth", "synth_noise inf\n", "synth_noise inf"),
     ("synth", None, "missing.cfg"),
     ("train", "timesteps\n", "timesteps"),
     ("train", "timesteps 3,3\n", "timesteps"),
@@ -880,12 +938,18 @@ def test_snapshot_path_end_to_end(tmp_path, capsys, load_perfbench, seed):
     ("train", "learning_rate -0.001\n", "learning_rate"),
     ("train", "learning_rate nan\n", "learning_rate"),
     ("train", "features 7,7\n", "features"),
+    ("train", "features\n", "features must name at least one attribute"),
+    ("train", "features ,\n", "features must name at least one attribute"),
+    ("train", "rf_features some\n", "rf_features must be 'all' or 'selected'"),
+    ("synth", "ingest_train_frac 1\n", "ingest_train_frac must lie in (0, 1)"),
+    ("train", "timesteps 13\n", "timesteps must lie in 1..lookback_train"),
     ("evaluate", "clip_predictions 2\n", "bad.cfg:19: bad value for clip_predictions"),
     ("train", "rf_bootstrap -1\n", "bad.cfg:19: bad value for rf_bootstrap"),
 ], ids=["batch_size", "hidden_size", "rf_estimators", "epochs", "lookback_test", "jump_day",
-        "synth_features", "synth_noise", "missing_file", "empty_timesteps", "dup_timesteps",
-        "negative_grad_clip", "nan_grad_clip", "negative_learning_rate", "nan_learning_rate",
-        "dup_features", "bool_two", "bool_negative"])
+        "synth_features", "synth_noise", "inf_synth_noise", "missing_file", "empty_timesteps",
+        "dup_timesteps", "negative_grad_clip", "nan_grad_clip", "negative_learning_rate",
+        "nan_learning_rate", "dup_features", "no_features", "comma_features", "rf_features",
+        "ingest_train_frac", "timesteps_past_lookback", "bool_two", "bool_negative"])
 def test_bad_config_exits_one(tmp_path, capsys, command, extra, named):
     out = tmp_path / "out"
     assert main(["synth", "--config", _config_file(tmp_path, out)]) == 0

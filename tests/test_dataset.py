@@ -23,10 +23,11 @@ def _read_row(tmp_path, row):
     path = tmp_path / "day.csv"
     good = ["2020-01-04", "Y1", "M", "0", "0", "1", "100", "2"]
     path.write_text("\n".join(",".join(r) for r in (HEADER, good, row)) + "\n")
-    scan = ds.read_snapshot_csv(path, {"Z12": (date(2020, 1, 1), date(2020, 1, 9))})
-    kept = scan.kept.drives()
-    assert kept.keys() == {"Z12"} and len(scan) == 1
-    return scan.failures, kept["Z12"]
+    kept = ds.KeptRows()
+    scan = ds.read_snapshot_csv(path, {"Z12": (date(2020, 1, 1), date(2020, 1, 9))}, kept)
+    drives = kept.drives()
+    assert drives.keys() == {"Z12"} and len(scan) == 1
+    return scan.failures, drives["Z12"]
 
 
 def test_parse_row_basic_fields(tmp_path):
@@ -161,13 +162,14 @@ def test_snapshot_passes_match_csv_reader_oracle(tmp_path, text, windows):
     path = tmp_path / "day.csv"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(text)
-    scan = _outcome(ds.read_snapshot_csv, path, windows)
+    kept = ds.KeptRows()
+    scan = _outcome(ds.read_snapshot_csv, path, windows, kept)
     failures = _outcome(oracles.read_failure_rows_csv, path)
     if failures[0] != "ok":
         assert scan == failures
         return
     assert scan[1].failures == failures[1]
-    assert _kept(scan[1].kept) == _kept_csv(oracles.read_snapshot_csv_csv(path, windows))
+    assert _kept(kept) == _kept_csv(oracles.read_snapshot_csv_csv(path, windows))
 
 
 def test_read_failure_rows_streams(tmp_path):
@@ -183,7 +185,7 @@ def test_read_failure_rows_streams(tmp_path):
     assert size > 20_000_000
     tracemalloc.start()
     try:
-        failures = ds.read_snapshot_csv(path, {}).failures
+        failures = ds.read_snapshot_csv(path, {}, ds.KeptRows()).failures
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -214,7 +216,7 @@ def test_kept_rows_take_a_float64_row_each(tmp_path):
     try:
         kept = ds.KeptRows()
         for path in paths:
-            kept.update(ds.read_snapshot_csv(path, windows).kept)
+            ds.read_snapshot_csv(path, windows, kept)
         held, _ = tracemalloc.get_traced_memory()
         drives = kept.drives()
         del kept
@@ -236,13 +238,15 @@ def test_snapshot_cell_size(tmp_path):
     huge = "0" * 200_000 + "5"
     path.write_text(header + f"2020-01-05,A,M,1,{huge},{'1' * 200_000}\n")
     window = {"A": (date(2020, 1, 5), date(2020, 1, 5))}
-    rows = ds.read_snapshot_csv(path, window).kept.drives()["A"]
+    kept = ds.KeptRows()
+    ds.read_snapshot_csv(path, window, kept)
+    rows = kept.drives()["A"]
     assert rows.values[0, 0] == 5.0 and np.isnan(rows.values[0, 1])
     path.write_text(header + f'2020-01-05,A,M,1,"{huge}",7\n')
     for windows in ({}, window):
         with pytest.raises(SnapshotParseError,
                            match=re.escape(f"{path}: row 1: field larger than field limit")):
-            ds.read_snapshot_csv(path, windows)
+            ds.read_snapshot_csv(path, windows, ds.KeptRows())
 
 
 def _record(serial, day, model="M", failed=False, smart=None):

@@ -85,10 +85,16 @@ def test_correlation_scores_signed_mean_then_abs():
 
 
 def test_correlation_scores_absent_when_undefined_everywhere():
+    """A drive whose attribute is constant over its window adds nothing for it;
+    an attribute constant on every drive (at a different value on each) is absent."""
     rul = [2, 1, 0]
     constant = _series("A", {7: [5.0, 5.0, 5.0]}, rul)
     scores = feat.correlation_scores([constant], [7])
     assert 7 not in scores
+    varying = [1.0, 4.0, 2.0]
+    a = _series("A", {7: varying, 9: [5.0] * 3}, rul)
+    b = _series("B", {7: [6.0] * 3, 9: [2.0] * 3}, rul)
+    assert feat.correlation_scores([a, b], [7, 9]) == {7: abs(feat.pearson(varying, rul))}
 
 
 def test_correlation_scores_drive_order_invariant(small_cohort):
@@ -118,7 +124,8 @@ def test_tree_importances_single_informative_feature():
 def test_tree_importances_degenerate_target():
     X = np.arange(8.0).reshape(4, 2)
     result = feat.tree_importances(X, np.full(4, 3.0), [7, 9])
-    assert all(v == 0.0 for v in result.values.values())
+    # floats, so features.csv writes 0.0 as it writes every other importance
+    assert all(v == 0.0 and type(v) is float for v in result.values.values())
 
 
 def test_tree_predictions_match_brute_force_oracle(rng):

@@ -47,14 +47,15 @@ def test_tree_matches_oracle_with_exact_ties():
 
 
 def test_fitted_trees_own_their_node_arrays(rng):
-    """A fitted tree holds its nodes only, not views of the 2n+1-slot growth arrays;
-    a forest holds only the arrays predict reads, each one block of all trees."""
+    """A fitted tree holds its nodes only, not views of the 2n+1-slot growth arrays,
+    and one importance per column; a forest holds only the arrays predict reads,
+    each one block of all trees."""
     X = rng.normal(size=(40, 3))
     y = rng.normal(size=40)
     tree = forest.fit_tree(X, y)
-    names = [*forest._NODES, "impurity", "n_node_samples"]
     assert all(getattr(tree, name).base is None and len(getattr(tree, name)) == tree.n_nodes
-               for name in names)
+               for name in forest._NODES)
+    assert tree.importance.base is None and tree.importance.shape == (3,)
     model = forest.fit_forest(X, y, n_estimators=3, seed=2)
     assert model.tree_nodes.dtype == np.int64 and len(model.tree_nodes) == 3
     assert all(getattr(model, name).base is None
@@ -167,20 +168,32 @@ def test_forest_serialization_roundtrip(rng, tmp_path):
 
 
 def _same_arrays(got, want):
-    return all(np.array_equal(g, w) and g.dtype == w.dtype for g, w in zip(got, want))
+    return all(np.array_equal(g, w) and g.dtype == w.dtype for g, w in zip(got, want, strict=True))
+
+
+def _importance_loop(feature, left, right, sse, n_features):
+    """Per-node accumulation of the squared-error decrease, in node order."""
+    out = np.zeros(n_features)
+    for node, f in enumerate(feature):
+        if f >= 0:
+            out[f] += sse[node] - sse[left[node]] - sse[right[node]]
+    return out
 
 
 def _oracle_tree(X, y):
-    """The scalar oracle's node arrays (grown with ``min_samples_split`` 2)
-    without ``right``, and ``right`` apart.
+    """What ``forest._grow_tree_arrays`` returns, from the scalar oracle (grown
+    with ``min_samples_split`` 2), and the oracle's ``right`` apart: its four
+    node arrays, and the importance of a loop over its nodes' impurity and
+    counts.
 
     The library derives an inner node's right child as ``left + 1``; the
     oracle still links it, so check that they agree.
     """
-    feature, threshold, left, right, *rest = oracles._grow_tree_arrays(X, y, 2)
+    feature, threshold, left, right, value, impurity, counts = oracles._grow_tree_arrays(X, y, 2)
     inner = feature >= 0
     assert np.array_equal(right[inner], left[inner] + 1)
-    return (feature, threshold, left, *rest), right
+    importance = _importance_loop(feature, left, right, impurity * counts, X.shape[1])
+    return (feature, threshold, left, value, importance), right
 
 
 def _oracle_predict(arrays, right, X):
@@ -226,27 +239,15 @@ def test_grow_kernel_matches_scalar_oracle_on_tie_heavy_trees(data):
                           _oracle_predict(arrays, right, X))
 
 
-def _importance_loop(tree, right, n_features):
-    """Per-node accumulation of the squared-error decrease, in node order."""
-    out = np.zeros(n_features)
-    sse = tree.impurity * tree.n_node_samples
-    for node in range(tree.n_nodes):
-        f = tree.feature[node]
-        if f >= 0:
-            out[f] += sse[node] - sse[tree.left[node]] - sse[right[node]]
-    return out
-
-
 def test_importance_matches_node_loop(rng):
+    """A fitted tree's importance is the node loop over the oracle's impurity and counts."""
     for trial in range(30):
         n = int(rng.integers(1, 60))
         n_features = int(rng.integers(1, 5))
         X = rng.normal(size=(n, n_features))
         y = rng.normal(size=n)
-        tree = forest.fit_tree(X, y)
-        _, right = _oracle_tree(X, y)
-        got = tree.importance_raw(n_features + 1)
-        assert np.array_equal(got, _importance_loop(tree, right, n_features + 1)), f"trial {trial}"
+        (*_, want), _ = _oracle_tree(X, y)
+        assert _same_arrays([forest.fit_tree(X, y).importance], [want]), f"trial {trial}"
 
 
 def test_forest_file_with_right_member_still_loads(rng, tmp_path):
