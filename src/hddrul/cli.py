@@ -72,6 +72,8 @@ class RunConfig:
     threads: int = 1
 
     def validate(self) -> None:
+        if not self.out:  # an empty out would write the run into the working directory
+            raise ConfigError("out must name a directory")
         if not self.timesteps:
             raise ConfigError("timesteps must list at least one window length")
         if any(t < 1 or t > self.lookback_train for t in self.timesteps):
@@ -283,15 +285,14 @@ def _split_events(config: RunConfig):
     file is read once, last path first, which is newest first for daily
     files. When a file ends, each of its ``model_filter`` failures registers
     its drive's window, the failure day and the longest lookback before it,
-    and the files read after it keep the drive's rows inside that window. A
-    drive stops reporting after it fails, so on daily files only its
-    failure-day file was read before its window: at the end, each file read
-    before a drive's window was registered is read again, with the windows
-    of just those drives, if its days meet one of them. An earlier failure
-    of a drive found later registers the drive again with the earlier window
-    and drops the rows kept so far. So memory scales with the failed
-    drives, not with the corpus. The split is the seeded ``ingest_train_frac``
-    draw.
+    and the files read after it keep the drive's rows inside that window.
+    Right then, every file read so far whose days meet one of the new windows
+    is read again with just the new windows it meets: on daily files that is
+    the failure-day file itself, since a drive stops reporting after it
+    fails. An earlier failure of a drive found later registers the drive
+    again with the earlier window and drops the rows kept so far. So memory
+    scales with the failed drives, not with the corpus. The split is the
+    seeded ``ingest_train_frac`` draw.
     """
     snapshot_dir = Path(config.snapshot_dir)
     if not config.snapshot_dir or not snapshot_dir.is_dir():
@@ -299,32 +300,28 @@ def _split_events(config: RunConfig):
     lookback = timedelta(days=max(config.lookback_train, config.lookback_test,
                                   config.lookback_extrap))
     windows: dict[str, tuple[date, date]] = {}  # serial -> first and last day it needs
-    registered: dict[str, int] = {}  # serial -> files read when its window was registered
-    read: list[tuple[Path, tuple[date, date] | None]] = []  # (path, days) in reading order
+    read: list[tuple[Path, tuple[date, date]]] = []  # (path, days) of the files with rows
     failures: list[ds.DriveRecord] = []
     kept = ds.KeptRows()
     for path in sorted(snapshot_dir.glob("*.csv"), reverse=True):
         scan = ds.read_snapshot_csv(path, windows, kept)
-        read.append((path, scan.days))
+        if scan.days is not None:
+            read.append((path, scan.days))
         failures += scan.failures
+        new: dict[str, tuple[date, date]] = {}
         for rec in scan.failures:
             window = windows.get(rec.serial)
             if rec.model != config.model_filter or (window and window[1] <= rec.date):
                 continue
             kept.pop(rec.serial)
-            windows[rec.serial] = (rec.date - lookback, rec.date)
-            registered[rec.serial] = len(read)
+            windows[rec.serial] = new[rec.serial] = (rec.date - lookback, rec.date)
+        for old, (first, last) in read if new else ():  # most files register no window
+            wanted = {serial: w for serial, w in new.items() if w[0] <= last and first <= w[1]}
+            if wanted:
+                ds.read_snapshot_csv(old, wanted, kept)
     events = ds.scan_failures(failures, config.model_filter)
     if not events:
         raise DataError(f"{snapshot_dir}: no failure of a {config.model_filter!r} drive to label")
-
-    rereads: dict[Path, dict[str, tuple[date, date]]] = {}
-    for serial, (first, last) in windows.items():
-        for path, days in read[:registered[serial]]:
-            if days is not None and days[0] <= last and first <= days[1]:
-                rereads.setdefault(path, {})[serial] = (first, last)
-    for path, wanted in rereads.items():
-        ds.read_snapshot_csv(path, wanted, kept)
 
     perm = np.random.default_rng(derive_seed(config.seed, "ingest/split")).permutation(len(events))
     n_train = max(1, min(len(events) - 1, round(len(events) * config.ingest_train_frac)))

@@ -13,8 +13,9 @@ row's identity cells, keeps the failure rows, and parses in full only the rows
 inside the windows it is given, adding them to the caller's :class:`KeptRows`;
 ingest gives all its reads one store. Ingest reads each file once, newest
 first, with the windows of the drives whose failure is already known. A drive's own
-failure-day file is read before its window is, so ingest reads such a file
-again with just those drives' windows. A read splits a line only as far as it
+failure-day file is read before its window is known, so as soon as the file's
+failures register their windows ingest reads it again with just those
+drives' windows. A read splits a line only as far as it
 needs, parses each distinct (``date``, ``failure``) cell pair once per file,
 and sends a line holding a quote through ``csv.reader``. A drive that fails on
 several days counts as failed on the earliest (:func:`scan_failures`).

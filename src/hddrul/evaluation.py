@@ -97,12 +97,10 @@ def evaluate_pairs(
 def per_day_rows(
     frames: Sequence[DriveFrame], feature_ids: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Raw per-day feature rows and targets, in the drive-day order of window()."""
-    ordered = sorted(frames, key=lambda f: f.serial)
-    selected = [f.select(feature_ids) for f in ordered]
-    X = np.concatenate([f.values for f in selected], axis=0)
-    y = np.concatenate([f.rul.astype(np.float64) for f in selected])
-    return X, y
+    """Raw per-day rows of ``feature_ids`` and their targets: the one-day
+    windows of :func:`~hddrul.preprocess.window`, so in its drive-day order."""
+    dataset = preprocess.window([f.select(feature_ids) for f in frames], 1)
+    return dataset.windows[:, 0], dataset.targets
 
 
 def predict_frames(

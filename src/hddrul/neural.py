@@ -173,14 +173,15 @@ def parameter_arrays(model: BiLstmModel) -> tuple[list[str], list[np.ndarray]]:
 
 @dataclass
 class Gradients:
+    """One batch's parameter gradients, named as :func:`parameter_arrays` names
+    the parameters, and the batch's MSE loss they are the gradient of."""
+
     names: list[str]
     arrays: list[np.ndarray]
-
-    def global_norm(self) -> float:
-        return math.sqrt(sum(float((a * a).sum()) for a in self.arrays))
+    loss: float
 
     def clip_global_norm(self, max_norm: float) -> None:
-        norm = self.global_norm()
+        norm = math.sqrt(sum(float((a * a).sum()) for a in self.arrays))
         if norm > max_norm:
             scale = max_norm / norm
             for a in self.arrays:
@@ -222,7 +223,9 @@ def _predict_batch(model: BiLstmModel, X: np.ndarray) -> np.ndarray:
     return _head(model, h_last)
 
 
-def _loss_and_gradients(model: BiLstmModel, windows: np.ndarray, targets: np.ndarray):
+def backward(model: BiLstmModel, windows: np.ndarray, targets: np.ndarray) -> Gradients:
+    """Exact gradient of the MSE loss through the full unrolled network, with
+    that loss; a non-finite input or gradient raises NumericError."""
     X = np.ascontiguousarray(np.asarray(windows, dtype=np.float64))
     y = np.asarray(targets, dtype=np.float64)
     if X.ndim != 3 or X.shape[0] == 0 or X.shape[0] != y.shape[0]:
@@ -239,7 +242,8 @@ def _loss_and_gradients(model: BiLstmModel, windows: np.ndarray, targets: np.nda
     h_last = cache[0][-1]
     preds = _head(model, h_last)
 
-    dy = 2.0 * (preds - y) / n
+    residual = preds - y
+    dy = 2.0 * residual / n
     dh_last = dy[None, :, None] * model.head_weights.reshape(-1, 1, hidden)
     d_wx, d_wh, d_b = _lstm_backward(X_dir, model.w_h, *cache, dh_last)
     names, _ = parameter_arrays(model)
@@ -249,13 +253,7 @@ def _loss_and_gradients(model: BiLstmModel, windows: np.ndarray, targets: np.nda
     for name, arr in zip(names, arrays):
         if not np.all(np.isfinite(arr)):
             raise NumericError(f"non-finite gradient in {name}")
-    return Gradients(names=names, arrays=arrays), preds
-
-
-def backward(model: BiLstmModel, windows: np.ndarray, targets: np.ndarray) -> Gradients:
-    """Exact gradient of the MSE loss through the full unrolled network."""
-    grads, _ = _loss_and_gradients(model, windows, targets)
-    return grads
+    return Gradients(names=names, arrays=arrays, loss=float(np.mean(residual ** 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -333,13 +331,12 @@ def train(settings: TrainSettings, dataset: WindowedDataset) -> tuple[BiLstmMode
         for lo in range(0, n, settings.batch_size):
             sel = perm[lo : lo + settings.batch_size]
             try:
-                grads, preds = _loss_and_gradients(model, X[sel], y[sel])
+                grads = backward(model, X[sel], y[sel])
             except NumericError as exc:
                 raise DivergenceError(f"epoch {epoch}: {exc}", trace=trace) from exc
-            batch_loss = mse_loss(preds, y[sel])
-            if not math.isfinite(batch_loss):
+            if not math.isfinite(grads.loss):
                 raise DivergenceError(f"non-finite loss in epoch {epoch}", trace=trace)
-            sse += batch_loss * len(sel)
+            sse += grads.loss * len(sel)
             if settings.grad_clip:
                 grads.clip_global_norm(settings.grad_clip)
             adam_step(state, params, grads.arrays)

@@ -1,3 +1,4 @@
+import csv
 import re
 import shutil
 from datetime import date, timedelta
@@ -245,6 +246,22 @@ def test_report_command_rebuilds_summary(tmp_path, capsys):
     summaries = sorted(p.name for p in (out / "reports").glob("summary_*.csv"))
     assert summaries == ["summary_test120.csv", "summary_test60.csv"]
     assert "test60" in capsys.readouterr().out
+
+
+def test_report_without_report_files_exits_one(tiny_run, tmp_path, capsys):
+    """A reports/ holding only summaries has nothing to summarize: exit 1 naming
+    it, and the summaries stay as they were."""
+    args = _copy_run(tiny_run, tmp_path / "run")
+    reports = tmp_path / "run" / "out" / "reports"
+    for path in reports.glob("*.csv"):
+        if not path.name.startswith("summary_"):
+            path.unlink()
+    before = _file_bytes(reports)
+    assert before
+    capsys.readouterr()
+    assert main(["report", *args]) == 1
+    assert f"no report files under {reports}" in capsys.readouterr().err
+    assert _file_bytes(reports) == before
 
 
 def test_predict_matches_library_forward(tmp_path):
@@ -595,16 +612,20 @@ def test_ingest_error_names_newest_malformed_file(tmp_path, capsys):
 
 
 def test_ingest_oversized_quoted_cell_is_data_error(tmp_path, capsys):
+    """A quoted cell over ``csv.field_size_limit()``, in a row or in the header,
+    names the file (and the row)."""
     snapshot_dir = tmp_path / "snapshots"
     snapshot_dir.mkdir()
-    cell = "1" * 200_000
-    (snapshot_dir / "big.csv").write_text(
-        f'date,serial_number,model,failure,smart_5_raw\n2020-01-01,A,M,0,"{cell}"\n'
-    )
+    cell = '"' + "1" * (csv.field_size_limit() + 1) + '"'
+    header = "date,serial_number,model,failure,smart_5_raw"
     out = tmp_path / "out"
     cfg = _config_file(tmp_path, out, extra=f"snapshot_dir {snapshot_dir}\n")
-    assert main(["ingest", "--config", cfg]) == 2
-    assert f"{snapshot_dir / 'big.csv'}: row 1: field larger than field limit" in capsys.readouterr().err
+    for text, where in [(f"{header}\n2020-01-01,A,M,0,{cell}\n", "row 1: "),
+                        (f"{header},{cell}\n2020-01-01,A,M,0,1\n", "")]:
+        (snapshot_dir / "big.csv").write_text(text)
+        assert main(["ingest", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"{snapshot_dir / 'big.csv'}: {where}field larger than field limit" in err
 
 
 @pytest.mark.parametrize("name", ["lstm_t3.model", "forest.model"])
@@ -710,13 +731,12 @@ def test_streaming_ingest_matches_one_pass_oracle(tmp_path, monkeypatch, load_pe
     # the single pass and the re-reads keep the rows in the windows and nothing else
     assert sum(n for _, n in reads) == _rows_in_windows(corpus, truth) < truth.rows_total / 2
     # every file is read once, newest first, and only the failure-day files
-    # again, once each
+    # again, once each, straight after their first read
     files = sorted((path.name for path in (tmp_path / "snapshots").glob("*.csv")), reverse=True)
     names = [name for name, _ in reads]
-    assert names[:len(files)] == files
-    reread = names[len(files):]
-    assert len(reread) == len(set(reread))
-    assert set(reread) == _failure_day_files(truth)
+    assert list(dict.fromkeys(names)) == files
+    again = _failure_day_files(truth)
+    assert again and names == [n for name in files for n in [name] * (1 + (name in again))]
 
 
 def test_traced_ingest_times_every_snapshot_read(tmp_path, load_perfbench):
@@ -945,21 +965,31 @@ def test_snapshot_path_end_to_end(tmp_path, capsys, load_perfbench, seed):
     ("train", "timesteps 13\n", "timesteps must lie in 1..lookback_train"),
     ("evaluate", "clip_predictions 2\n", "bad.cfg:19: bad value for clip_predictions"),
     ("train", "rf_bootstrap -1\n", "bad.cfg:19: bad value for rf_bootstrap"),
+    ("synth", "out\n", "out must name a directory"),
+    ("synth --out=", "", "out must name a directory"),
+    ("train", "features 5\n", "selected features [5] absent from the train cohort"),
 ], ids=["batch_size", "hidden_size", "rf_estimators", "epochs", "lookback_test", "jump_day",
         "synth_features", "synth_noise", "inf_synth_noise", "missing_file", "empty_timesteps",
         "dup_timesteps", "negative_grad_clip", "nan_grad_clip", "negative_learning_rate",
         "nan_learning_rate", "dup_features", "no_features", "comma_features", "rf_features",
-        "ingest_train_frac", "timesteps_past_lookback", "bool_two", "bool_negative"])
-def test_bad_config_exits_one(tmp_path, capsys, command, extra, named):
+        "ingest_train_frac", "timesteps_past_lookback", "bool_two", "bool_negative",
+        "empty_out", "empty_out_flag", "features_not_in_cohort"])
+def test_bad_config_exits_one(tmp_path, monkeypatch, capsys, command, extra, named):
+    """A bad config exits 1 naming the fault, and the command writes nothing:
+    ``command`` is the command and any flags it gets after the config."""
     out = tmp_path / "out"
     assert main(["synth", "--config", _config_file(tmp_path, out)]) == 0
     if extra is None:
         cfg = str(tmp_path / "missing.cfg")
     else:
         cfg = _config_file(tmp_path, out, extra=extra, name="bad.cfg")
+    monkeypatch.chdir(tmp_path)  # an empty out would name the working directory
+    before = sorted(tmp_path.rglob("*"))
     capsys.readouterr()
-    assert main([command, "--config", cfg]) == 1
+    command, *flags = command.split()
+    assert main([command, "--config", cfg, *flags]) == 1
     assert named in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 # the drive CSVs of a tiny run and the command that reads each
@@ -1106,6 +1136,13 @@ def _empty(path):
     path.write_bytes(b"")
 
 
+def _drop_rul(path):
+    """Remove the third column, rul, from every line."""
+    lines = [line.split(",") for line in path.read_text().splitlines()]
+    assert lines[0][2] == "rul"
+    path.write_text("".join(",".join(cells[:2] + cells[3:]) + "\n" for cells in lines))
+
+
 @pytest.mark.parametrize("name,command,edit", [
     ("out/cohorts/test60.csv", "evaluate", _ff_in_middle),
     ("snapshots/part0.csv", "ingest", _ff_in_middle),
@@ -1120,11 +1157,15 @@ def _empty(path):
     ("out/cohorts/test60.csv", "evaluate", _empty),
     ("history.csv", "predict", _empty),
     ("out/cohorts/scoring.csv", "features", _empty),
+    ("out/cohorts/test60.csv", "evaluate", _drop_rul),
+    ("out/cohorts/scoring.csv", "features", _drop_rul),
 ], ids=["cohort", "snapshot", "history", "model", "history_dir", "model_dir", "snapshot_dir",
-        "report_dir", "scoring", "scoring_dir", "cohort_empty", "history_empty", "scoring_empty"])
+        "report_dir", "scoring", "scoring_dir", "cohort_empty", "history_empty", "scoring_empty",
+        "cohort_no_rul", "scoring_no_rul"])
 def test_non_utf8_input_is_data_error(tiny_run, tmp_path, capsys, name, command, edit):
     """Bytes that are not UTF-8 text (or not a model container), a directory
-    where a file belongs, or an empty drive CSV, end in exit 2 naming the path."""
+    where a file belongs, an empty drive CSV, or a cohort or scoring file
+    without its rul column, end in exit 2 naming the path."""
     dest = tmp_path / "run"
     args = _copy_run(tiny_run, dest)
     path = dest / name

@@ -494,9 +494,12 @@ def test_cohort_csv_roundtrip_exact(small_frames, tmp_path):
     awkward = [ds.DriveFrame(serial, small_frames[0].dates[:n], [7, 9, 240],
                              rng.choice(_AWKWARD, size=(n, 3)), np.arange(n)[::-1])
                for serial, n in (("B", 7), ("A", 3))]
-    for frames in (small_frames, awkward):
-        path = tmp_path / "cohort.csv"
+    path = tmp_path / "cohort.csv"
+    for frames, blank in ((small_frames, False), (awkward, False), (awkward, True)):
         ds.write_cohort_csv(path, frames)
+        if blank:  # a blank line inside the file is skipped
+            lines = path.read_text().split("\n")
+            path.write_text("\n".join(lines[:2] + [""] + lines[2:]))
         back = ds.read_cohort_csv(path)
         for a, b in zip(sorted(frames, key=lambda f: f.serial), back, strict=True):
             assert (a.serial, a.dates, a.feature_ids) == (b.serial, b.dates, b.feature_ids)

@@ -161,12 +161,19 @@ def test_run_matrix_counts_and_summary(small_frames, tmp_path, rng):
 
 
 def test_per_day_rows_alignment(small_frames):
+    """Rows and targets follow window()'s drive-day order whatever the order of
+    the frames: the selected raw values of the drives by serial, day after day."""
     from hddrul import preprocess as pp
 
-    X, y = ev.per_day_rows(small_frames, small_frames[0].feature_ids)
-    wd = pp.window([pp.standardize_per_device(f) for f in small_frames], 3)
-    assert len(y) == wd.n_samples
-    assert np.array_equal(y, wd.targets)
+    ids = small_frames[0].feature_ids[::-1][:3]
+    by_serial = sorted(small_frames, key=lambda f: f.serial)
+    want = np.concatenate([f.select(ids).values for f in by_serial])
+    for frames in (small_frames, small_frames[::-1]):
+        X, y = ev.per_day_rows(frames, ids)
+        wd = pp.window([pp.standardize_per_device(f) for f in frames], 3)
+        assert len(y) == wd.n_samples
+        assert np.array_equal(y, wd.targets)
+        assert X.shape == want.shape and X.tobytes() == want.tobytes()
 
 
 def test_predict_frames_aligns_kinds_clips_and_names_missing_attribute(small_frames):

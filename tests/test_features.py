@@ -85,8 +85,9 @@ def test_correlation_scores_signed_mean_then_abs():
 
 
 def test_correlation_scores_absent_when_undefined_everywhere():
-    """A drive whose attribute is constant over its window adds nothing for it;
-    an attribute constant on every drive (at a different value on each) is absent."""
+    """A drive whose attribute is constant over its window, or reported on one
+    day only, adds nothing for it; an attribute constant on every drive (at a
+    different value on each) is absent."""
     rul = [2, 1, 0]
     constant = _series("A", {7: [5.0, 5.0, 5.0]}, rul)
     scores = feat.correlation_scores([constant], [7])
@@ -95,6 +96,9 @@ def test_correlation_scores_absent_when_undefined_everywhere():
     a = _series("A", {7: varying, 9: [5.0] * 3}, rul)
     b = _series("B", {7: [6.0] * 3, 9: [2.0] * 3}, rul)
     assert feat.correlation_scores([a, b], [7, 9]) == {7: abs(feat.pearson(varying, rul))}
+    # nor does a drive that reports the attribute on one day only
+    once = _series("C", {7: [None, 9.0, None], 9: [3.0, None, None]}, rul)
+    assert feat.correlation_scores([a, b, once], [7, 9]) == {7: abs(feat.pearson(varying, rul))}
 
 
 def test_correlation_scores_drive_order_invariant(small_cohort):

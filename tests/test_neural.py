@@ -286,6 +286,18 @@ def test_backward_residual_linearity(rng):
     assert g2[0] == pytest.approx(2.0 * g1[0], rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 64])
+@pytest.mark.parametrize("bidirectional", [False, True])
+def test_backward_loss_is_mse_of_predict(rng, bidirectional, n):
+    """The loss ``backward`` returns is, bit for bit, the MSE of ``predict`` on
+    the same batch, which is what ``train`` sums into each epoch's loss."""
+    settings = neural.TrainSettings(bidirectional=bidirectional, hidden_size=3, seed=8)
+    model = _model(settings, 2, 4)
+    X = rng.normal(size=(n, 4, 2))
+    y = rng.normal(size=n) * 10.0
+    assert neural.backward(model, X, y).loss == neural.mse_loss(model.predict(X), y)
+
+
 def test_adam_zero_gradient_keeps_params():
     params = [np.array([1.0, -2.0]), np.array([[3.0]])]
     state = neural.AdamState.for_params(params)
