@@ -291,7 +291,9 @@ def _split_events(config: RunConfig):
     the failure-day file itself, since a drive stops reporting after it
     fails. An earlier failure of a drive found later registers the drive
     again with the earlier window and drops the rows kept so far. So memory
-    scales with the failed drives, not with the corpus. The split is the
+    scales with the failed drives, not with the corpus. A ``model_filter``
+    failure whose serial holds a comma, a quote or a line break, which the
+    drive CSVs cannot hold, is a DataError naming its file. The split is the
     seeded ``ingest_train_frac`` draw.
     """
     snapshot_dir = Path(config.snapshot_dir)
@@ -313,6 +315,9 @@ def _split_events(config: RunConfig):
             window = windows.get(rec.serial)
             if rec.model != config.model_filter or (window and window[1] <= rec.date):
                 continue
+            if any(c in rec.serial for c in ',"\r\n'):
+                raise DataError(f"{path}: serial {rec.serial!r} holds a comma, a quote or a "
+                                "line break, which a drive CSV cannot hold")
             kept.pop(rec.serial)
             windows[rec.serial] = new[rec.serial] = (rec.date - lookback, rec.date)
         for old, (first, last) in read if new else ():  # most files register no window
@@ -356,8 +361,13 @@ def cmd_ingest(config: RunConfig) -> int:
             print(f"ingest: {name}: excluded {len(series) - len(survivors[name])} drives "
                   "missing selected features", file=sys.stderr)
     all_series = [s for series in survivors.values() for s in series]
+    if not any(labeled.values()):
+        raise DataError(f"{config.snapshot_dir}: no drive left: all "
+                        f"{len(train_events) + len(test_events)} failed {config.model_filter!r} "
+                        "drives were skipped as inconsistent")
     if not all_series:
-        raise DataError("no drives left after feature-availability filtering")
+        raise DataError(f"{config.snapshot_dir}: no drive left: every labeled drive misses a "
+                        f"selected feature of {sorted(selected)}")
     # features scores the train split before the availability filter and the cap
     return _write_cohorts(config, "ingest", labeled["train"], survivors,
                           ds.attributes_on_every_drive(all_series))

@@ -618,22 +618,36 @@ def attributes_on_every_drive(series_list: Sequence[LabeledSeries]) -> list[int]
 # ---------------------------------------------------------------------------
 # Drive CSV: the cohort, scoring and history files
 
+# repr prints a whole float below 1e16 as its digits and ".0"; below this
+# limit every such value is an exact int64 with room to spare
+_WHOLE_LIMIT = 1e15
+
 
 def _write_drive_csv(path: str | Path, feature_ids: Sequence[int], drives: Iterable[tuple]) -> None:
     """Write ``(serial, dates, rul, values)`` drives as ``serial,date,rul,smart_<n>,...``
     with LF endings, in the order given, one row per day of ``values``.
 
-    Values are printed with ``repr`` so re-parsing reproduces them bit for bit;
-    NaN is an empty cell.
+    A value prints as ``repr`` prints it, so re-parsing reproduces it bit for
+    bit, and NaN is an empty cell. Each drive is one ``%`` format of its row
+    template repeated once per day. A column whose values are all whole
+    numbers in [0, 1e15) prints with ``%d.0`` from int64 arguments, which is
+    ``repr``'s text for them; any other column prints with ``%r``, and its
+    NaN cells, printed ``nan``, are then emptied. A serial holds no comma,
+    quote or line break (ingest rejects one that does), so ``,nan`` is always
+    such a cell.
     """
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         header = ["serial", "date", "rul"] + [f"smart_{fid}" for fid in feature_ids]
         fh.write(",".join(header) + "\n")
         for serial, dates, rul, values in drives:
-            for day, label, row in zip(dates, rul, values.tolist()):
-                cells = [serial, day.isoformat(), str(label)]
-                cells += ["" if math.isnan(v) else repr(v) for v in row]
-                fh.write(",".join(cells) + "\n")
+            whole = (~np.signbit(values) & (values < _WHOLE_LIMIT)
+                     & (values == np.floor(values))).all(axis=0).tolist()
+            columns = [(col.astype(np.int64) if w else col).tolist() for w, col in zip(whole, values.T)]
+            row = serial.replace("%", "%%") + ",%s,%d" + "".join(
+                ",%d.0" if w else ",%r" for w in whole) + "\n"
+            # a date prints as its isoformat()
+            text = (row * len(dates)) % tuple(itertools.chain.from_iterable(zip(dates, rul, *columns)))
+            fh.write(text if all(whole) else text.replace(",nan", ","))
 
 
 def _read_drive_csv(path: str | Path) -> tuple[list[int], bool, list[tuple]]:

@@ -94,12 +94,22 @@ def evaluate_pairs(
 # Model x cohort matrix
 
 
+def _select(frames: Sequence[DriveFrame], feature_ids: Sequence[int]) -> list[DriveFrame]:
+    """``frames`` restricted to ``feature_ids``; a frame that lacks one raises
+    ConfigError naming it."""
+    try:
+        return [f.select(feature_ids) for f in frames]
+    except KeyError as exc:
+        raise ConfigError(exc.args[0]) from exc
+
+
 def per_day_rows(
     frames: Sequence[DriveFrame], feature_ids: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Raw per-day rows of ``feature_ids`` and their targets: the one-day
-    windows of :func:`~hddrul.preprocess.window`, so in its drive-day order."""
-    dataset = preprocess.window([f.select(feature_ids) for f in frames], 1)
+    windows of :func:`~hddrul.preprocess.window`, so in its drive-day order. A
+    frame that lacks one of ``feature_ids`` raises ConfigError."""
+    dataset = preprocess.window(_select(frames, feature_ids), 1)
     return dataset.windows[:, 0], dataset.targets
 
 
@@ -115,16 +125,13 @@ def predict_frames(
     clamps the estimates. A frame that lacks one of the model's attributes
     raises ConfigError.
     """
-    try:
-        selected = [f.select(model.feature_ids) for f in frames]
-    except KeyError as exc:
-        raise ConfigError(exc.args[0]) from exc
     if isinstance(model, BiLstmModel):
-        standardized = [preprocess.standardize_per_device(f) for f in selected]
+        standardized = [preprocess.standardize_per_device(f)
+                        for f in _select(frames, model.feature_ids)]
         dataset = preprocess.window(standardized, model.timesteps)
         targets, predictions = dataset.targets, model.predict(dataset.windows)
     else:
-        X, targets = per_day_rows(selected, model.feature_ids)
+        X, targets = per_day_rows(frames, model.feature_ids)
         predictions = model.predict(X)
     if clip is not None:
         predictions = np.clip(predictions, clip[0], clip[1])

@@ -11,9 +11,10 @@ reads are kept as they were when every row went through
 attribute map, as the library did before it kept rows in per-drive float64
 matrices. The snapshot scoring reference scores the train split rebuilt
 from the snapshots, as ``features`` did before it read ``scoring.csv``. The
-forward-fill loop, the cell-at-a-time CSV writers and the scalar kernels at
-the bottom are the loop versions that the vectorized library code replaced,
-over hand-built records; the library must match them bit for bit.
+forward-fill loop, the row-at-a-time drive CSV writer, the cell-at-a-time
+CSV writers and the scalar kernels at the bottom are the loop versions that
+the vectorized library code replaced, over hand-built records; the library
+must match them bit for bit.
 """
 from __future__ import annotations
 
@@ -306,6 +307,19 @@ def materialize_series_loop(serial, records, rul, feature_ids):
         values=values,
         rul=np.asarray(rul, dtype=np.int64),
     )
+
+
+def write_drive_csv_rows(path, feature_ids, drives):
+    """``dataset._write_drive_csv`` writing one row at a time, each cell
+    through ``repr`` and NaN as an empty cell."""
+    with open(path, "w", newline="\n", encoding="utf-8") as fh:
+        header = ["serial", "date", "rul"] + [f"smart_{fid}" for fid in feature_ids]
+        fh.write(",".join(header) + "\n")
+        for serial, dates, rul, values in drives:
+            for day, label, row in zip(dates, rul, values.tolist()):
+                cells = [serial, day.isoformat(), str(label)]
+                cells += ["" if math.isnan(v) else repr(v) for v in row]
+                fh.write(",".join(cells) + "\n")
 
 
 def write_cohort_csv_cells(path, frames):

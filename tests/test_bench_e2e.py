@@ -1,0 +1,45 @@
+"""``tools/bench_e2e.py`` on a tiny config and corpus: one entry appended, every field filled."""
+import importlib.util
+import json
+import time
+from pathlib import Path
+
+from test_cli import TINY
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_e2e.py"
+STAGE_FIELDS = {"wall_s", "user_s", "sys_s", "maxrss_mb", "minflt"}
+
+
+def _load_tool():
+    spec = importlib.util.spec_from_file_location("bench_e2e", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_e2e_appends_one_full_entry(tmp_path, monkeypatch):
+    tool = _load_tool()
+    monkeypatch.setattr(tool, "ACCEPTANCE", TINY)
+    monkeypatch.setattr(tool, "CORPORA", {"tiny": dict(days=70, healthy_target=6, healthy_other=2,
+                                                       failed_target=4, failed_other=1,
+                                                       duplicated=1, missing_days=1)})
+    record = tmp_path / "BENCH_e2e.json"
+    record.write_text(json.dumps([{"sha": "earlier"}]))
+    started = time.perf_counter()
+    assert tool.main(["--record", str(record), "--workdir", str(tmp_path / "work")]) == 0
+    assert time.perf_counter() - started < 3.0
+    first, entry = json.loads(record.read_text())
+    assert first == {"sha": "earlier"}
+    assert {"sha", "dirty", "date", "nproc", "python", "numpy", "threads"} <= entry.keys()
+    assert entry["sha"] and entry["nproc"] >= 1 and entry["threads"] == 1
+    cases = entry["cases"]
+    assert list(cases) == ["acceptance", "ingest_tiny"]
+    assert list(cases["acceptance"]["stages"]) == ["synth", "features", "train", "evaluate"]
+    assert list(cases["ingest_tiny"]["stages"]) == ["ingest", "features"]
+    assert cases["acceptance"]["model_bytes"] > 0
+    assert set(cases["acceptance"]["summaries_sha256"]) == {"summary_test60.csv", "summary_test120.csv"}
+    assert cases["ingest_tiny"]["corpus_rows"] > 0
+    for case in cases.values():
+        for stage in case["stages"].values():
+            assert stage.keys() == STAGE_FIELDS
+            assert stage["wall_s"] > 0 and stage["maxrss_mb"] > 0 and stage["minflt"] > 0

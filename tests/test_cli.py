@@ -628,6 +628,45 @@ def test_ingest_oversized_quoted_cell_is_data_error(tmp_path, capsys):
         assert f"{snapshot_dir / 'big.csv'}: {where}field larger than field limit" in err
 
 
+@pytest.mark.parametrize("serial", ["Q,1", 'Q"1', "Q\n1", "Q\r1"])
+def test_ingest_serial_a_drive_csv_cannot_hold_is_data_error(tmp_path, capsys, serial):
+    """A quoted snapshot cell can give a failed drive a serial with a comma, a
+    quote or a line break; ingest names the file and the serial and writes no
+    cohort, where the unquoted serial would break the drive CSVs."""
+    series = ds.generate_synthetic(ds.SynthConfig(n_drives=4, lookback_days=25, jump_day=4, seed=5))
+    snapshot_dir = _write_snapshots(tmp_path, series, n_files=1)
+    path = snapshot_dir / "part0.csv"
+    quoted = '"' + serial.replace('"', '""') + '"'
+    path.write_text(path.read_text().replace(f",{series[1].serial},", f",{quoted},"))
+    out = tmp_path / "out"
+    cfg = _config_file(tmp_path, out, extra=(
+        f"snapshot_dir {snapshot_dir}\nmodel_filter {ds.SYNTHETIC_MODEL}\nlookback_extrap 18\n"))
+    assert main(["ingest", "--config", cfg]) == 2
+    assert f"data error: {path}: serial {serial!r} holds a comma" in capsys.readouterr().err
+    assert not (out / "cohorts").exists()
+
+
+@pytest.mark.parametrize("cause", ["duplicate", "features"])
+def test_ingest_without_drives_left_names_the_cause(tmp_path, capsys, cause):
+    """Ingest that keeps no drive says why: every failed drive was skipped as
+    inconsistent, or every labeled drive misses a selected feature."""
+    series = ds.generate_synthetic(ds.SynthConfig(n_drives=1, lookback_days=25, jump_day=4, seed=5))
+    snapshot_dir = _write_snapshots(tmp_path, series, n_files=1)
+    extra = f"snapshot_dir {snapshot_dir}\nmodel_filter {ds.SYNTHETIC_MODEL}\nlookback_extrap 18\n"
+    if cause == "duplicate":
+        path = snapshot_dir / "part0.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines + lines[-2:-1]))
+        message = "no drive left: all 1 failed 'SYNTHETIC' drives were skipped as inconsistent"
+    else:
+        extra += "features 7,5\n"
+        message = "no drive left: every labeled drive misses a selected feature of [5, 7]"
+    out = tmp_path / "out"
+    assert main(["ingest", "--config", _config_file(tmp_path, out, extra=extra)]) == 2
+    assert f"data error: {snapshot_dir}: {message}" in capsys.readouterr().err
+    assert not (out / "cohorts").exists()
+
+
 @pytest.mark.parametrize("name", ["lstm_t3.model", "forest.model"])
 def test_evaluate_truncated_model_is_data_error(tmp_path, capsys, name):
     out = tmp_path / "out"
@@ -685,9 +724,10 @@ SMALL_CORPUS = dict(days=140, healthy_target=20, healthy_other=6, failed_target=
                     failed_other=2, duplicated=2, missing_days=2)
 
 
-def _small_corpus(tmp_path, corpus, seed):
-    """Write the seeded small snapshot corpus; return (run config path, ground truth)."""
-    truth = corpus.generate_corpus(tmp_path / "snapshots", seed, corpus.CorpusSize(**SMALL_CORPUS))
+def _small_corpus(tmp_path, corpus, seed, size=SMALL_CORPUS):
+    """Write the seeded small snapshot corpus, or one of another ``size``;
+    return (run config path, ground truth)."""
+    truth = corpus.generate_corpus(tmp_path / "snapshots", seed, corpus.CorpusSize(**size))
     lookbacks = corpus.LOOKBACKS
     cfg = _config_file(tmp_path, tmp_path / "out", extra=(
         f"seed {seed}\nsnapshot_dir {tmp_path / 'snapshots'}\nmodel_filter {corpus.TARGET_MODEL}\n"
@@ -750,6 +790,28 @@ def test_traced_ingest_times_every_snapshot_read(tmp_path, load_perfbench):
     n_files = len(list((tmp_path / "snapshots").glob("*.csv")))
     assert traced.calls()["dataset.read_snapshot_csv"] == n_files + len(_failure_day_files(truth))
     assert traced.counts["dataset.rows_parsed"] == _rows_in_windows(corpus, truth)
+
+
+@pytest.mark.parametrize("command", ["synth", "ingest"])
+def test_drive_csvs_match_row_at_a_time_writer(tmp_path, monkeypatch, load_perfbench, command):
+    """Every drive CSV that synth, or ingest of the benchmark's seed-1 corpus,
+    writes has the bytes of the row-at-a-time writer."""
+    if command == "ingest":
+        cfg, _ = _small_corpus(tmp_path, load_perfbench("corpus"), 1, size={})
+    else:
+        cfg = _config_file(tmp_path, tmp_path / "out")
+    written = []
+    write = ds._write_drive_csv
+
+    def writing(path, feature_ids, drives):
+        drives = list(drives)
+        write(path, feature_ids, drives)
+        oracles.write_drive_csv_rows(tmp_path / "rows.csv", feature_ids, drives)
+        written.append((path.name, path.read_bytes() == (tmp_path / "rows.csv").read_bytes()))
+
+    monkeypatch.setattr(ds, "_write_drive_csv", writing)
+    assert main([command, "--config", cfg]) == 0
+    assert written == [(name, True) for name in ("scoring.csv", "train.csv", "test60.csv", "test120.csv")]
 
 
 def _ingest_both_ways(tmp_path, cfg):

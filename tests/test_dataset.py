@@ -448,6 +448,33 @@ def test_writers_match_cell_at_a_time_writers(tmp_path):
         "-0.0", "5e-324", "1e+16", "0.30000000000000004"]
 
 
+# values around the writer's choice between "%d.0" and "%r": signed zero, a
+# negative whole number, the 1e15 limit, 2**53, repr's switch to exponents at
+# 1e16, the largest float, 1.8e308 (which parses as inf), infinities and NaN
+_WRITER_EDGES = [0.0, -0.0, -5.0, 0.1 + 0.2, 5e-324, 1e15 - 1, 1e15, 2.0 ** 53, 1e16,
+                 1.7976931348623157e308, 1.8e308, float("inf"), -float("inf"), float("nan")]
+
+
+def test_drive_csv_writer_matches_row_at_a_time_writer(tmp_path):
+    """One format per drive writes the bytes of one write per row: each edge
+    value filling a column and inside a whole-number column, a whole-number
+    column with one empty cell, drives of whole numbers only, a serial holding
+    ``%``, a drive without days and a file without attribute columns."""
+    days = [date(2020, 1, 1) + timedelta(days=k) for k in range(3)]
+    columns = [[v] * 3 for v in _WRITER_EDGES] + [[7.0, v, 8.0] for v in _WRITER_EDGES]
+    columns += [[3.0, float("nan"), 7.0], [1.0, 2.0, 3.0]]
+    values = np.array(columns).T
+    whole = np.arange(values.size, dtype=np.float64).reshape(values.shape)
+    for ids, drives in [
+        (list(range(len(columns))), [("E", days, [2, 1, 0], values), ("W%d", days, [9, 8, 7], whole),
+                                     ("N%s", days[:1], [0], values[1:2]), ("Z", [], [], values[:0])]),
+        ([], [("A", days, [2, 1, 0], values[:, :0])]),
+    ]:
+        ds._write_drive_csv(tmp_path / "new.csv", ids, drives)
+        oracles.write_drive_csv_rows(tmp_path / "old.csv", ids, drives)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
 def test_materialize_rejects_all_missing_drive():
     recs = [_record("A", date(2020, 1, 1), smart={7: None, 9: 1.0}),
             _record("A", date(2020, 1, 2), smart={7: None, 9: 2.0})]
