@@ -20,9 +20,10 @@ Cases:
 Each stage is its own child process, ``python -m hddrul.cli`` with the BLAS
 thread variables at 1, so one thread does the work as in the benchmark. The
 wall time is taken around the child; user and sys seconds, peak RSS and minor
-page faults are the child's own, from ``os.wait4``. Corpora are generated
-into the work directory before any stage runs, untimed; the file cache stays
-warm. A stage that fails ends the run with exit 1 and records nothing.
+page faults are the child's own, from ``os.wait4`` (see ``_GENERATE`` for why
+this process stays small). Corpora are generated into the work directory
+before any stage runs, untimed; the file cache stays warm. A stage that fails
+ends the run with exit 1 and records nothing.
 
 Each run appends one entry to the JSON list in ``--record`` and changes none
 of the entries already there: the git sha of the timed tree and whether its
@@ -35,10 +36,11 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import importlib.util
+import importlib.metadata
 import json
 import os
 import platform
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -46,21 +48,7 @@ import time
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 REPO = Path(__file__).resolve().parent.parent
-
-
-def _load_corpus():
-    """``perfbench/corpus.py``, loaded by path: the benchmark's directory is no package."""
-    spec = importlib.util.spec_from_file_location("bench_e2e_corpus", REPO / "perfbench" / "corpus.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses resolve string annotations through it
-    spec.loader.exec_module(module)
-    return module
-
-
-corpus = _load_corpus()
 
 THREADS = 1
 PIPELINE = ("synth", "features", "train", "evaluate")
@@ -93,6 +81,17 @@ CORPORA = {
 }
 CORPUS_SEED = 1
 
+# A child's ru_maxrss also counts the pages it shared with this process before
+# its exec, so this process stays small: it imports neither NumPy nor the
+# corpus generator, which runs in a child of its own and prints what the
+# ingest config needs.
+_GENERATE = """
+import json, sys
+import corpus
+truth = corpus.generate_corpus(sys.argv[1], int(sys.argv[2]), corpus.CorpusSize(**json.loads(sys.argv[3])))
+print(json.dumps({"rows": truth.rows_total, "model": corpus.TARGET_MODEL, "lookbacks": corpus.LOOKBACKS}))
+"""
+
 
 def run_stage(tree: Path, stage: str, config: Path, log: Path) -> dict:
     """Run one CLI stage as a child process; its wall time and its own rusage."""
@@ -122,10 +121,12 @@ def run_stage(tree: Path, stage: str, config: Path, log: Path) -> dict:
 
 
 def run_case(tree: Path, workdir: Path, name: str, config_text: str, stages) -> dict:
-    """Write the case's config under ``workdir/name`` and run its stages in order."""
+    """Write the case's config under ``workdir/name`` and run its stages in
+    order, into an ``out`` emptied first."""
     root = workdir / name
-    root.mkdir(parents=True, exist_ok=True)
     out = root / "out"
+    shutil.rmtree(out, ignore_errors=True)
+    root.mkdir(parents=True, exist_ok=True)
     config = root / "run.cfg"
     config.write_text(config_text + f"out {out}\nthreads {THREADS}\n", encoding="utf-8")
     case = {"stages": {stage: run_stage(tree, stage, config, root / f"{stage}.log")
@@ -140,11 +141,22 @@ def run_case(tree: Path, workdir: Path, name: str, config_text: str, stages) -> 
     return case
 
 
-def ingest_config(snapshots: Path) -> str:
-    """The benchmark's ingest settings on a corpus of ``perfbench/corpus.py``."""
-    lookbacks = corpus.LOOKBACKS
+def generate_corpus(directory: Path, fields: dict) -> dict:
+    """Write a seeded ``perfbench/corpus.py`` corpus of the given size fields;
+    its row count, model and lookbacks."""
+    env = dict(os.environ, PYTHONPATH=str(REPO / "perfbench"))
+    done = subprocess.run([sys.executable, "-c", _GENERATE, str(directory), str(CORPUS_SEED),
+                           json.dumps(fields)], env=env, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"bench_e2e: generating {directory} failed:\n{done.stderr[-2000:]}")
+    return json.loads(done.stdout)
+
+
+def ingest_config(snapshots: Path, corpus: dict) -> str:
+    """The benchmark's ingest settings on a generated corpus."""
+    lookbacks = corpus["lookbacks"]
     return (f"schema_version 1\nseed {CORPUS_SEED}\nsnapshot_dir {snapshots}\n"
-            f"model_filter {corpus.TARGET_MODEL}\ncap 30\n"
+            f"model_filter {corpus['model']}\ncap 30\n"
             f"lookback_train {lookbacks['train']}\nlookback_test {lookbacks['test60']}\n"
             f"lookback_extrap {lookbacks['test120']}\n")
 
@@ -179,21 +191,18 @@ def measure(tree: Path, workdir: Path, paper: bool) -> dict:
         "date": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "nproc": len(os.sched_getaffinity(0)),
         "python": platform.python_version(),
-        "numpy": np.__version__,
+        "numpy": importlib.metadata.version("numpy"),
         "threads": THREADS,
         "cases": {},
     }
-    rows = {}
-    for name, fields in CORPORA.items():  # generated before any stage runs
-        truth = corpus.generate_corpus(workdir / f"snapshots_{name}", CORPUS_SEED,
-                                       corpus.CorpusSize(**fields))
-        rows[name] = truth.rows_total
+    corpora = {name: generate_corpus(workdir / f"snapshots_{name}", fields)
+               for name, fields in CORPORA.items()}  # before any stage runs
     cases = entry["cases"]
     cases["acceptance"] = run_case(tree, workdir, "acceptance", ACCEPTANCE, PIPELINE)
-    for name in CORPORA:
+    for name, corpus in corpora.items():
         case = run_case(tree, workdir, f"ingest_{name}",
-                        ingest_config(workdir / f"snapshots_{name}"), INGEST)
-        cases[f"ingest_{name}"] = {"corpus_rows": rows[name], **case}
+                        ingest_config(workdir / f"snapshots_{name}", corpus), INGEST)
+        cases[f"ingest_{name}"] = {"corpus_rows": corpus["rows"], **case}
     if paper:
         cases["paper"] = run_case(tree, workdir, "paper", PAPER, PIPELINE)
     return entry
