@@ -18,7 +18,17 @@ Gradients are exact backpropagation through time for the mean-squared-error
 loss, accumulated over the full unrolled sequence and both directions. The
 model holds each cell parameter with its directions stacked on a leading
 axis, the layout the forward/backward kernels at the bottom of the module
-read, so they run both directions at once on the model's own arrays.
+read, so they run both directions at once on the model's own arrays. The
+kernels keep each step's gate activations in i, f, o, g order, so that one
+sigmoid covers the three sigmoid gates as one contiguous block; the weights
+and model files keep i, f, g, o.
+
+:func:`train` puts every parameter of the model into one flat vector and
+makes the model's arrays views of it; :func:`backward` lays the gradients
+out the same way. So the finiteness check, the clip scaling and Adam each
+run once per batch, over that one vector. Each of them is elementwise, and
+the clip norm still sums one named array at a time, so the results keep the
+bits of doing it all array by array.
 """
 from __future__ import annotations
 
@@ -158,13 +168,31 @@ def init_model(
     )
 
 
+def _stacked(model: BiLstmModel) -> tuple[np.ndarray, ...]:
+    """The model's arrays in the order of its flat parameter vector."""
+    return model.w_x, model.w_h, model.bias, model.head_weights, model.head_bias
+
+
+def _split(flat: np.ndarray, model: BiLstmModel) -> list[np.ndarray]:
+    """Views of ``flat`` shaped as :func:`_stacked` returns the model's arrays."""
+    views, lo = [], 0
+    for a in _stacked(model):
+        views.append(flat[lo : lo + a.size].reshape(a.shape))
+        lo += a.size
+    return views
+
+
+def _named(w_x, w_h, bias, head_weights, head_bias) -> tuple[list[str], list[np.ndarray]]:
+    names, arrays = [], []
+    for d, prefix in enumerate(_DIRECTIONS[: len(w_x)]):
+        names += [f"{prefix}.w_x", f"{prefix}.w_h", f"{prefix}.bias"]
+        arrays += [w_x[d], w_h[d], bias[d]]
+    return names + ["dense.weights", "dense.bias"], arrays + [head_weights, head_bias]
+
+
 def parameter_arrays(model: BiLstmModel) -> tuple[list[str], list[np.ndarray]]:
     """Named live views of every trainable array, in serialization order."""
-    names, arrays = [], []
-    for d, prefix in enumerate(_DIRECTIONS[: len(model.w_x)]):
-        names += [f"{prefix}.w_x", f"{prefix}.w_h", f"{prefix}.bias"]
-        arrays += [model.w_x[d], model.w_h[d], model.bias[d]]
-    return names + ["dense.weights", "dense.bias"], arrays + [model.head_weights, model.head_bias]
+    return _named(*_stacked(model))
 
 
 # ---------------------------------------------------------------------------
@@ -173,19 +201,24 @@ def parameter_arrays(model: BiLstmModel) -> tuple[list[str], list[np.ndarray]]:
 
 @dataclass
 class Gradients:
-    """One batch's parameter gradients, named as :func:`parameter_arrays` names
-    the parameters, and the batch's MSE loss they are the gradient of."""
+    """One batch's parameter gradients, and the batch's MSE loss they are the
+    gradient of.
+
+    ``flat`` holds them laid out as a trained model's flat parameter vector;
+    ``arrays`` are views of it, named as :func:`parameter_arrays` names the
+    parameters and in its order.
+    """
 
     names: list[str]
     arrays: list[np.ndarray]
+    flat: np.ndarray
     loss: float
 
     def clip_global_norm(self, max_norm: float) -> None:
+        # the norm sums one array at a time, in name order, which fixes its bits
         norm = math.sqrt(sum(float((a * a).sum()) for a in self.arrays))
         if norm > max_norm:
-            scale = max_norm / norm
-            for a in self.arrays:
-                a *= scale
+            self.flat *= max_norm / norm
 
 
 def _direction_inputs(model: BiLstmModel, X: np.ndarray) -> np.ndarray:
@@ -228,8 +261,8 @@ def backward(model: BiLstmModel, windows: np.ndarray, targets: np.ndarray) -> Gr
     that loss; a non-finite input or gradient raises NumericError."""
     X = np.ascontiguousarray(np.asarray(windows, dtype=np.float64))
     y = np.asarray(targets, dtype=np.float64)
-    if X.ndim != 3 or X.shape[0] == 0 or X.shape[0] != y.shape[0]:
-        raise ValueError("batch must be non-empty (n, timesteps, features) with aligned targets")
+    if X.ndim != 3 or X.shape[0] == 0 or y.shape != X.shape[:1]:
+        raise ValueError("batch must be non-empty (n, timesteps, features) with targets shaped (n,)")
     if X.shape[2] != model.n_features:
         raise ConfigError("batch feature count does not match the model")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
@@ -246,14 +279,12 @@ def backward(model: BiLstmModel, windows: np.ndarray, targets: np.ndarray) -> Gr
     dy = 2.0 * residual / n
     dh_last = dy[None, :, None] * model.head_weights.reshape(-1, 1, hidden)
     d_wx, d_wh, d_b = _lstm_backward(X_dir, model.w_h, *cache, dh_last)
-    names, _ = parameter_arrays(model)
-    arrays = [grad for d in range(len(h_last)) for grad in (d_wx[d], d_wh[d], d_b[d])]
-    arrays += [np.concatenate([h.T @ dy for h in h_last]), np.array([dy.sum()])]
-
-    for name, arr in zip(names, arrays):
-        if not np.all(np.isfinite(arr)):
-            raise NumericError(f"non-finite gradient in {name}")
-    return Gradients(names=names, arrays=arrays, loss=float(np.mean(residual ** 2)))
+    flat = np.concatenate([d_wx, d_wh, d_b, *(h.T @ dy for h in h_last), [dy.sum()]], axis=None)
+    names, arrays = _named(*_split(flat, model))
+    if not np.all(np.isfinite(flat)):
+        name = next(n for n, a in zip(names, arrays) if not np.all(np.isfinite(a)))
+        raise NumericError(f"non-finite gradient in {name}")
+    return Gradients(names=names, arrays=arrays, flat=flat, loss=float(np.mean(residual ** 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +349,9 @@ def train(settings: TrainSettings, dataset: WindowedDataset) -> tuple[BiLstmMode
         timesteps=dataset.timesteps,
         feature_ids=dataset.feature_ids,
     )
-    _, params = parameter_arrays(model)
+    # the model's arrays become views of one flat parameter vector
+    params = [np.concatenate(_stacked(model), axis=None)]
+    model.w_x, model.w_h, model.bias, model.head_weights, model.head_bias = _split(params[0], model)
     state = AdamState.for_params(params, learning_rate=settings.learning_rate)
     X = np.ascontiguousarray(dataset.windows, dtype=np.float64)
     y = np.asarray(dataset.targets, dtype=np.float64)
@@ -339,7 +372,7 @@ def train(settings: TrainSettings, dataset: WindowedDataset) -> tuple[BiLstmMode
             sse += grads.loss * len(sel)
             if settings.grad_clip:
                 grads.clip_global_norm(settings.grad_clip)
-            adam_step(state, params, grads.arrays)
+            adam_step(state, params, [grads.flat])
         trace.losses.append(sse / n)
         trace.seconds.append(time.perf_counter() - started)
     return model, trace
@@ -409,21 +442,25 @@ def _model_from_members(member) -> BiLstmModel:
 def _cell_step(x_t, h, c, w_x, w_h, bias):
     """One step of the stacked cells.
 
-    Returns the gate activations laid out (4, D, B, H) in i, f, g, o order,
-    so each gate is one contiguous block, then c_t, tanh(c_t) and h_t.
+    Returns the gate activations laid out (4, D, B, H) in i, f, o, g order,
+    so each gate is one contiguous block and the three sigmoid gates are one,
+    then c_t, tanh(c_t) and h_t. The weights stack the gates i, f, g, o.
     """
     D, B, H = h.shape
     z = np.matmul(x_t, w_x)
     z += np.matmul(h, w_h)
     z += bias
-    # sigmoid 1 / (1 + exp(-z)) over all four gates, in place; then tanh for g
+    z_gates = z.reshape(D, B, 4, H).transpose(2, 0, 1, 3)  # i, f, g, o
     gates = np.empty((4, D, B, H))
-    np.negative(z.reshape(D, B, 4, H).transpose(2, 0, 1, 3), out=gates)
-    np.exp(gates, out=gates)
-    gates += 1.0
-    np.divide(1.0, gates, out=gates)
-    i, f, g, o = gates
-    np.tanh(z[..., 2 * H : 3 * H], out=g)
+    # sigmoid 1 / (1 + exp(-z)) once over the contiguous i, f, o block, in place
+    np.negative(z_gates[:2], out=gates[:2])
+    np.negative(z_gates[3], out=gates[2])
+    sigmoid = gates[:3]
+    np.exp(sigmoid, out=sigmoid)
+    sigmoid += 1.0
+    np.divide(1.0, sigmoid, out=sigmoid)
+    np.tanh(z_gates[2], out=gates[3])
+    i, f, o, g = gates
     c = f * c
     c += i * g
     tanh_c = np.tanh(c)
@@ -469,16 +506,33 @@ def _lstm_backward(X, w_h, h_seq, c_seq, gates, tanh_c, dh_last):
     dh = dh_last
     dc = np.zeros((D, B, H))
     dz = np.empty((D, B, 4 * H))
-    dz_gates = dz.reshape(D, B, 4, H).transpose(2, 0, 1, 3)
+    # the gate gradients in i, f, g, o order, each contiguous, copied into dz at once
+    d_gates = np.empty((4, D, B, H))
+    d_i, d_f, d_g, d_o = d_gates
+    tmp = np.empty((D, B, H))
     for t in range(T - 1, -1, -1):
-        i, f, g, o = gates[t]
+        i, f, o, g = gates[t]
         tc = tanh_c[t]
-        do = dh * tc
         dc = dc + dh * o * (1.0 - tc * tc)
-        dz_gates[0] = (dc * g) * i * (1.0 - i)
-        dz_gates[1] = (dc * c_seq[t]) * f * (1.0 - f)
-        dz_gates[2] = (dc * i) * (1.0 - g * g)
-        dz_gates[3] = do * o * (1.0 - o)
+        # one operation at a time, in the order (dc * g) * i * (1.0 - i) and the
+        # like evaluate, which keeps their bits
+        np.multiply(dc, g, out=d_i)
+        d_i *= i
+        np.subtract(1.0, i, out=tmp)
+        d_i *= tmp
+        np.multiply(dc, c_seq[t], out=d_f)
+        d_f *= f
+        np.subtract(1.0, f, out=tmp)
+        d_f *= tmp
+        np.multiply(dc, i, out=d_g)
+        np.multiply(g, g, out=tmp)
+        np.subtract(1.0, tmp, out=tmp)
+        d_g *= tmp
+        np.multiply(dh, tc, out=d_o)
+        d_o *= o
+        np.subtract(1.0, o, out=tmp)
+        d_o *= tmp
+        dz.reshape(D, B, 4, H)[...] = d_gates.transpose(1, 2, 0, 3)
         d_wx += np.matmul(X[t].transpose(0, 2, 1), dz)
         d_wh += np.matmul(h_seq[t].transpose(0, 2, 1), dz)
         d_b += dz.sum(axis=1)

@@ -28,8 +28,9 @@ from mpmath import mp, mpf
 from hddrul import cli
 from hddrul import dataset as ds
 from hddrul import features as feat
-from hddrul.errors import DataError
-from hddrul.seeding import derive_seed
+from hddrul import neural
+from hddrul.errors import DataError, NumericError
+from hddrul.seeding import derive_seed, rng_for
 
 # Same split-comparison semantics as the library: a candidate must beat the
 # incumbent's gain beyond float noise, otherwise the earlier (lower feature,
@@ -557,3 +558,53 @@ def _predict_tree_arrays(feature, threshold, left, right, value, X):
                 node = right[node]
         out[i] = value[node]
     return out
+
+
+# ---------------------------------------------------------------------------
+# The LSTM training loop as it ran on the per-parameter arrays before they
+# moved into one flat vector: each batch checks, clips and updates one named
+# array at a time
+
+
+def train_per_array(settings, dataset):
+    """The parameters, in ``parameter_arrays`` order, and the epoch losses that
+    ``neural.train`` gives, and the number of batches whose gradient was clipped."""
+    n = dataset.n_samples
+    model = neural.init_model(settings, n_features=dataset.n_features,
+                              timesteps=dataset.timesteps, feature_ids=dataset.feature_ids)
+    names, params = neural.parameter_arrays(model)
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    lr, b1, b2, eps = settings.learning_rate, 0.9, 0.999, 1e-8
+    X = np.ascontiguousarray(dataset.windows, dtype=np.float64)
+    y = np.asarray(dataset.targets, dtype=np.float64)
+    losses, step, clipped = [], 0, 0
+    for epoch in range(settings.epochs):
+        perm = rng_for(settings.seed, f"shuffle/epoch-{epoch}").permutation(n)
+        sse = 0.0
+        for lo in range(0, n, settings.batch_size):
+            sel = perm[lo : lo + settings.batch_size]
+            grads = neural.backward(model, X[sel], y[sel])
+            arrays = [a.copy() for a in grads.arrays]
+            for name, arr in zip(names, arrays):
+                if not np.all(np.isfinite(arr)):
+                    raise NumericError(f"non-finite gradient in {name}")
+            sse += grads.loss * len(sel)
+            if settings.grad_clip:
+                norm = math.sqrt(sum(float((a * a).sum()) for a in arrays))
+                if norm > settings.grad_clip:
+                    clipped += 1
+                    scale = settings.grad_clip / norm
+                    for a in arrays:
+                        a *= scale
+            step += 1
+            correction1 = 1.0 - b1**step
+            correction2 = 1.0 - b2**step
+            for p, g, mp_, vp in zip(params, arrays, m, v):
+                mp_ *= b1
+                mp_ += (1.0 - b1) * g
+                vp *= b2
+                vp += (1.0 - b2) * g * g
+                p -= lr * (mp_ / correction1) / (np.sqrt(vp / correction2) + eps)
+        losses.append(sse / n)
+    return params, losses, clipped

@@ -298,6 +298,24 @@ def test_backward_loss_is_mse_of_predict(rng, bidirectional, n):
     assert neural.backward(model, X, y).loss == neural.mse_loss(model.predict(X), y)
 
 
+@pytest.mark.parametrize("targets", [np.zeros((1, 1)), np.float64(0.0)], ids=["1x1", "0d"])
+def test_backward_requires_targets_shaped_n(rng, targets):
+    # a one-row batch with (1, 1) targets used to give a (H, 1) head gradient
+    model = _model(neural.TrainSettings(bidirectional=True, hidden_size=3, seed=8), 2, 4)
+    with pytest.raises(ValueError, match=r"targets shaped \(n,\)"):
+        neural.backward(model, rng.normal(size=(1, 4, 2)), targets)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("bidirectional", [False, True])
+def test_nonfinite_gradient_names_the_first_such_parameter(rng, bidirectional):
+    model = _model(neural.TrainSettings(bidirectional=bidirectional, hidden_size=3, seed=8), 2, 4)
+    model.head_weights[:] = 1e308
+    with pytest.raises(NumericError, match=r"^non-finite gradient in forward\.w_x$"):
+        neural.backward(model, rng.normal(size=(5, 4, 2)), rng.normal(size=5))
+
+
 def test_adam_zero_gradient_keeps_params():
     params = [np.array([1.0, -2.0]), np.array([[3.0]])]
     state = neural.AdamState.for_params(params)
@@ -376,6 +394,21 @@ def test_train_deterministic(rng):
     assert _same_parameters(m1, m2)
 
 
+@pytest.mark.parametrize("grad_clip", [0.05, None])
+@pytest.mark.parametrize("bidirectional", [False, True])
+def test_train_matches_per_array_loop_oracle(rng, bidirectional, grad_clip):
+    # 45 windows in batches of 16: the last batch of each epoch holds 13
+    dataset = _toy_dataset(rng, n=45)
+    settings = neural.TrainSettings(bidirectional=bidirectional, hidden_size=4, epochs=3,
+                                    batch_size=16, seed=5, grad_clip=grad_clip)
+    model, trace = neural.train(settings, dataset)
+    params, losses, clipped = oracles.train_per_array(settings, dataset)
+    assert (clipped > 0) == (grad_clip is not None)
+    assert trace.losses == losses
+    _, got = neural.parameter_arrays(model)
+    assert all(np.array_equal(a, b) for a, b in zip(got, params, strict=True))
+
+
 def test_train_zero_epochs_returns_init(rng):
     dataset = _toy_dataset(rng)
     settings = neural.TrainSettings(bidirectional=False, hidden_size=4, epochs=0, seed=7)
@@ -447,7 +480,7 @@ def test_lstm_kernels_match_scalar_oracle(rng):
         h_seq, c_seq, gates, tanh_c = (np.stack(a) for a in cache)
         for d in range(D):
             ref = oracles._lstm_forward_tbf(inputs[d], *cells[d])
-            gates_d = gates[:, :, d].transpose(0, 2, 1, 3).reshape(T, B, 4 * H)  # as (T, B, 4H)
+            gates_d = gates[:, [0, 1, 3, 2], d].transpose(0, 2, 1, 3).reshape(T, B, 4 * H)  # as (T, B, 4H)
             for got, want in zip((h_seq[:, d], c_seq[:, d], gates_d, tanh_c[:, d]), ref):
                 assert np.array_equal(got, want)
             assert np.array_equal(last[d], ref[0][-1])
