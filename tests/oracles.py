@@ -29,8 +29,10 @@ from hddrul import cli
 from hddrul import dataset as ds
 from hddrul import features as feat
 from hddrul import neural
-from hddrul.errors import DataError, NumericError
-from hddrul.seeding import derive_seed, rng_for
+from hddrul.errors import DataError
+from hddrul.errors import NumericError
+from hddrul.seeding import derive_seed
+from hddrul.seeding import rng_for
 
 # Same split-comparison semantics as the library: a candidate must beat the
 # incumbent's gain beyond float noise, otherwise the earlier (lower feature,
