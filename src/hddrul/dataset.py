@@ -15,10 +15,14 @@ ingest gives all its reads one store. Ingest reads each file once, newest
 first, with the windows of the drives whose failure is already known. A drive's own
 failure-day file is read before its window is known, so as soon as the file's
 failures register their windows ingest reads it again with just those
-drives' windows. A read splits a line only as far as it
-needs, parses each distinct (``date``, ``failure``) cell pair once per file,
-and sends a line holding a quote through ``csv.reader``. A drive that fails on
-several days counts as failed on the earliest (:func:`scan_failures`).
+drives' windows. A read takes its lines a block of 64K characters at a time,
+split at ``\\n``, and switches to reading line by line at the first block that
+holds a quote or a CR. It splits a line only as far as it needs, parses each
+distinct (``date``, ``failure``) cell pair once per file, and sends a line
+holding a quote through ``csv.reader``. A whole block is decoded before its
+rows are checked, so of a malformed row and bytes that are not UTF-8 in one
+block, the UTF-8 error is the one reported. A drive that fails on several days
+counts as failed on the earliest (:func:`scan_failures`).
 
 A failed drive's history is turned into a :class:`LabeledSeries`: the rows
 covering the lookback window before failure, each labeled with its remaining
@@ -38,6 +42,7 @@ reads. One writer and one reader, with one set of rules, serve all three.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
 from array import array
@@ -313,6 +318,35 @@ def _snapshot_layout(path: str | Path, fh) -> _Layout | None:
         raise DataError(f"{path}: {exc}") from None
 
 
+_BLOCK = 1 << 16  # characters a snapshot read takes from its file at once
+
+
+def _snapshot_lines(fh):
+    """The lines of an open snapshot file from where it stands, in groups to chain.
+
+    While the file's blocks of ``_BLOCK`` characters, each completed to its
+    last line end, hold no ``"`` and no ``\\r``, a group is a block's lines
+    without their ``\\n``. From the first block that holds either on, the
+    lines come as iterating the file gives them: with their ends, a line ending
+    at ``\\n``, ``\\r`` or ``\\r\\n``, so csv.reader sees a quoted cell's line
+    breaks.
+    """
+    while True:
+        text = fh.read(_BLOCK)
+        if not text.endswith("\n"):
+            text += fh.readline()
+        if '"' in text or "\r" in text:
+            yield io.StringIO(text, newline="")
+            yield fh
+            return
+        if not text:
+            return
+        lines = text.split("\n")
+        if not lines[-1]:
+            del lines[-1]  # after the block's last line end
+        yield lines
+
+
 class _Block(NamedTuple):
     """Rows of one drive read with the same attribute columns."""
 
@@ -396,6 +430,11 @@ def read_snapshot_csv(path: str | Path, windows: dict[str, tuple[Date, Date]],
     have no size limit. A line holding a quote is parsed by csv, with any
     following lines a quoted cell spans; a csv error there is a
     :class:`SnapshotParseError`.
+
+    The lines come a ``_BLOCK`` at a time (:func:`_snapshot_lines`), line by
+    line from the first block that holds a quote or a CR on. A block is
+    decoded whole before its rows are checked: bytes that are not UTF-8 are a
+    DataError naming the file even after a malformed row of the same block.
     """
     failures: list[DriveRecord] = []
     n_kept = 0
@@ -404,11 +443,14 @@ def read_snapshot_csv(path: str | Path, windows: dict[str, tuple[Date, Date]],
         if layout is None:
             return SnapshotScan(failures, None, 0)
         width, serial_col = layout.width, layout.serial
+        date_col, failure_col = layout.date, layout.failure
         seen: dict[tuple[str, str] | None, tuple[Date, bool]] = {}  # see _row_identity
-        for row_index, line in enumerate(fh, start=1):
+        seen_get, window_get = seen.get, windows.get
+        lines = itertools.chain.from_iterable(_snapshot_lines(fh))
+        for row_index, line in enumerate(lines, start=1):
             if '"' in line:
                 try:
-                    row = next(csv.reader(itertools.chain([line], fh)))
+                    row = next(csv.reader(itertools.chain([line], lines)))
                 except csv.Error as exc:
                     raise SnapshotParseError(row_index, str(exc), path) from exc
                 line = None
@@ -417,8 +459,8 @@ def read_snapshot_csv(path: str | Path, windows: dict[str, tuple[Date, Date]],
                 if not line:
                     continue
                 row = line.split(",", width)  # its last cell holds the rest of the line
-            key = (row[layout.date], row[layout.failure]) if len(row) >= width else None
-            identity = seen.get(key)
+            key = (row[date_col], row[failure_col]) if len(row) >= width else None
+            identity = seen_get(key)
             if identity is None:
                 identity = seen[key] = _row_identity(layout, row, row_index, path)
             day, failed = identity
@@ -431,7 +473,7 @@ def read_snapshot_csv(path: str | Path, windows: dict[str, tuple[Date, Date]],
                     failed=True,
                 ))
             if windows:
-                window = windows.get(row[serial_col].strip())
+                window = window_get(row[serial_col].strip())
                 if window is not None and window[0] <= day <= window[1]:
                     kept.add(layout, row if line is None else line.split(","), day)
                     n_kept += 1

@@ -40,6 +40,9 @@ def test_bench_e2e_appends_one_full_entry(tmp_path, monkeypatch):
     assert set(cases["acceptance"]["summaries_sha256"]) == {"summary_test60.csv", "summary_test120.csv"}
     assert cases["ingest_tiny"]["corpus_rows"] > 0
     for case in cases.values():
+        assert set(case["cohorts_sha256"]) == {"manifest.csv", "scoring.csv", "test120.csv",
+                                               "test60.csv", "train.csv"}
+    for case in cases.values():
         for stage in case["stages"].values():
             assert stage.keys() == STAGE_FIELDS
             assert stage["wall_s"] > 0 and stage["maxrss_mb"] > 0 and stage["minflt"] > 0

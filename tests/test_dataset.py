@@ -154,12 +154,9 @@ def _kept_csv(records):
             for rec in sorted(records, key=lambda rec: order.index(rec.serial))]
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(text=_snapshot_text(), windows=_WINDOWS)
-def test_snapshot_passes_match_csv_reader_oracle(tmp_path, text, windows):
-    """A read gives the failure rows and the rows in ``windows``, or the error,
-    of a csv.reader over every row."""
-    path = tmp_path / "day.csv"
+def _assert_read_matches_oracle(path, text, windows):
+    """A read of ``text`` gives the failure rows and the rows in ``windows``, or
+    the error, of a csv.reader over every row."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(text)
     kept = ds.KeptRows()
@@ -170,6 +167,38 @@ def test_snapshot_passes_match_csv_reader_oracle(tmp_path, text, windows):
         return
     assert scan[1].failures == failures[1]
     assert _kept(kept) == _kept_csv(oracles.read_snapshot_csv_csv(path, windows))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_snapshot_text(), windows=_WINDOWS)
+def test_snapshot_passes_match_csv_reader_oracle(tmp_path, text, windows):
+    _assert_read_matches_oracle(tmp_path / "day.csv", text, windows)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_snapshot_text(), windows=_WINDOWS, block=st.sampled_from([1, 2, 3, 7, 16, 64]))
+def test_block_reads_match_csv_reader_oracle(tmp_path, monkeypatch, text, windows, block):
+    """Blocks this short end inside lines, inside quoted cells and between a CR
+    and its LF."""
+    monkeypatch.setattr(ds, "_BLOCK", block)
+    _assert_read_matches_oracle(tmp_path / "day.csv", text, windows)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("tail", ["2020-01-06,B,M,0,0,1,,2", "2020-01-06,B,M,0,maybe,1,,2"])
+@pytest.mark.parametrize("block", [16, 64, 512, 1 << 16])
+def test_quoted_cell_spanning_blocks_matches_csv_reader_oracle(tmp_path, monkeypatch, end, tail, block):
+    """A quoted cell of 40 line breaks (about 2 KB) after 100 quote-free rows
+    keeps its line breaks, and the rows after it keep their numbers; the rows
+    from the 50th on end with ``end``, so a CR may come first."""
+    monkeypatch.setattr(ds, "_BLOCK", block)
+    model = '"' + end.join(f"line {k} of a model name that spans many lines" for k in range(41)) + '"'
+    rows = [f"2020-01-0{4 + k % 3},{'AB'[k % 2]},M,0,0,{k},,{k * 3}" for k in range(100)]
+    rows += [f"2020-01-05,Q,{model},0,1,7,,9", tail]
+    text = "\n".join([",".join(SNAPSHOT_COLUMNS)] + rows[:50]) + "\n" + end.join(rows[50:]) + end
+    windows = {"A": (date(2020, 1, 4), date(2020, 1, 5)), "B": (date(2020, 1, 6), date(2020, 1, 6)),
+               "Q": (date(2020, 1, 5), date(2020, 1, 5))}
+    _assert_read_matches_oracle(tmp_path / "day.csv", text, windows)
 
 
 def test_read_failure_rows_streams(tmp_path):

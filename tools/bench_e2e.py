@@ -29,8 +29,9 @@ Each run appends one entry to the JSON list in ``--record`` and changes none
 of the entries already there: the git sha of the timed tree and whether its
 tracked files differ from it, the date, ``nproc``, the Python and NumPy
 versions, ``threads``, and per case its stage figures, the bytes of its
-``models/`` and the SHA-256 of each ``summary_<cohort>.csv``, so a change that
-moves a result and not only a time shows too.
+``models/`` and the SHA-256 of each ``cohorts/*.csv`` and each
+``summary_<cohort>.csv``, so a change that moves a result and not only a time
+shows too.
 """
 from __future__ import annotations
 
@@ -134,10 +135,11 @@ def run_case(tree: Path, workdir: Path, name: str, config_text: str, stages) -> 
     models = out / "models"
     if models.is_dir():
         case["model_bytes"] = sum(p.stat().st_size for p in models.iterdir())
-    summaries = sorted((out / "reports").glob("summary_*.csv"))
-    if summaries:
-        case["summaries_sha256"] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-                                    for p in summaries}
+    for key, files in (("cohorts_sha256", out.glob("cohorts/*.csv")),
+                       ("summaries_sha256", out.glob("reports/summary_*.csv"))):
+        files = sorted(files)
+        if files:
+            case[key] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
     return case
 
 
