@@ -42,7 +42,6 @@ def test_bench_e2e_appends_one_full_entry(tmp_path, monkeypatch):
     for case in cases.values():
         assert set(case["cohorts_sha256"]) == {"manifest.csv", "scoring.csv", "test120.csv",
                                                "test60.csv", "train.csv"}
-    for case in cases.values():
         for stage in case["stages"].values():
             assert stage.keys() == STAGE_FIELDS
             assert stage["wall_s"] > 0 and stage["maxrss_mb"] > 0 and stage["minflt"] > 0

@@ -135,9 +135,9 @@ def run_case(tree: Path, workdir: Path, name: str, config_text: str, stages) -> 
     models = out / "models"
     if models.is_dir():
         case["model_bytes"] = sum(p.stat().st_size for p in models.iterdir())
-    for key, files in (("cohorts_sha256", out.glob("cohorts/*.csv")),
-                       ("summaries_sha256", out.glob("reports/summary_*.csv"))):
-        files = sorted(files)
+    for key, pattern in (("cohorts_sha256", "cohorts/*.csv"),
+                         ("summaries_sha256", "reports/summary_*.csv")):
+        files = sorted(out.glob(pattern))
         if files:
             case[key] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
     return case
