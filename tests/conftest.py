@@ -1,20 +1,11 @@
 import importlib.util
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import settings
 
 from hddrul import dataset as ds
-
-# CI sets HYPOTHESIS_PROFILE=ci, so a failure seen only there prints the
-# @reproduce_failure line that replays it; example counts and deadlines stay
-# each test's own.
-settings.register_profile("ci", print_blob=True)
-if os.environ.get("HYPOTHESIS_PROFILE") == "ci":
-    settings.load_profile("ci")
 
 
 @pytest.fixture(scope="session")
