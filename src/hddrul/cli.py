@@ -287,14 +287,20 @@ def _split_events(config: RunConfig):
     its drive's window, the failure day and the longest lookback before it,
     and the files read after it keep the drive's rows inside that window.
     Right then, every file read so far whose days meet one of the new windows
-    is read again with just the new windows it meets: on daily files that is
-    the failure-day file itself, since a drive stops reporting after it
-    fails. An earlier failure of a drive found later registers the drive
-    again with the earlier window and drops the rows kept so far. So memory
-    scales with the failed drives, not with the corpus. A ``model_filter``
-    failure whose serial holds a comma, a quote or a line break, which the
-    drive CSVs cannot hold, is a DataError naming its file. The split is the
-    seeded ``ingest_train_frac`` draw.
+    gives the rows of just the new windows it meets. The file itself gives
+    them from the text its read kept
+    (:meth:`~hddrul.dataset.SnapshotScan.add_rows`), which is dropped after;
+    a file read earlier, or one whose read kept no text (it holds a quote or
+    a CR, or is over ``dataset._RETAIN`` characters), is read again from
+    disk. On daily files a new window meets only the failure-day file, since
+    a drive stops reporting after it fails; files that hold several days,
+    or names out of date order, can take disk re-reads. An earlier failure
+    of a drive found later registers the drive again with the earlier window
+    and drops the rows kept so far. So memory scales with the failed drives,
+    not with the corpus. A ``model_filter`` failure whose serial is empty or
+    holds a comma, a quote or a line break, which the drive CSVs cannot
+    hold, is a DataError naming its file. The split is the seeded
+    ``ingest_train_frac`` draw.
     """
     snapshot_dir = Path(config.snapshot_dir)
     if not config.snapshot_dir or not snapshot_dir.is_dir():
@@ -315,6 +321,9 @@ def _split_events(config: RunConfig):
             window = windows.get(rec.serial)
             if rec.model != config.model_filter or (window and window[1] <= rec.date):
                 continue
+            if not rec.serial:
+                raise DataError(f"{path}: a failure row of a {rec.model!r} drive on {rec.date} "
+                                "has an empty serial, which a drive CSV cannot hold")
             if any(c in rec.serial for c in ',"\r\n'):
                 raise DataError(f"{path}: serial {rec.serial!r} holds a comma, a quote or a "
                                 "line break, which a drive CSV cannot hold")
@@ -322,8 +331,11 @@ def _split_events(config: RunConfig):
             windows[rec.serial] = new[rec.serial] = (rec.date - lookback, rec.date)
         for old, (first, last) in read if new else ():  # most files register no window
             wanted = {serial: w for serial, w in new.items() if w[0] <= last and first <= w[1]}
-            if wanted:
+            if wanted and old == path and scan.text is not None:
+                scan.add_rows(wanted, kept)
+            elif wanted:
                 ds.read_snapshot_csv(old, wanted, kept)
+        del scan  # and the text it kept, before the next read
     events = ds.scan_failures(failures, config.model_filter)
     if not events:
         raise DataError(f"{snapshot_dir}: no failure of a {config.model_filter!r} drive to label")

@@ -14,8 +14,10 @@ inside the windows it is given, adding them to the caller's :class:`KeptRows`;
 ingest gives all its reads one store. Ingest reads each file once, newest
 first, with the windows of the drives whose failure is already known. A drive's own
 failure-day file is read before its window is known, so as soon as the file's
-failures register their windows ingest reads it again with just those
-drives' windows. A read takes its lines a block of 64K characters at a time,
+failures register their windows ingest takes those drives' rows from the
+text the read kept (:meth:`SnapshotScan.add_rows`), or reads the file again
+when the read did not keep it: a file with a quote or a CR, or over
+``_RETAIN`` characters. A read takes its lines a block of 64K characters at a time,
 split at ``\\n``, and switches to reading line by line at the first block that
 holds a quote or a CR. It splits a line only as far as it needs, parses each
 distinct (``date``, ``failure``) cell pair once per file, and sends a line
@@ -319,9 +321,10 @@ def _snapshot_layout(path: str | Path, fh) -> _Layout | None:
 
 
 _BLOCK = 1 << 16  # characters a snapshot read takes from its file at once
+_RETAIN = 1 << 20  # characters of its blocks a snapshot read keeps for serving rows again
 
 
-def _snapshot_lines(fh):
+def _snapshot_lines(fh, retained: list[str]):
     """The lines of an open snapshot file from where it stands, in groups to chain.
 
     While the file's blocks of ``_BLOCK`` characters, each completed to its
@@ -329,18 +332,27 @@ def _snapshot_lines(fh):
     without their ``\\n``. From the first block that holds either on, the
     lines come as iterating the file gives them: with their ends, a line ending
     at ``\\n``, ``\\r`` or ``\\r\\n``, so csv.reader sees a quoted cell's line
-    breaks.
+    breaks. Each block of the first kind is appended to ``retained`` while
+    their total stays within ``_RETAIN`` characters; the first block that
+    holds a quote or a CR, or goes over, empties it for good.
     """
+    size = 0
     while True:
         text = fh.read(_BLOCK)
         if not text.endswith("\n"):
             text += fh.readline()
         if '"' in text or "\r" in text:
+            retained.clear()
             yield io.StringIO(text, newline="")
             yield fh
             return
         if not text:
             return
+        size += len(text)
+        if size <= _RETAIN:
+            retained.append(text)
+        else:
+            retained.clear()
         lines = text.split("\n")
         if not lines[-1]:
             del lines[-1]  # after the block's last line end
@@ -403,14 +415,51 @@ class KeptRows:
 @dataclass
 class SnapshotScan:
     """What one read of a snapshot file gives (see :func:`read_snapshot_csv`);
-    ``len()`` counts the rows it added to the caller's :class:`KeptRows`."""
+    ``len()`` counts the rows it added to the caller's :class:`KeptRows`.
+
+    A read of a file with LF line ends and no quotes, within ``_RETAIN``
+    characters after its header, also keeps the file's text, so that
+    :meth:`add_rows` can serve further windows without reading it again.
+    """
 
     failures: list[DriveRecord]  # the failure rows, without attributes
     days: tuple[Date, Date] | None  # first and last day of its rows; None without rows
     n_kept: int  # the rows inside ``windows``
+    layout: _Layout | None  # None for an empty file
+    identities: dict  # (date cell, failure cell) -> (day, failed); see _row_identity
+    text: list[str] | None  # the blocks after the header, or None when not kept in full
 
     def __len__(self) -> int:
         return self.n_kept
+
+    def add_rows(self, windows: dict[str, tuple[Date, Date]], kept: KeptRows) -> int:
+        """Add the rows in ``windows`` to ``kept`` from the kept text, in file
+        order, as a read of the file with ``windows`` would; the number added.
+
+        Only for a scan whose ``text`` is not None. The read checked every
+        row, so each line that holds a wanted serial is split and kept if its
+        stripped serial cell is that serial and its day lies in the window.
+        """
+        layout, identities = self.layout, self.identities
+        hits = []  # (block, line start, day, row)
+        for serial, (first, last) in windows.items():
+            for b, text in enumerate(self.text):
+                pos = text.find(serial)
+                while pos >= 0:
+                    start = text.rfind("\n", 0, pos) + 1
+                    end = text.find("\n", pos)
+                    if end < 0:
+                        end = len(text)
+                    row = text[start:end].split(",")
+                    if len(row) >= layout.width and row[layout.serial].strip() == serial:
+                        day = identities[row[layout.date], row[layout.failure]][0]
+                        if first <= day <= last:
+                            hits.append((b, start, day, row))
+                    pos = text.find(serial, end + 1)
+        hits.sort(key=lambda hit: hit[:2])
+        for _, _, day, row in hits:
+            kept.add(layout, row, day)
+        return len(hits)
 
 
 def read_snapshot_csv(path: str | Path, windows: dict[str, tuple[Date, Date]],
@@ -435,18 +484,25 @@ def read_snapshot_csv(path: str | Path, windows: dict[str, tuple[Date, Date]],
     line from the first block that holds a quote or a CR on. A block is
     decoded whole before its rows are checked: bytes that are not UTF-8 are a
     DataError naming the file even after a malformed row of the same block.
+    The scan keeps the blocks, the layout and the identity of each distinct
+    (date cell, failure cell) pair when every block took the block path and
+    they add up to at most ``_RETAIN`` characters; then
+    :meth:`SnapshotScan.add_rows` serves more windows from them, and the
+    file need not be read again. A file with a quote, a CR or more text is
+    read again for them.
     """
     failures: list[DriveRecord] = []
     n_kept = 0
     with _text_file(path) as fh:
         layout = _snapshot_layout(path, fh)
         if layout is None:
-            return SnapshotScan(failures, None, 0)
+            return SnapshotScan(failures, None, 0, None, {}, None)
         width, serial_col = layout.width, layout.serial
         date_col, failure_col = layout.date, layout.failure
         seen: dict[tuple[str, str] | None, tuple[Date, bool]] = {}  # see _row_identity
         seen_get, window_get = seen.get, windows.get
-        lines = itertools.chain.from_iterable(_snapshot_lines(fh))
+        retained: list[str] = []
+        lines = itertools.chain.from_iterable(_snapshot_lines(fh, retained))
         for row_index, line in enumerate(lines, start=1):
             if '"' in line:
                 try:
@@ -478,7 +534,8 @@ def read_snapshot_csv(path: str | Path, windows: dict[str, tuple[Date, Date]],
                     kept.add(layout, row if line is None else line.split(","), day)
                     n_kept += 1
     days = [day for day, _ in seen.values()]
-    return SnapshotScan(failures, (min(days), max(days)) if days else None, n_kept)
+    return SnapshotScan(failures, (min(days), max(days)) if days else None, n_kept,
+                        layout, seen, retained or None)
 
 
 # ---------------------------------------------------------------------------

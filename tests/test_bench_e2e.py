@@ -1,6 +1,8 @@
-"""``tools/bench_e2e.py`` on a tiny config and corpus: one entry appended, every field filled."""
+"""``tools/bench_e2e.py`` on a tiny config and corpus: one entry appended, every
+field filled; and the dirty check of its entries."""
 import importlib.util
 import json
+import subprocess
 import time
 from pathlib import Path
 
@@ -45,3 +47,28 @@ def test_bench_e2e_appends_one_full_entry(tmp_path, monkeypatch):
         for stage in case["stages"].values():
             assert stage.keys() == STAGE_FIELDS
             assert stage["wall_s"] > 0 and stage["maxrss_mb"] > 0 and stage["minflt"] > 0
+
+
+def test_git_state_leaves_the_record_out(tmp_path):
+    """A changed record file leaves the tree clean, as when the parent's entry
+    was appended just before; any other tracked change makes it dirty."""
+    tool = _load_tool()
+    tree = tmp_path / "tree"
+    tree.mkdir()
+    record = tree / "BENCH_e2e.json"
+    record.write_text("[]\n")
+    (tree / "code.py").write_text("x = 1\n")
+
+    def git(*args):
+        subprocess.run(["git", "-C", str(tree), "-c", "user.name=t", "-c", "user.email=t@t",
+                        *args], check=True, capture_output=True)
+
+    git("init", "-q")
+    git("add", ".")
+    git("commit", "-q", "-m", "seed")
+    sha, dirty = tool.git_state(tree, record)
+    assert len(sha) == 40 and dirty is False
+    record.write_text('[{"sha": "parent"}]\n')
+    assert tool.git_state(tree, record) == (sha, False)
+    (tree / "code.py").write_text("x = 2\n")
+    assert tool.git_state(tree, record) == (sha, True)

@@ -646,6 +646,24 @@ def test_ingest_serial_a_drive_csv_cannot_hold_is_data_error(tmp_path, capsys, s
     assert not (out / "cohorts").exists()
 
 
+@pytest.mark.parametrize("serial", ["", "   "])
+def test_ingest_empty_serial_is_data_error(tmp_path, capsys, serial):
+    """A failure row whose serial cell is empty or only spaces names the file
+    and writes no cohort, where it would give a drive without a serial."""
+    series = ds.generate_synthetic(ds.SynthConfig(n_drives=4, lookback_days=25, jump_day=4, seed=5))
+    snapshot_dir = _write_snapshots(tmp_path, series, n_files=1)
+    path = snapshot_dir / "part0.csv"
+    path.write_text(path.read_text().replace(f",{series[1].serial},", f",{serial},"))
+    out = tmp_path / "out"
+    cfg = _config_file(tmp_path, out, extra=(
+        f"snapshot_dir {snapshot_dir}\nmodel_filter {ds.SYNTHETIC_MODEL}\nlookback_extrap 18\n"))
+    assert main(["ingest", "--config", cfg]) == 2
+    fail_day = series[1].rows.dates[-1]
+    assert (f"data error: {path}: a failure row of a 'SYNTHETIC' drive on {fail_day} has an "
+            "empty serial") in capsys.readouterr().err
+    assert not (out / "cohorts").exists()
+
+
 @pytest.mark.parametrize("cause", ["duplicate", "features"])
 def test_ingest_without_drives_left_names_the_cause(tmp_path, capsys, cause):
     """Ingest that keeps no drive says why: every failed drive was skipped as
@@ -752,44 +770,127 @@ def _failure_day_files(truth):
 def test_streaming_ingest_matches_one_pass_oracle(tmp_path, monkeypatch, load_perfbench, seed):
     corpus = load_perfbench("corpus")
     cfg, truth = _small_corpus(tmp_path, corpus, seed)
-    reads = []
-    read_snapshot_csv = ds.read_snapshot_csv
-
-    def reading(path, windows, kept):
-        scan = read_snapshot_csv(path, windows, kept)
-        reads.append((path.name, len(scan)))
-        return scan
-
     with monkeypatch.context() as patch:
-        patch.setattr(ds, "read_snapshot_csv", reading)
+        reads, served = _count_reads(patch)
         assert main(["ingest", "--config", cfg, "--out", str(tmp_path / "stream")]) == 0
     with monkeypatch.context() as patch:
         patch.setattr(cli, "_split_events", oracles.split_events_one_pass)
         assert main(["ingest", "--config", cfg, "--out", str(tmp_path / "oracle")]) == 0
 
     _assert_same_cohorts(tmp_path)
-    # the single pass and the re-reads keep the rows in the windows and nothing else
-    assert sum(n for _, n in reads) == _rows_in_windows(corpus, truth) < truth.rows_total / 2
-    # every file is read once, newest first, and only the failure-day files
-    # again, once each, straight after their first read
+    # the reads keep the rows in the windows but the failure-day rows, which
+    # come from the failure-day files' kept text, one per failed drive
+    assert sum(n for _, n in reads) == _rows_in_windows(corpus, truth) - len(truth.failed)
+    assert sum(n for _, n in served) == len(truth.failed) < truth.rows_total / 2
+    # every file is read once, newest first, and no file again
     files = sorted((path.name for path in (tmp_path / "snapshots").glob("*.csv")), reverse=True)
-    names = [name for name, _ in reads]
-    assert list(dict.fromkeys(names)) == files
-    again = _failure_day_files(truth)
-    assert again and names == [n for name in files for n in [name] * (1 + (name in again))]
+    assert [name for name, _ in reads] == files
+    assert sorted(name for name, _ in served) == sorted(_failure_day_files(truth))
+
+
+def _count_reads(monkeypatch):
+    """Record (file name, rows kept) of each snapshot read, and of each time a
+    read's kept text serves rows; the two lists."""
+    reads, served = [], []
+    read_snapshot_csv = ds.read_snapshot_csv
+
+    def reading(path, windows, kept):
+        scan = read_snapshot_csv(path, windows, kept)
+        reads.append((path.name, len(scan)))
+        add_rows = scan.add_rows
+        scan.add_rows = lambda *args: served.append((path.name, add_rows(*args)))
+        return scan
+
+    monkeypatch.setattr(ds, "read_snapshot_csv", reading)
+    return reads, served
 
 
 def test_traced_ingest_times_every_snapshot_read(tmp_path, load_perfbench):
     """The benchmark's tracer sees every snapshot read of an ingest: one span per
-    read, and the kept rows of all of them as ``dataset.rows_parsed``."""
+    file, and the rows those reads keep as ``dataset.rows_parsed``. The
+    failure-day rows come from the reads' kept text, which it does not see."""
     corpus, tracer = load_perfbench("corpus"), load_perfbench("tracer")
     cfg, truth = _small_corpus(tmp_path, corpus, 1)
     traced = tracer.Tracer()
     with tracer.installed(traced):
         assert main(["ingest", "--config", cfg]) == 0
     n_files = len(list((tmp_path / "snapshots").glob("*.csv")))
-    assert traced.calls()["dataset.read_snapshot_csv"] == n_files + len(_failure_day_files(truth))
-    assert traced.counts["dataset.rows_parsed"] == _rows_in_windows(corpus, truth)
+    assert traced.calls()["dataset.read_snapshot_csv"] == n_files
+    assert traced.counts["dataset.rows_parsed"] == _rows_in_windows(corpus, truth) - len(truth.failed)
+
+
+def _kept_text_corpus(snapshot_dir, case):
+    """Daily files for days 0..24 of drives whose serials and models hold each
+    other: S1 and S10 fail on day 20, P2 (its serial cell padded with spaces
+    on even days) on day 22 and D on day 18, among healthy drives S11, S100
+    and H0..H11 of model XS1. The files of days 18 and 22 end without a line
+    end. ``case`` adds a same-day row of D before or after its failure row
+    (``dup_before``, ``dup_after``), or a quote or a CR in the last line of
+    every file (``quote``, ``cr``)."""
+    snapshot_dir.mkdir()
+    fails = {"S10": 20, "S1": 20, "P2": 22, "D": 18}
+    healthy = [(f"H{k}", "XS1") for k in range(12)]
+    drives = [("S10", "M")] + healthy[:6] + [("S1", "M"), ("S11", "M")] + healthy[6:]
+    drives += [("S100", "M"), ("P2", "M"), ("D", "M")]
+    for day in range(25):
+        rows = []
+        for k, (serial, model) in enumerate(drives):
+            if day > fails.get(serial, day):
+                continue
+            cell = f" {serial} " if serial == "P2" and day % 2 == 0 else serial
+            value = "" if (day + k) % 7 == 0 else str(day * 100 + k)
+            rows.append(f"{date(2021, 1, 1) + timedelta(days=day)},{cell},{model},"
+                        f"{int(day == fails.get(serial))},{value},{day + k}")
+        if day == 18 and case.startswith("dup"):
+            twin = rows[-1].replace(",1,", ",0,")
+            rows = [twin] + rows if case == "dup_before" else rows + [twin]
+        if case == "quote":
+            rows[-1] = rows[-1].replace(",XS1,", ',"XS1",').replace(",M,", ',"M",')
+        text = "\n".join(["date,serial_number,model,failure,smart_5_raw,smart_9_raw"] + rows)
+        if case == "cr":
+            text += "\r"
+        (snapshot_dir / f"{date(2021, 1, 1) + timedelta(days=day)}.csv").write_text(
+            text if day % 4 == 2 else text + "\n")
+
+
+@pytest.mark.parametrize("case", ["plain", "dup_before", "dup_after", "quote", "cr", "over_budget"])
+def test_failure_day_rows_from_kept_text_match_one_pass_oracle(tmp_path, monkeypatch, capsys, case):
+    """Ingest takes a failure-day file's wanted rows from the text its read kept,
+    whatever other serials and models hold the wanted serial, and gives the
+    cohorts of the one-pass oracle. A file that holds a quote or a CR in a
+    later block, or is over ``_RETAIN``, is read again from disk instead."""
+    snapshot_dir = tmp_path / "snapshots"
+    _kept_text_corpus(snapshot_dir, case)
+    cfg = _config_file(tmp_path, tmp_path / "out", extra=(
+        f"snapshot_dir {snapshot_dir}\nmodel_filter M\nfeatures 5,9\n"
+        "lookback_train 6\nlookback_test 6\nlookback_extrap 8\n"))
+    monkeypatch.setattr(ds, "_BLOCK", 256)  # every file takes three blocks or more
+    if case == "over_budget":
+        monkeypatch.setattr(ds, "_RETAIN", 300)
+    with monkeypatch.context() as patch:
+        reads, served = _count_reads(patch)
+        assert main(["ingest", "--config", cfg, "--out", str(tmp_path / "stream")]) == 0
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_split_events", oracles.split_events_one_pass)
+        assert main(["ingest", "--config", cfg, "--out", str(tmp_path / "oracle")]) == 0
+    _assert_same_cohorts(tmp_path)
+
+    labeled = {line.split(",")[0] for name in ("train.csv", "test60.csv")
+               for line in (tmp_path / "stream" / "cohorts" / name).read_text().splitlines()[1:]}
+    assert labeled == ({"S1", "S10", "P2"} if case.startswith("dup") else {"S1", "S10", "P2", "D"})
+    assert ("skipping drive D: drive D has duplicate records" in capsys.readouterr().err) == (
+        case.startswith("dup"))
+    files = sorted((path.name for path in snapshot_dir.glob("*.csv")), reverse=True)
+    failure_days = ["2021-01-23.csv", "2021-01-21.csv", "2021-01-19.csv"]
+    if case in ("plain", "dup_before", "dup_after"):
+        assert [name for name, _ in reads] == files
+        # S1 and S10 fail on day 20, and D's twin is kept with its failure row
+        served_rows = {"2021-01-21.csv": 2, "2021-01-19.csv": 2 if case != "plain" else 1}
+        assert served == [(name, served_rows.get(name, 1)) for name in failure_days]
+    else:
+        assert [name for name, _ in reads] == [n for name in files
+                                              for n in [name] * (1 + (name in failure_days))]
+        assert served == []
 
 
 @pytest.mark.parametrize("command", ["synth", "ingest"])

@@ -74,7 +74,7 @@ def test_parse_row_bad_failure_flag(tmp_path):
 
 SNAPSHOT_COLUMNS = ["date", "serial_number", "model", "capacity_bytes", "failure",
                     "smart_5_raw", "smart_5_normalized", "smart_9_raw"]
-_SERIALS = ["A", "B", "C", " A ", ""]
+_SERIALS = ["A", "B", "C", " A ", "", "BA"]
 # short text full of the characters csv treats specially
 _CSV_TEXT = st.text(alphabet=st.sampled_from('09.-e,"\r\n x\x00'), max_size=6)
 
@@ -171,7 +171,17 @@ def _assert_read_matches_oracle(path, text, windows):
         assert scan == failures
         return
     assert scan[1].failures == failures[1]
-    assert _kept(kept) == _kept_csv(oracles.read_snapshot_csv_csv(path, windows))
+    want = _kept_csv(oracles.read_snapshot_csv_csv(path, windows))
+    assert _kept(kept) == want
+    # the text a read keeps serves the same rows; a file without a quote or a
+    # CR is always kept (these are far under _RETAIN)
+    text_kept = scan[1].text is not None
+    assert text_kept or scan[1].days is None or '"' in text or "\r" in text
+    if text_kept:
+        assert '"' not in "".join(scan[1].text) and "\r" not in "".join(scan[1].text)
+        served = ds.KeptRows()
+        assert scan[1].add_rows(windows, served) == len(want)
+        assert _kept(served) == want
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -185,6 +195,35 @@ def test_snapshot_passes_match_csv_reader_oracle(tmp_path, text, windows):
 def test_block_reads_match_csv_reader_oracle(tmp_path, monkeypatch, text, windows, block):
     """Blocks this short end inside lines, inside quoted cells and between a CR
     and its LF; the longer ones take several quote-free lines at once."""
+    monkeypatch.setattr(ds, "_BLOCK", block)
+    _assert_read_matches_oracle(tmp_path / "day.csv", text, windows)
+
+
+@st.composite
+def _lf_snapshot_text(draw):
+    """A header and up to 30 well-formed rows with LF ends and no quotes, as a
+    read keeps them, some blank; the last line may lack its LF, or hold a
+    quote or a CR, which stops the keeping."""
+    columns = draw(st.permutations(SNAPSHOT_COLUMNS))
+    common = {
+        "date": st.sampled_from(["2020-01-04", "2020-01-05", "2020-01-06", " 2020-01-09 "]),
+        "serial_number": st.sampled_from(_SERIALS),
+        "model": st.sampled_from(["M", "N", " M", "BA"]),
+        "failure": st.sampled_from(["0", "0", "1", " 1 "]),
+    }
+    value = st.sampled_from(["", "7", "1.5", " 2 ", "nan", "1e400", "-3"])
+    lines = [",".join(columns)]
+    for _ in range(draw(st.integers(0, 30))):
+        blank = draw(st.integers(0, 9)) == 0
+        lines.append("" if blank else ",".join(draw(common.get(c, value)) for c in columns))
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "", '"', "\r\n"]))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_lf_snapshot_text(), windows=_WINDOWS, block=st.sampled_from([1, 7, 64, 256]))
+def test_kept_text_serves_rows_of_csv_reader_oracle(tmp_path, monkeypatch, text, windows, block):
+    """The text a read keeps, over one block or many, serves the rows in the
+    windows; a quote or a CR at the end stops the keeping."""
     monkeypatch.setattr(ds, "_BLOCK", block)
     _assert_read_matches_oracle(tmp_path / "day.csv", text, windows)
 

@@ -27,11 +27,11 @@ ends the run with exit 1 and records nothing.
 
 Each run appends one entry to the JSON list in ``--record`` and changes none
 of the entries already there: the git sha of the timed tree and whether its
-tracked files differ from it, the date, ``nproc``, the Python and NumPy
-versions, ``threads``, and per case its stage figures, the bytes of its
-``models/`` and the SHA-256 of each ``cohorts/*.csv`` and each
-``summary_<cohort>.csv``, so a change that moves a result and not only a time
-shows too.
+tracked files, the record itself left out, differ from it, the date,
+``nproc``, the Python and NumPy versions, ``threads``, and per case its
+stage figures, the bytes of its ``models/`` and the SHA-256 of each
+``cohorts/*.csv`` and each ``summary_<cohort>.csv``, so a change that moves a
+result and not only a time shows too.
 """
 from __future__ import annotations
 
@@ -163,13 +163,19 @@ def ingest_config(snapshots: Path, corpus: dict) -> str:
             f"lookback_extrap {lookbacks['test120']}\n")
 
 
-def git_state(tree: Path) -> tuple[str | None, bool | None]:
-    """The tree's HEAD sha and whether its tracked files differ from it."""
+def git_state(tree: Path, record: Path) -> tuple[str | None, bool | None]:
+    """The tree's HEAD sha and whether its tracked files other than ``record``
+    differ from it: an entry appended just before, such as the parent's, does
+    not make the tree read as dirty."""
+    record = record.resolve()
+    exclude = []
+    if record.is_relative_to(tree):
+        exclude = ["--", ".", f":(exclude,literal){record.relative_to(tree)}"]
     try:
         sha = subprocess.run(["git", "-C", str(tree), "rev-parse", "HEAD"], check=True,
                              capture_output=True, text=True).stdout.strip()
         status = subprocess.run(["git", "-C", str(tree), "status", "--porcelain",
-                                 "--untracked-files=no"], check=True,
+                                 "--untracked-files=no", *exclude], check=True,
                                 capture_output=True, text=True).stdout
     except (OSError, subprocess.CalledProcessError):
         return None, None
@@ -185,8 +191,8 @@ def append_entry(record: Path, entry: dict) -> None:
     os.replace(partial, record)
 
 
-def measure(tree: Path, workdir: Path, paper: bool) -> dict:
-    sha, dirty = git_state(tree)
+def measure(tree: Path, workdir: Path, record: Path, paper: bool) -> dict:
+    sha, dirty = git_state(tree, record)
     entry = {
         "sha": sha,
         "dirty": dirty,
@@ -224,10 +230,10 @@ def main(argv: list[str] | None = None) -> int:
     tree = args.tree.resolve()
     if args.workdir is None:
         with tempfile.TemporaryDirectory(prefix="bench_e2e_") as tmp:
-            entry = measure(tree, Path(tmp), args.paper)
+            entry = measure(tree, Path(tmp), args.record, args.paper)
     else:
         args.workdir.mkdir(parents=True, exist_ok=True)
-        entry = measure(tree, args.workdir.resolve(), args.paper)
+        entry = measure(tree, args.workdir.resolve(), args.record, args.paper)
     append_entry(args.record, entry)
     print(json.dumps(entry, indent=1))
     return 0
