@@ -291,7 +291,7 @@ def _split_events(config: RunConfig):
     them from the text its read kept
     (:meth:`~hddrul.dataset.SnapshotScan.add_rows`), which is dropped after;
     a file read earlier, or one whose read kept no text (it holds a quote or
-    a CR, or is over ``dataset._RETAIN`` characters), is read again from
+    a CR, or is over ``dataset._RETAIN`` bytes), is read again from
     disk. On daily files a new window meets only the failure-day file, since
     a drive stops reporting after it fails; files that hold several days,
     or names out of date order, can take disk re-reads. An earlier failure

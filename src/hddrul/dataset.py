@@ -17,14 +17,14 @@ failure-day file is read before its window is known, so as soon as the file's
 failures register their windows ingest takes those drives' rows from the
 text the read kept (:meth:`SnapshotScan.add_rows`), or reads the file again
 when the read did not keep it: a file with a quote or a CR, or over
-``_RETAIN`` characters. A read takes its lines a block of 64K characters at a time,
-split at ``\\n``, and switches to reading line by line at the first block that
-holds a quote or a CR. It splits a line only as far as it needs, parses each
-distinct (``date``, ``failure``) cell pair once per file, and sends a line
-holding a quote through ``csv.reader``. A whole block is decoded before its
-rows are checked, so of a malformed row and bytes that are not UTF-8 in one
-block, the UTF-8 error is the one reported. A drive that fails on several days
-counts as failed on the earliest (:func:`scan_failures`).
+``_RETAIN`` bytes. A read takes its lines a block of 64K characters at
+a time, split at ``\\n``, and switches to reading line by line at the first
+block that holds a quote or a CR. It splits a line only as far as it needs,
+parses each distinct (``date``, ``failure``) cell pair once per file, and
+sends a line holding a quote through ``csv.reader``. A whole block is
+decoded before its rows are checked, so of a malformed row and bytes that are
+not UTF-8 in one block, the UTF-8 error is the one reported. A drive that
+fails on several days counts as failed on the earliest (:func:`scan_failures`).
 
 A failed drive's history is turned into a :class:`LabeledSeries`: the rows
 covering the lookback window before failure, each labeled with its remaining
@@ -47,6 +47,7 @@ import csv
 import io
 import itertools
 import math
+import os
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -321,10 +322,10 @@ def _snapshot_layout(path: str | Path, fh) -> _Layout | None:
 
 
 _BLOCK = 1 << 16  # characters a snapshot read takes from its file at once
-_RETAIN = 1 << 20  # characters of its blocks a snapshot read keeps for serving rows again
+_RETAIN = 1 << 20  # bytes of a snapshot file up to which its read keeps its text
 
 
-def _snapshot_lines(fh, retained: list[str]):
+def _snapshot_lines(fh, retained: list[str] | None):
     """The lines of an open snapshot file from where it stands, in groups to chain.
 
     While the file's blocks of ``_BLOCK`` characters, each completed to its
@@ -332,27 +333,23 @@ def _snapshot_lines(fh, retained: list[str]):
     without their ``\\n``. From the first block that holds either on, the
     lines come as iterating the file gives them: with their ends, a line ending
     at ``\\n``, ``\\r`` or ``\\r\\n``, so csv.reader sees a quoted cell's line
-    breaks. Each block of the first kind is appended to ``retained`` while
-    their total stays within ``_RETAIN`` characters; the first block that
-    holds a quote or a CR, or goes over, empties it for good.
+    breaks. When ``retained`` is a list, each block of the first kind is
+    appended to it, and the first block that holds a quote or a CR empties it.
     """
-    size = 0
     while True:
         text = fh.read(_BLOCK)
         if not text.endswith("\n"):
             text += fh.readline()
         if '"' in text or "\r" in text:
-            retained.clear()
+            if retained:
+                retained.clear()
             yield io.StringIO(text, newline="")
             yield fh
             return
         if not text:
             return
-        size += len(text)
-        if size <= _RETAIN:
+        if retained is not None:
             retained.append(text)
-        else:
-            retained.clear()
         lines = text.split("\n")
         if not lines[-1]:
             del lines[-1]  # after the block's last line end
@@ -417,8 +414,8 @@ class SnapshotScan:
     """What one read of a snapshot file gives (see :func:`read_snapshot_csv`);
     ``len()`` counts the rows it added to the caller's :class:`KeptRows`.
 
-    A read of a file with LF line ends and no quotes, within ``_RETAIN``
-    characters after its header, also keeps the file's text, so that
+    A read of a file of at most ``_RETAIN`` bytes with LF line ends and no
+    quotes also keeps the file's text after its header, so that
     :meth:`add_rows` can serve further windows without reading it again.
     """
 
@@ -485,11 +482,11 @@ def read_snapshot_csv(path: str | Path, windows: dict[str, tuple[Date, Date]],
     decoded whole before its rows are checked: bytes that are not UTF-8 are a
     DataError naming the file even after a malformed row of the same block.
     The scan keeps the blocks, the layout and the identity of each distinct
-    (date cell, failure cell) pair when every block took the block path and
-    they add up to at most ``_RETAIN`` characters; then
+    (date cell, failure cell) pair when the file is at most ``_RETAIN``
+    bytes and every block took the block path; then
     :meth:`SnapshotScan.add_rows` serves more windows from them, and the
-    file need not be read again. A file with a quote, a CR or more text is
-    read again for them.
+    file need not be read again. A larger file, or one with a quote or a CR,
+    is read again for them.
     """
     failures: list[DriveRecord] = []
     n_kept = 0
@@ -501,7 +498,7 @@ def read_snapshot_csv(path: str | Path, windows: dict[str, tuple[Date, Date]],
         date_col, failure_col = layout.date, layout.failure
         seen: dict[tuple[str, str] | None, tuple[Date, bool]] = {}  # see _row_identity
         seen_get, window_get = seen.get, windows.get
-        retained: list[str] = []
+        retained = [] if os.fstat(fh.fileno()).st_size <= _RETAIN else None
         lines = itertools.chain.from_iterable(_snapshot_lines(fh, retained))
         for row_index, line in enumerate(lines, start=1):
             if '"' in line:

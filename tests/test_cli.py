@@ -858,7 +858,7 @@ def test_failure_day_rows_from_kept_text_match_one_pass_oracle(tmp_path, monkeyp
     """Ingest takes a failure-day file's wanted rows from the text its read kept,
     whatever other serials and models hold the wanted serial, and gives the
     cohorts of the one-pass oracle. A file that holds a quote or a CR in a
-    later block, or is over ``_RETAIN``, is read again from disk instead."""
+    later block, or is over ``_RETAIN`` bytes, is read again from disk instead."""
     snapshot_dir = tmp_path / "snapshots"
     _kept_text_corpus(snapshot_dir, case)
     cfg = _config_file(tmp_path, tmp_path / "out", extra=(
