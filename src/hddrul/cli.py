@@ -23,7 +23,6 @@ import csv
 import math
 import sys
 from dataclasses import dataclass, fields, replace
-from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -275,68 +274,16 @@ def cmd_synth(config: RunConfig) -> int:
 
 
 def _split_events(config: RunConfig):
-    """Failures of ``model_filter`` drives, split into train and test drives.
-
-    Returns ``(rows by serial, train events, test events)``, with each kept
-    drive's :class:`~hddrul.dataset.DriveRows`; a corpus where no drive of the
-    model failed is a DataError. Every read is one
-    :func:`~hddrul.dataset.read_snapshot_csv` call, and every read adds its
-    rows to the run's one :class:`~hddrul.dataset.KeptRows`. Each snapshot
-    file is read once, last path first, which is newest first for daily
-    files. When a file ends, each of its ``model_filter`` failures registers
-    its drive's window, the failure day and the longest lookback before it,
-    and the files read after it keep the drive's rows inside that window.
-    Right then, every file read so far whose days meet one of the new windows
-    gives the rows of just the new windows it meets. The file itself gives
-    them from the text its read kept
-    (:meth:`~hddrul.dataset.SnapshotScan.add_rows`), which is dropped after;
-    a file read earlier, or one whose read kept no text (it holds a quote or
-    a CR, or is over ``dataset._RETAIN`` bytes), is read again from
-    disk. On daily files a new window meets only the failure-day file, since
-    a drive stops reporting after it fails; files that hold several days,
-    or names out of date order, can take disk re-reads. An earlier failure
-    of a drive found later registers the drive again with the earlier window
-    and drops the rows kept so far. So memory scales with the failed drives,
-    not with the corpus. A ``model_filter`` failure whose serial is empty or
-    holds a comma, a quote or a line break, which the drive CSVs cannot
-    hold, is a DataError naming its file. The split is the seeded
-    ``ingest_train_frac`` draw.
-    """
+    """Failed ``model_filter`` drives (:func:`~hddrul.dataset.read_failed_drives`),
+    split into train and test drives by the seeded ``ingest_train_frac`` draw:
+    ``(rows by serial, train events, test events)``. A corpus where no drive of
+    the model failed is a DataError."""
     snapshot_dir = Path(config.snapshot_dir)
     if not config.snapshot_dir or not snapshot_dir.is_dir():
         raise ConfigError(f"snapshot_dir {config.snapshot_dir!r} is not a directory")
-    lookback = timedelta(days=max(config.lookback_train, config.lookback_test,
-                                  config.lookback_extrap))
-    windows: dict[str, tuple[date, date]] = {}  # serial -> first and last day it needs
-    read: list[tuple[Path, tuple[date, date]]] = []  # (path, days) of the files with rows
-    failures: list[ds.DriveRecord] = []
-    kept = ds.KeptRows()
-    for path in sorted(snapshot_dir.glob("*.csv"), reverse=True):
-        scan = ds.read_snapshot_csv(path, windows, kept)
-        if scan.days is not None:
-            read.append((path, scan.days))
-        failures += scan.failures
-        new: dict[str, tuple[date, date]] = {}
-        for rec in scan.failures:
-            window = windows.get(rec.serial)
-            if rec.model != config.model_filter or (window and window[1] <= rec.date):
-                continue
-            if not rec.serial:
-                raise DataError(f"{path}: a failure row of a {rec.model!r} drive on {rec.date} "
-                                "has an empty serial, which a drive CSV cannot hold")
-            if any(c in rec.serial for c in ',"\r\n'):
-                raise DataError(f"{path}: serial {rec.serial!r} holds a comma, a quote or a "
-                                "line break, which a drive CSV cannot hold")
-            kept.pop(rec.serial)
-            windows[rec.serial] = new[rec.serial] = (rec.date - lookback, rec.date)
-        for old, (first, last) in read if new else ():  # most files register no window
-            wanted = {serial: w for serial, w in new.items() if w[0] <= last and first <= w[1]}
-            if wanted and old == path and scan.text is not None:
-                scan.add_rows(wanted, kept)
-            elif wanted:
-                ds.read_snapshot_csv(old, wanted, kept)
-        del scan  # and the text it kept, before the next read
-    events = ds.scan_failures(failures, config.model_filter)
+    by_serial, events = ds.read_failed_drives(
+        snapshot_dir.glob("*.csv"), config.model_filter,
+        max(config.lookback_train, config.lookback_test, config.lookback_extrap))
     if not events:
         raise DataError(f"{snapshot_dir}: no failure of a {config.model_filter!r} drive to label")
 
@@ -344,26 +291,30 @@ def _split_events(config: RunConfig):
     n_train = max(1, min(len(events) - 1, round(len(events) * config.ingest_train_frac)))
     train_events = [events[i] for i in sorted(perm[:n_train])]
     test_events = [events[i] for i in sorted(perm[n_train:])]
-    return kept.drives(), train_events, test_events
+    return by_serial, train_events, test_events
 
 
-def _labeled_series(by_serial, events, lookback: int) -> list[ds.LabeledSeries]:
-    """Uncapped labeled series of the failed drives; an inconsistent drive is skipped and reported."""
+def _labeled_series(by_serial, events, lookback: int, skipped: set[str]) -> list[ds.LabeledSeries]:
+    """Uncapped labeled series of the failed drives. An inconsistent drive is
+    skipped, and reported unless ``skipped`` names it already; it joins ``skipped``."""
     series = []
     for event in events:
         try:
             series.append(ds.build_labeled_series(by_serial[event.serial], event, lookback))
         except DataError as exc:
-            print(f"ingest: skipping drive {event.serial}: {exc}", file=sys.stderr)
+            if event.serial not in skipped:
+                skipped.add(event.serial)
+                print(f"ingest: skipping drive {event.serial}: {exc}", file=sys.stderr)
     return series
 
 
 def cmd_ingest(config: RunConfig) -> int:
     by_serial, train_events, test_events = _split_events(config)
+    skipped: set[str] = set()  # test60 and test120 label the same drives
     labeled = {
-        "train": _labeled_series(by_serial, train_events, config.lookback_train),
-        "test60": _labeled_series(by_serial, test_events, config.lookback_test),
-        "test120": _labeled_series(by_serial, test_events, config.lookback_extrap),
+        "train": _labeled_series(by_serial, train_events, config.lookback_train, skipped),
+        "test60": _labeled_series(by_serial, test_events, config.lookback_test, skipped),
+        "test120": _labeled_series(by_serial, test_events, config.lookback_extrap, skipped),
     }
     selected = set(_selected_features(config))
     survivors = {}
@@ -628,25 +579,18 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return config
 
 
+# each command's function and the parsed arguments it takes after the config
+_COMMANDS = {"synth": (cmd_synth, ()), "ingest": (cmd_ingest, ()), "features": (cmd_features, ()),
+             "train": (cmd_train, ()), "evaluate": (cmd_evaluate, ()), "report": (cmd_report, ()),
+             "predict": (cmd_predict, ("model", "history", "prediction_out"))}
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         config = _resolve_config(args)
-        if args.command == "synth":
-            return cmd_synth(config)
-        if args.command == "ingest":
-            return cmd_ingest(config)
-        if args.command == "features":
-            return cmd_features(config)
-        if args.command == "train":
-            return cmd_train(config)
-        if args.command == "evaluate":
-            return cmd_evaluate(config)
-        if args.command == "predict":
-            return cmd_predict(config, args.model, args.history, args.prediction_out)
-        if args.command == "report":
-            return cmd_report(config)
-        raise ConfigError(f"unknown command {args.command!r}")
+        command, extra = _COMMANDS[args.command]
+        return command(config, *(getattr(args, name) for name in extra))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

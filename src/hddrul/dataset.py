@@ -8,23 +8,26 @@ into its drive's storage (:class:`KeptRows`, then :class:`DriveRows`): a list
 of days and a float64 matrix with one row per day and one column per
 attribute, NaN where a cell is missing, empty, unparseable or not finite. No
 dict is built per row.
-Every snapshot read is one call of :func:`read_snapshot_csv`: it checks every
-row's identity cells, keeps the failure rows, and parses in full only the rows
-inside the windows it is given, adding them to the caller's :class:`KeptRows`;
-ingest gives all its reads one store. Ingest reads each file once, newest
-first, with the windows of the drives whose failure is already known. A drive's own
-failure-day file is read before its window is known, so as soon as the file's
-failures register their windows ingest takes those drives' rows from the
-text the read kept (:meth:`SnapshotScan.add_rows`), or reads the file again
-when the read did not keep it: a file with a quote or a CR, or over
-``_RETAIN`` bytes. A read takes its lines a block of 64K characters at
-a time, split at ``\\n``, and switches to reading line by line at the first
-block that holds a quote or a CR. It splits a line only as far as it needs,
-parses each distinct (``date``, ``failure``) cell pair once per file, and
-sends a line holding a quote through ``csv.reader``. A whole block is
-decoded before its rows are checked, so of a malformed row and bytes that are
-not UTF-8 in one block, the UTF-8 error is the one reported. A drive that
-fails on several days counts as failed on the earliest (:func:`scan_failures`).
+:func:`read_failed_drives` holds ingest's read policy. Each snapshot read is
+one :func:`read_snapshot_csv` call: it checks every row's identity cells,
+keeps the failure rows, and adds the rows inside the windows it is given to
+the run's one :class:`KeptRows`. Each file is read once, last path first
+(newest first for daily files), with the windows of the failures known so
+far. When a file ends, each failure of the model in it registers its drive's
+window (the failure day and the lookback before it), and each file read so
+far whose days meet new windows gives their rows (:meth:`SnapshotScan.add_rows`):
+on daily files just the failure-day file, from the text its read kept, and
+from disk if it holds a quote or a CR, is over ``_RETAIN`` bytes, or was read
+before. A later-found earlier failure of a drive replaces its window and
+drops its rows kept so far, so memory scales with the failed drives, not
+the corpus; a drive failing on several days failed on the earliest
+(:func:`scan_failures`). A read takes 64K characters at a time, split at
+``\\n``, and reads line by line from the first block with a quote or a CR.
+It splits a line only as far as it needs, parses each distinct (``date``,
+``failure``) cell pair once per file, and sends a line holding a quote
+through ``csv.reader``. A whole block is decoded before its rows are
+checked, so of a malformed row and bytes that are not UTF-8 in one block,
+the UTF-8 error is the one reported.
 
 A failed drive's history is turned into a :class:`LabeledSeries`: the rows
 covering the lookback window before failure, each labeled with its remaining
@@ -183,6 +186,9 @@ class SynthConfig:
             raise ValueError("noise_scale must be a finite number >= 0")
         if self.n_features > len(_SYNTH_ID_POOL):
             raise ValueError(f"at most {len(_SYNTH_ID_POOL)} synthetic features supported")
+        # the last drive fails lookback_days + n_drives - 1 days after generate_synthetic's first day
+        if Date(2020, 1, 1).toordinal() + self.lookback_days + self.n_drives - 1 > Date.max.toordinal():
+            raise ValueError("lookback_days and n_drives put the last failure day after 9999-12-31")
 
 
 @dataclass
@@ -206,11 +212,12 @@ class DriveFrame:
             if fid not in self.feature_ids:
                 raise KeyError(f"attribute {fid} not present in frame {self.serial}")
             cols.append(self.feature_ids.index(fid))
+        # one copy, in C order: values[:, cols] is Fortran-ordered, which moves the models' bits
         return DriveFrame(
             serial=self.serial,
             dates=list(self.dates),
             feature_ids=list(feature_ids),
-            values=self.values[:, cols].copy(),
+            values=self.values.take(cols, axis=1),
             rul=self.rul.copy(),
         )
 
@@ -419,25 +426,28 @@ class SnapshotScan:
     :meth:`add_rows` can serve further windows without reading it again.
     """
 
+    path: str | Path  # the file read
     failures: list[DriveRecord]  # the failure rows, without attributes
     days: tuple[Date, Date] | None  # first and last day of its rows; None without rows
     n_kept: int  # the rows inside ``windows``
     layout: _Layout | None  # None for an empty file
-    identities: dict  # (date cell, failure cell) -> (day, failed); see _row_identity
     text: list[str] | None  # the blocks after the header, or None when not kept in full
 
     def __len__(self) -> int:
         return self.n_kept
 
     def add_rows(self, windows: dict[str, tuple[Date, Date]], kept: KeptRows) -> int:
-        """Add the rows in ``windows`` to ``kept`` from the kept text, in file
-        order, as a read of the file with ``windows`` would; the number added.
+        """Add the rows in ``windows`` to ``kept``, in file order, as a read of
+        the file with ``windows`` would; the number added.
 
-        Only for a scan whose ``text`` is not None. The read checked every
-        row, so each line that holds a wanted serial is split and kept if its
-        stripped serial cell is that serial and its day lies in the window.
+        A scan without ``text`` reads its file again (:func:`read_snapshot_csv`).
+        From the text: the read checked every row, so each line that holds a
+        wanted serial is split and kept if its stripped serial cell is that
+        serial and its day lies in the window.
         """
-        layout, identities = self.layout, self.identities
+        if self.text is None:
+            return len(read_snapshot_csv(self.path, windows, kept))
+        layout = self.layout
         hits = []  # (block, line start, day, row)
         for serial, (first, last) in windows.items():
             for b, text in enumerate(self.text):
@@ -449,7 +459,7 @@ class SnapshotScan:
                         end = len(text)
                     row = text[start:end].split(",")
                     if len(row) >= layout.width and row[layout.serial].strip() == serial:
-                        day = identities[row[layout.date], row[layout.failure]][0]
+                        day = Date.fromisoformat(row[layout.date].strip())
                         if first <= day <= last:
                             hits.append((b, start, day, row))
                     pos = text.find(serial, end + 1)
@@ -481,19 +491,17 @@ def read_snapshot_csv(path: str | Path, windows: dict[str, tuple[Date, Date]],
     line from the first block that holds a quote or a CR on. A block is
     decoded whole before its rows are checked: bytes that are not UTF-8 are a
     DataError naming the file even after a malformed row of the same block.
-    The scan keeps the blocks, the layout and the identity of each distinct
-    (date cell, failure cell) pair when the file is at most ``_RETAIN``
-    bytes and every block took the block path; then
-    :meth:`SnapshotScan.add_rows` serves more windows from them, and the
-    file need not be read again. A larger file, or one with a quote or a CR,
-    is read again for them.
+    The scan keeps the blocks when the file is at most ``_RETAIN`` bytes and
+    every block took the block path; then :meth:`SnapshotScan.add_rows`
+    serves more windows from them, and the file need not be read again. A
+    larger file, or one with a quote or a CR, is read again for them.
     """
     failures: list[DriveRecord] = []
     n_kept = 0
     with _text_file(path) as fh:
         layout = _snapshot_layout(path, fh)
         if layout is None:
-            return SnapshotScan(failures, None, 0, None, {}, None)
+            return SnapshotScan(path, failures, None, 0, None, None)
         width, serial_col = layout.width, layout.serial
         date_col, failure_col = layout.date, layout.failure
         seen: dict[tuple[str, str] | None, tuple[Date, bool]] = {}  # see _row_identity
@@ -531,8 +539,46 @@ def read_snapshot_csv(path: str | Path, windows: dict[str, tuple[Date, Date]],
                     kept.add(layout, row if line is None else line.split(","), day)
                     n_kept += 1
     days = [day for day, _ in seen.values()]
-    return SnapshotScan(failures, (min(days), max(days)) if days else None, n_kept,
-                        layout, seen, retained or None)
+    return SnapshotScan(path, failures, (min(days), max(days)) if days else None, n_kept,
+                        layout, retained or None)
+
+
+def read_failed_drives(paths: Iterable[str | Path], model_filter: str, lookback: int
+                       ) -> tuple[dict[str, DriveRows], list[FailureEvent]]:
+    """Each ``model_filter`` drive that fails in the snapshot files ``paths``:
+    its rows from ``lookback`` days before its failure to it, and its failure
+    event (:func:`scan_failures`); the module docstring gives the read policy.
+    A failure serial that is empty or holds a comma, a quote or a line break,
+    which a drive CSV cannot hold, is a DataError naming its file."""
+    windows: dict[str, tuple[Date, Date]] = {}  # serial -> first and last day it needs
+    scans: list[SnapshotScan] = []  # the reads of the files with rows
+    failures: list[DriveRecord] = []
+    kept = KeptRows()
+    for path in sorted(paths, reverse=True):
+        scan = read_snapshot_csv(path, windows, kept)
+        if scan.days is not None:
+            scans.append(scan)
+        failures += scan.failures
+        new: dict[str, tuple[Date, Date]] = {}
+        for rec in scan.failures:
+            window = windows.get(rec.serial)
+            if rec.model != model_filter or (window and window[1] <= rec.date):
+                continue
+            if not rec.serial:
+                raise DataError(f"{path}: a failure row of a {rec.model!r} drive on {rec.date} "
+                                "has an empty serial, which a drive CSV cannot hold")
+            if any(c in rec.serial for c in ',"\r\n'):
+                raise DataError(f"{path}: serial {rec.serial!r} holds a comma, a quote or a "
+                                "line break, which a drive CSV cannot hold")
+            kept.pop(rec.serial)
+            windows[rec.serial] = new[rec.serial] = (_window_start(rec.date, lookback), rec.date)
+        for old in scans if new else ():  # most files register no window
+            first, last = old.days
+            wanted = {serial: w for serial, w in new.items() if w[0] <= last and first <= w[1]}
+            if wanted:
+                old.add_rows(wanted, kept)
+        scan.text = None  # dropped before the next read; add_rows then reads the file again
+    return kept.drives(), scan_failures(failures, model_filter)
 
 
 # ---------------------------------------------------------------------------
@@ -554,6 +600,11 @@ def scan_failures(corpus: Iterable[DriveRecord], model_filter: str) -> list[Fail
     return events
 
 
+def _window_start(end: Date, lookback_days: int) -> Date:
+    """The day ``lookback_days`` before ``end``, or 0001-01-01 when that is earlier."""
+    return Date.fromordinal(max(1, end.toordinal() - lookback_days))
+
+
 def build_labeled_series(
     corpus: DriveRows | Iterable[DriveRecord], event: FailureEvent, lookback_days: int
 ) -> LabeledSeries:
@@ -568,7 +619,7 @@ def build_labeled_series(
         raise ValueError("lookback_days must be >= 1")
     if not isinstance(corpus, DriveRows):
         corpus = DriveRows.from_records([rec for rec in corpus if rec.serial == event.serial])
-    start, end = event.fail_date - timedelta(days=lookback_days), event.fail_date
+    start, end = _window_start(event.fail_date, lookback_days), event.fail_date
     dates = corpus.dates
     keep = sorted((k for k, day in enumerate(dates) if start <= day <= end), key=dates.__getitem__)
     window = [dates[k] for k in keep]

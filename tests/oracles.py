@@ -215,7 +215,7 @@ def score_snapshot_train_split(config):
     """The score table of the train split rebuilt from ``config.snapshot_dir``
     by the one-pass reference, its attribute lists taken from the records."""
     by_serial, train_events, _ = split_events_one_pass(config)
-    series = cli._labeled_series(by_serial, train_events, config.lookback_train)
+    series = cli._labeled_series(by_serial, train_events, config.lookback_train, set())
     reported = [{fid for rec in s.records for fid, v in rec.smart.items() if v is not None}
                 for s in series]
     return feat.score_features(series, sorted(set().union(*reported)),

@@ -6,6 +6,8 @@ import subprocess
 import time
 from pathlib import Path
 
+from hddrul.cli import load_config
+from test_acceptance import E2E_CONFIG
 from test_cli import TINY
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_e2e.py"
@@ -47,6 +49,15 @@ def test_bench_e2e_appends_one_full_entry(tmp_path, monkeypatch):
         for stage in case["stages"].values():
             assert stage.keys() == STAGE_FIELDS
             assert stage["wall_s"] > 0 and stage["maxrss_mb"] > 0 and stage["minflt"] > 0
+
+
+def test_acceptance_case_runs_the_release_gate_config(tmp_path):
+    """The tool's ``acceptance`` case is the config criteria 6 and 7 run."""
+    configs = []
+    for name, text in (("tool.cfg", _load_tool().ACCEPTANCE), ("gate.cfg", E2E_CONFIG)):
+        (tmp_path / name).write_text(text + f"out {tmp_path / 'out'}\n")
+        configs.append(load_config(tmp_path / name))
+    assert configs[0] == configs[1]
 
 
 def test_git_state_leaves_the_record_out(tmp_path):

@@ -1,6 +1,8 @@
 import csv
+import io
 import re
 import shutil
+from contextlib import redirect_stderr, redirect_stdout
 from datetime import date, timedelta
 
 import numpy as np
@@ -790,7 +792,7 @@ def test_streaming_ingest_matches_one_pass_oracle(tmp_path, monkeypatch, load_pe
 
 def _count_reads(monkeypatch):
     """Record (file name, rows kept) of each snapshot read, and of each time a
-    read's kept text serves rows; the two lists."""
+    read's scan serves more rows, from its kept text or a second read; the two lists."""
     reads, served = [], []
     read_snapshot_csv = ds.read_snapshot_csv
 
@@ -882,15 +884,14 @@ def test_failure_day_rows_from_kept_text_match_one_pass_oracle(tmp_path, monkeyp
         case.startswith("dup"))
     files = sorted((path.name for path in snapshot_dir.glob("*.csv")), reverse=True)
     failure_days = ["2021-01-23.csv", "2021-01-21.csv", "2021-01-19.csv"]
+    # S1 and S10 fail on day 20, and D's twin is kept with its failure row
+    served_rows = {"2021-01-21.csv": 2, "2021-01-19.csv": 2 if case.startswith("dup") else 1}
+    assert served == [(name, served_rows.get(name, 1)) for name in failure_days]
     if case in ("plain", "dup_before", "dup_after"):
         assert [name for name, _ in reads] == files
-        # S1 and S10 fail on day 20, and D's twin is kept with its failure row
-        served_rows = {"2021-01-21.csv": 2, "2021-01-19.csv": 2 if case != "plain" else 1}
-        assert served == [(name, served_rows.get(name, 1)) for name in failure_days]
-    else:
+    else:  # add_rows served these from a second read of the file
         assert [name for name, _ in reads] == [n for name in files
                                               for n in [name] * (1 + (name in failure_days))]
-        assert served == []
 
 
 @pytest.mark.parametrize("command", ["synth", "ingest"])
@@ -915,12 +916,12 @@ def test_drive_csvs_match_row_at_a_time_writer(tmp_path, monkeypatch, load_perfb
     assert written == [(name, True) for name in ("scoring.csv", "train.csv", "test60.csv", "test120.csv")]
 
 
-def _ingest_both_ways(tmp_path, cfg):
+def _ingest_both_ways(tmp_path, cfg, *flags):
     """Ingest into stream/ and, with the one-pass oracle, into oracle/; the exit codes."""
-    codes = [main(["ingest", "--config", cfg, "--out", str(tmp_path / "stream")])]
+    codes = [main(["ingest", "--config", cfg, "--out", str(tmp_path / "stream"), *flags])]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "_split_events", oracles.split_events_one_pass)
-        codes.append(main(["ingest", "--config", cfg, "--out", str(tmp_path / "oracle")]))
+        codes.append(main(["ingest", "--config", cfg, "--out", str(tmp_path / "oracle"), *flags]))
     return codes
 
 
@@ -941,7 +942,7 @@ def test_labeled_failure_day_matches_snapshot_flags(tmp_path, load_perfbench, se
     checked = 0
     for events, lookback in ((train, config.lookback_train), (test, config.lookback_test),
                              (test, config.lookback_extrap)):
-        for series in cli._labeled_series(by_serial, events, lookback):
+        for series in cli._labeled_series(by_serial, events, lookback, set()):
             flags = {rec.date: rec.failed for rec in records[series.serial]}
             got = [rec.failed for rec in series.records]
             assert got == [flags[rec.date] for rec in series.records], series.serial
@@ -989,6 +990,46 @@ def test_double_failure_drive_is_one_event(tmp_path, seed, daily, second):
                                ("test60", 11, in_test), ("test120", 13, in_test)):
         series = [str(date(2020, 1, 31) - timedelta(days=k)) for k in range(days - 1, -1, -1)]
         assert dates_of_a(name) == (series if member else []), name
+
+
+@pytest.mark.parametrize("first,flags", [
+    (date(1, 1, 1), []),
+    (date(2020, 1, 1), ["--lookback", "800000"]),
+    (date(2020, 1, 1), ["--lookback", "1000000000"]),
+], ids=["failure_near_date_min", "lookback_800000", "lookback_1e9"])
+def test_ingest_window_start_clamped_at_date_min(tmp_path, first, flags):
+    """A lookback window that would start before 0001-01-01 starts on it: each
+    cohort holds the drive's rows from that day, or from its first, on. A
+    drive fails on the fifth day of the corpus, or the lookback passes year 1."""
+    snapshot_dir = tmp_path / "snapshots"
+    snapshot_dir.mkdir()
+    fails = {"A": 4, "B": 30, "C": 34}
+    for day in range(35):
+        rows = [f"{first + timedelta(days=day)},{serial},M,{int(day == fail)},{day * 7 + k},{day + k}"
+                for k, (serial, fail) in enumerate(fails.items()) if day <= fail]
+        (snapshot_dir / f"{first + timedelta(days=day)}.csv").write_text(
+            "\n".join(["date,serial_number,model,failure,smart_5_raw,smart_9_raw"] + rows) + "\n")
+    cfg = _config_file(tmp_path, tmp_path / "out", extra=(
+        f"snapshot_dir {snapshot_dir}\nmodel_filter M\nfeatures 5,9\n"))
+    assert _ingest_both_ways(tmp_path, cfg, *flags) == [0, 0]
+    _assert_same_cohorts(tmp_path)
+
+    config = load_config(cfg)
+    lookbacks = {"train": config.lookback_train, "test60": config.lookback_test,
+                 "test120": config.lookback_extrap}
+    if flags:
+        lookbacks["train"] = lookbacks["test60"] = int(flags[1])
+    labeled = set()
+    for name, lookback in lookbacks.items():
+        days = {}
+        for line in (tmp_path / "stream" / "cohorts" / f"{name}.csv").read_text().splitlines()[1:]:
+            days.setdefault(line.split(",")[0], []).append(line.split(",")[1])
+        for serial, got in days.items():
+            fail = fails[serial]
+            assert got == [str(first + timedelta(days=k))
+                           for k in range(max(0, fail - lookback), fail + 1)], (name, serial)
+        labeled |= set(days) if name != "test120" else set()
+    assert labeled == set(fails)
 
 
 @st.composite
@@ -1069,6 +1110,16 @@ def test_features_matches_snapshot_scoring_oracle(tmp_path, capsys, load_perfben
     assert (out / "features" / "features.csv").read_bytes() == (tmp_path / "features.csv").read_bytes()
 
 
+@pytest.mark.parametrize("seed", [1, 2])  # seeds whose test split holds a skipped drive
+def test_ingest_reports_each_skipped_drive_once(tmp_path, capsys, load_perfbench, seed):
+    """A drive skipped as inconsistent gets one line on stderr, though test60
+    and test120 label the same test drives."""
+    cfg, truth = _small_corpus(tmp_path, load_perfbench("corpus"), seed)
+    assert main(["ingest", "--config", cfg]) == 0
+    lines = re.findall(r"ingest: skipping drive (.+?): ", capsys.readouterr().err)
+    assert sorted(lines) == sorted(truth.skipped)
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_snapshot_path_end_to_end(tmp_path, capsys, load_perfbench, seed):
     """ingest, features, train and evaluate on a snapshot corpus, the paper's own path."""
@@ -1131,12 +1182,13 @@ def test_snapshot_path_end_to_end(tmp_path, capsys, load_perfbench, seed):
     ("synth", "out\n", "out must name a directory"),
     ("synth --out=", "", "out must name a directory"),
     ("train", "features 5\n", "selected features [5] absent from the train cohort"),
+    ("synth --lookback 3000000", "", "after 9999-12-31 (synth_train_drives 4, lookback_train 3000000"),
 ], ids=["batch_size", "hidden_size", "rf_estimators", "epochs", "lookback_test", "jump_day",
         "synth_features", "synth_noise", "inf_synth_noise", "missing_file", "empty_timesteps",
         "dup_timesteps", "negative_grad_clip", "nan_grad_clip", "negative_learning_rate",
         "nan_learning_rate", "dup_features", "no_features", "comma_features", "rf_features",
         "ingest_train_frac", "timesteps_past_lookback", "bool_two", "bool_negative",
-        "empty_out", "empty_out_flag", "features_not_in_cohort"])
+        "empty_out", "empty_out_flag", "features_not_in_cohort", "synth_past_9999"])
 def test_bad_config_exits_one(tmp_path, monkeypatch, capsys, command, extra, named):
     """A bad config exits 1 naming the fault, and the command writes nothing:
     ``command`` is the command and any flags it gets after the config."""
@@ -1279,6 +1331,74 @@ def test_truncated_input_ends_in_exit_code(tiny_run, tmp_path_factory, name, com
     raw = (dest / name).read_bytes()
     (dest / name).write_bytes(raw[: data.draw(st.integers(0, len(raw)), label="size")])
     assert main([command, *args, *_input_args(command, dest)]) in (0, 1, 2, 3)
+
+
+def _tiny_snapshots():
+    """{file name: bytes} of seven daily snapshot files: drives S1 and S2 of
+    model M fail on days 5 and 6, S3 of M and X1 of N stay healthy."""
+    fails = {"S1": 5, "S2": 6, "S3": None, "X1": None}
+    files = {}
+    for day in range(7):
+        rows = [f"{date(2021, 1, 1) + timedelta(days=day)},{serial},{serial == 'X1' and 'N' or 'M'},"
+                f"{int(day == fail)},{day * 10 + k},{day + k}"
+                for k, (serial, fail) in enumerate(fails.items()) if fail is None or day <= fail]
+        text = "\n".join(["date,serial_number,model,failure,smart_5_raw,smart_9_raw"] + rows) + "\n"
+        files[f"{date(2021, 1, 1) + timedelta(days=day)}.csv"] = text.encode()
+    return files
+
+
+_TOKENS = [b"nan", b"inf", b"1e400", b"-0", b'"', b",", b"\n", b"\r", b"\x00", b"2021-02-30",
+           b"1" * 30]
+
+
+def _mutation(data, raw):
+    """``raw`` with one drawn mutation: a flipped byte, an inserted token, a
+    line duplicated, deleted or swapped with another, or one cell replaced."""
+    kind = data.draw(st.sampled_from(["flip", "insert", "duplicate", "delete", "swap", "cell"]),
+                     label="mutation")
+    if kind == "flip":
+        at = data.draw(st.integers(0, len(raw) - 1), label="byte")
+        return raw[:at] + bytes([raw[at] ^ data.draw(st.integers(1, 255), label="mask")]) + raw[at + 1:]
+    if kind == "insert":
+        at = data.draw(st.integers(0, len(raw)), label="at")
+        return raw[:at] + data.draw(st.sampled_from(_TOKENS), label="token") + raw[at:]
+    lines = raw.splitlines(keepends=True)
+    i = data.draw(st.integers(0, len(lines) - 1), label="line")
+    if kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "delete":
+        del lines[i]
+    elif kind == "swap":
+        j = data.draw(st.integers(0, len(lines) - 1), label="other line")
+        lines[i], lines[j] = lines[j], lines[i]
+    else:
+        cells = lines[i].rstrip(b"\n").split(b",")
+        cells[data.draw(st.integers(0, len(cells) - 1), label="cell")] = data.draw(
+            st.sampled_from([b"", *_TOKENS]), label="value")
+        lines[i] = b",".join(cells) + b"\n"
+    return b"".join(lines)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_mutated_snapshot_ends_in_exit_code(tmp_path_factory, data):
+    """One mutation of one snapshot file: ingest exits 0 or 2, never with an
+    exception, and a data error names the snapshot directory or a file in it."""
+    tmp_path = tmp_path_factory.mktemp("mutated")
+    snapshot_dir = tmp_path / "snapshots"
+    snapshot_dir.mkdir()
+    files = _tiny_snapshots()
+    name = data.draw(st.sampled_from(sorted(files)), label="file")
+    files[name] = _mutation(data, files[name])
+    for filename, raw in files.items():
+        (snapshot_dir / filename).write_bytes(raw)
+    cfg = _config_file(tmp_path, tmp_path / "out", extra=(
+        f"snapshot_dir {snapshot_dir}\nmodel_filter M\nfeatures 5,9\n"))
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+        code = main(["ingest", "--config", cfg])
+    assert code in (0, 2)
+    if code == 2:
+        assert str(snapshot_dir) in err.getvalue()
 
 
 def _ff_in_middle(path):

@@ -402,6 +402,24 @@ def test_labeling_78_drives_60_days_gives_4758_records():
     assert sum(len(s) for s in rebuilt) == 4758
 
 
+def test_select_copies_columns_in_c_order(small_frames):
+    """select gives the asked columns in their order, in a C-ordered array of
+    its own: a Fortran-ordered one moves the trained models' bits."""
+    frame = small_frames[0]
+    picked = frame.select([frame.feature_ids[2], frame.feature_ids[0]])
+    assert picked.values.flags.c_contiguous and picked.values.flags.owndata
+    np.testing.assert_array_equal(picked.values, frame.values[:, [2, 0]])
+
+
+def test_synth_config_rejects_days_after_9999():
+    """The last synthetic drive fails lookback_days + n_drives - 1 days after
+    2020-01-01; sizes that put that day after 9999-12-31 are a ValueError."""
+    room = date.max.toordinal() - date(2020, 1, 1).toordinal()
+    ds.SynthConfig(n_drives=room - 19, lookback_days=20).validate()
+    with pytest.raises(ValueError, match="after 9999-12-31"):
+        ds.SynthConfig(n_drives=room - 18, lookback_days=20).validate()
+
+
 @pytest.mark.parametrize("raw,capped", [(45, 30), (30, 30), (12, 12)])
 def test_cap_values(raw, capped):
     series = ds.LabeledSeries("A", [_record("A", date(2020, 1, 1))], [raw])
