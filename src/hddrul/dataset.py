@@ -14,8 +14,9 @@ keeps the failure rows, and adds the rows inside the windows it is given to
 the run's one :class:`KeptRows`. Each file is read once, last path first
 (newest first for daily files), with the windows of the failures known so
 far. When a file ends, each failure of the model in it registers its drive's
-window (the failure day and the lookback before it), and each file read so
-far whose days meet new windows gives their rows (:meth:`SnapshotScan.add_rows`):
+window (the failure day and the lookback before it, from 0001-01-01 at the
+earliest), and each file read so far whose days meet new windows gives their
+rows (:meth:`SnapshotScan.add_rows`):
 on daily files just the failure-day file, from the text its read kept, and
 from disk if it holds a quote or a CR, is over ``_RETAIN`` bytes, or was read
 before. A later-found earlier failure of a drive replaces its window and

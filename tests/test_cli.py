@@ -1019,17 +1019,16 @@ def test_ingest_window_start_clamped_at_date_min(tmp_path, first, flags):
                  "test120": config.lookback_extrap}
     if flags:
         lookbacks["train"] = lookbacks["test60"] = int(flags[1])
-    labeled = set()
+    cohorts = {}
     for name, lookback in lookbacks.items():
-        days = {}
+        days = cohorts[name] = {}
         for line in (tmp_path / "stream" / "cohorts" / f"{name}.csv").read_text().splitlines()[1:]:
             days.setdefault(line.split(",")[0], []).append(line.split(",")[1])
         for serial, got in days.items():
             fail = fails[serial]
             assert got == [str(first + timedelta(days=k))
                            for k in range(max(0, fail - lookback), fail + 1)], (name, serial)
-        labeled |= set(days) if name != "test120" else set()
-    assert labeled == set(fails)
+    assert {*cohorts["train"], *cohorts["test60"]} == set(fails)
 
 
 @st.composite
@@ -1339,7 +1338,7 @@ def _tiny_snapshots():
     fails = {"S1": 5, "S2": 6, "S3": None, "X1": None}
     files = {}
     for day in range(7):
-        rows = [f"{date(2021, 1, 1) + timedelta(days=day)},{serial},{serial == 'X1' and 'N' or 'M'},"
+        rows = [f"{date(2021, 1, 1) + timedelta(days=day)},{serial},{'N' if serial == 'X1' else 'M'},"
                 f"{int(day == fail)},{day * 10 + k},{day + k}"
                 for k, (serial, fail) in enumerate(fails.items()) if fail is None or day <= fail]
         text = "\n".join(["date,serial_number,model,failure,smart_5_raw,smart_9_raw"] + rows) + "\n"
