@@ -24,11 +24,14 @@ drops its rows kept so far, so memory scales with the failed drives, not
 the corpus; a drive failing on several days failed on the earliest
 (:func:`scan_failures`). A read takes 64K characters at a time, split at
 ``\\n``, and reads line by line from the first block with a quote or a CR.
-It splits a line only as far as it needs, parses each distinct (``date``,
-``failure``) cell pair once per file, and sends a line holding a quote
-through ``csv.reader``. A whole block is decoded before its rows are
-checked, so of a malformed row and bytes that are not UTF-8 in one block,
-the UTF-8 error is the one reported.
+It checks a block's rows together, column by column: it splits each line
+up to its identity cells, parses each distinct (``date``, ``failure``)
+cell pair once per file, and looks the stripped serials up in the windows.
+A block with a blank or short line or a pair that does not parse, and every
+line from the first quote or CR on, go through a line loop, which raises
+every row error and sends a line holding a quote through ``csv.reader``.
+A whole block is decoded before its rows are checked, so of a malformed
+row and bytes that are not UTF-8 in one block, the UTF-8 error is reported.
 
 A failed drive's history is turned into a :class:`LabeledSeries`: the rows
 covering the lookback window before failure, each labeled with its remaining
@@ -317,6 +320,11 @@ def _row_identity(layout: _Layout, row: Sequence[str], row_index: int,
     return day, failed
 
 
+def _failure_record(layout: _Layout, row: Sequence[str], day: Date) -> DriveRecord:
+    """A failure row of a snapshot read, without attributes."""
+    return DriveRecord(row[layout.serial].strip(), day, row[layout.model].strip(), {}, True)
+
+
 def _snapshot_layout(path: str | Path, fh) -> _Layout | None:
     """Read the header record of an open snapshot file; its layout, or None for
     an empty file."""
@@ -393,8 +401,9 @@ class KeptRows:
             blocks.append(_Block(layout.feature_ids, [], array("d")))
         block = blocks[-1]
         block.dates.append(day)
+        nan = math.nan
         try:
-            block.cells.fromlist([float(c) if c else math.nan for c in [row[j] for j in layout.columns]])
+            block.cells.fromlist([float(row[j]) if row[j] else nan for j in layout.columns])
         except (IndexError, ValueError):
             block.cells.fromlist([_cell_value(row, j) for j in layout.columns])
 
@@ -489,9 +498,12 @@ def read_snapshot_csv(path: str | Path, windows: dict[str, tuple[Date, Date]],
     :class:`SnapshotParseError`.
 
     The lines come a ``_BLOCK`` at a time (:func:`_snapshot_lines`), line by
-    line from the first block that holds a quote or a CR on. A block is
-    decoded whole before its rows are checked: bytes that are not UTF-8 are a
-    DataError naming the file even after a malformed row of the same block.
+    line from the first block that holds a quote or a CR on. A block's rows
+    are checked together, column by column; a block with a blank or short
+    line, or with a pair :func:`_row_identity` rejects, goes through the line
+    loop, which alone raises row errors. A block is decoded whole before its
+    rows are checked: bytes that are not UTF-8 are a DataError naming the
+    file even after a malformed row of the same block.
     The scan keeps the blocks when the file is at most ``_RETAIN`` bytes and
     every block took the block path; then :meth:`SnapshotScan.add_rows`
     serves more windows from them, and the file need not be read again. A
@@ -506,39 +518,65 @@ def read_snapshot_csv(path: str | Path, windows: dict[str, tuple[Date, Date]],
         width, serial_col = layout.width, layout.serial
         date_col, failure_col = layout.date, layout.failure
         seen: dict[tuple[str, str] | None, tuple[Date, bool]] = {}  # see _row_identity
-        seen_get, window_get = seen.get, windows.get
         retained = [] if os.fstat(fh.fileno()).st_size <= _RETAIN else None
-        lines = itertools.chain.from_iterable(_snapshot_lines(fh, retained))
-        for row_index, line in enumerate(lines, start=1):
-            if '"' in line:
-                try:
-                    row = next(csv.reader(itertools.chain([line], lines)))
-                except csv.Error as exc:
-                    raise SnapshotParseError(row_index, str(exc), path) from exc
-                line = None
-            else:
-                line = line.rstrip("\r\n")
-                if not line:
-                    continue
-                row = line.split(",", width)  # its last cell holds the rest of the line
-            key = (row[date_col], row[failure_col]) if len(row) >= width else None
-            identity = seen_get(key)
-            if identity is None:
-                identity = seen[key] = _row_identity(layout, row, row_index, path)
-            day, failed = identity
-            if failed:
-                failures.append(DriveRecord(
-                    serial=row[serial_col].strip(),
-                    date=day,
-                    model=row[layout.model].strip(),
-                    smart={},
-                    failed=True,
-                ))
-            if windows:
-                window = window_get(row[serial_col].strip())
-                if window is not None and window[0] <= day <= window[1]:
-                    kept.add(layout, row if line is None else line.split(","), day)
-                    n_kept += 1
+        groups = _snapshot_lines(fh, retained)
+        row_index = 0  # of the last row before the group
+        for lines in groups:
+            if isinstance(lines, list):  # a block: its rows are checked together
+                rows = [line.split(",", width) for line in lines]  # a last cell holds the rest
+                cells = list(zip(*rows))  # column by column, as far as every row reaches
+                if len(cells) >= width:  # no blank or short line
+                    dates, flags = cells[date_col], cells[failure_col]
+                    date_set, flag_set = set(dates), set(flags)
+                    pairs = set(itertools.product(date_set, flag_set)  # exact if either has one
+                                if min(len(date_set), len(flag_set)) == 1 else zip(dates, flags))
+                    probe = [""] * width  # a row of just a pair's cells
+                    try:
+                        for key in pairs.difference(seen):
+                            probe[date_col], probe[failure_col] = key
+                            seen[key] = _row_identity(layout, probe, row_index + 1, path)
+                    except SnapshotParseError:
+                        pass  # the loop below reaches the row and raises
+                    else:
+                        failed = {key for key in pairs if seen[key][1]}
+                        if failed:
+                            failures += [_failure_record(layout, row, seen[key][0])
+                                         for row, key in zip(rows, zip(dates, flags)) if key in failed]
+                        serials = list(map(str.strip, cells[serial_col])) if windows else ()
+                        for k in [k for k, serial in enumerate(serials) if serial in windows]:
+                            window = windows[serials[k]]
+                            day = seen[dates[k], flags[k]][0]
+                            if window[0] <= day <= window[1]:
+                                kept.add(layout, lines[k].split(","), day)
+                                n_kept += 1
+                        row_index += len(rows)
+                        continue
+            else:  # a quote or a CR: line by line from here on
+                lines = itertools.chain.from_iterable(itertools.chain([lines], groups))
+            for row_index, line in enumerate(lines, start=row_index + 1):
+                if '"' in line:
+                    try:
+                        row = next(csv.reader(itertools.chain([line], lines)))
+                    except csv.Error as exc:
+                        raise SnapshotParseError(row_index, str(exc), path) from exc
+                    line = None
+                else:
+                    line = line.rstrip("\r\n")
+                    if not line:
+                        continue
+                    row = line.split(",", width)
+                key = (row[date_col], row[failure_col]) if len(row) >= width else None
+                identity = seen.get(key)
+                if identity is None:
+                    identity = seen[key] = _row_identity(layout, row, row_index, path)
+                day, failed = identity
+                if failed:
+                    failures.append(_failure_record(layout, row, day))
+                if windows:
+                    window = windows.get(row[serial_col].strip())
+                    if window is not None and window[0] <= day <= window[1]:
+                        kept.add(layout, row if line is None else line.split(","), day)
+                        n_kept += 1
     days = [day for day, _ in seen.values()]
     return SnapshotScan(path, failures, (min(days), max(days)) if days else None, n_kept,
                         layout, retained or None)

@@ -6,6 +6,8 @@ import subprocess
 import time
 from pathlib import Path
 
+import pytest
+
 from hddrul.cli import load_config
 from test_acceptance import E2E_CONFIG
 from test_cli import TINY
@@ -49,6 +51,27 @@ def test_bench_e2e_appends_one_full_entry(tmp_path, monkeypatch):
         for stage in case["stages"].values():
             assert stage.keys() == STAGE_FIELDS
             assert stage["wall_s"] > 0 and stage["maxrss_mb"] > 0 and stage["minflt"] > 0
+
+
+def test_bench_e2e_times_only_the_cases_picked(tmp_path, monkeypatch):
+    """``--cases`` keeps the entry to the cases named, generates no corpus for
+    an ingest case left out, and rejects a name the run has not."""
+    tool = _load_tool()
+    monkeypatch.setattr(tool, "CORPORA", {
+        "tiny": dict(days=70, healthy_target=6, healthy_other=2, failed_target=4,
+                     failed_other=1, duplicated=1, missing_days=1),
+        "unused": {}})
+    record = tmp_path / "BENCH_e2e.json"
+    work = tmp_path / "work"
+    assert tool.main(["--record", str(record), "--workdir", str(work), "--cases", "ingest_tiny"]) == 0
+    [entry] = json.loads(record.read_text())
+    assert list(entry["cases"]) == ["ingest_tiny"]
+    assert list(entry["cases"]["ingest_tiny"]["stages"]) == ["ingest", "features"]
+    assert sorted(p.name for p in work.iterdir()) == ["ingest_tiny", "snapshots_tiny"]
+    with pytest.raises(SystemExit) as exit_:
+        tool.main(["--record", str(record), "--cases", "ingest_tiny,paper"])
+    assert exit_.value.code == 2
+    assert len(json.loads(record.read_text())) == 1
 
 
 def test_acceptance_case_runs_the_release_gate_config(tmp_path):

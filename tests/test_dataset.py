@@ -1,3 +1,4 @@
+import itertools
 import re
 import tracemalloc
 from datetime import date, timedelta
@@ -239,6 +240,57 @@ def test_quoted_cell_spanning_blocks_matches_csv_reader_oracle(tmp_path, monkeyp
     windows = {"A": (date(2020, 1, 4), date(2020, 1, 5)), "B": (date(2020, 1, 6), date(2020, 1, 6)),
                "Q": (date(2020, 1, 5), date(2020, 1, 5))}
     _assert_read_matches_oracle(tmp_path / "day.csv", text, windows)
+
+
+def _daily_rows(n_rows, failed=()):
+    """``n_rows`` rows of SNAPSHOT_COLUMNS on 2020-01-05, about 50 characters
+    each; the drives whose numbers are in ``failed`` fail."""
+    return [f"2020-01-05,S{k:05d},M,4000787030016,{int(k in failed)},{k},100,{7 * k}"
+            for k in range(n_rows)]
+
+
+def test_row_error_in_a_later_block_names_the_file_wide_row(tmp_path):
+    """At the real ``_BLOCK``: a blank line in the first block sends that block
+    line by line, and a malformed date in the third block sends it there too.
+    The error names the file and the row as ``enumerate(csv.reader)`` counts
+    it, the blank line included; the file fixed reads as the oracle does."""
+    rows = _daily_rows(5000, failed={3, 1403, 2900, 4600})
+    rows[100] = ""
+    ends = list(itertools.accumulate(len(row) + 1 for row in rows))  # after the header
+    bad = next(k for k, end in enumerate(ends) if end - len(rows[k]) - 1 > 2.5 * ds._BLOCK)
+    assert ends[100] < ds._BLOCK and ends[bad] < 3 * ds._BLOCK and ends[-1] > 3.5 * ds._BLOCK
+    header = ",".join(SNAPSHOT_COLUMNS)
+    windows = {f"S{k:05d}": (date(2020, 1, 4), date(2020, 1, 5)) for k in (10, 1403, bad + 1, 4999)}
+    path = tmp_path / "2020-01-05.csv"
+    fixed = "\n".join([header] + rows) + "\n"
+    rows[bad] = rows[bad].replace("2020-01-05", "2020-01-32")
+    broken = "\n".join([header] + rows) + "\n"
+    assert len(broken.encode()) > 250_000
+    _assert_read_matches_oracle(path, broken, windows)
+    with pytest.raises(SnapshotParseError,
+                       match=re.escape(f"{path}: row {bad + 1}: malformed date '2020-01-32'")):
+        ds.read_snapshot_csv(path, windows, ds.KeptRows())
+    _assert_read_matches_oracle(path, fixed, windows)
+    scan = ds.read_snapshot_csv(path, windows, ds.KeptRows())
+    assert [rec.serial for rec in scan.failures] == ["S00003", "S01403", "S02900", "S04600"]
+    assert len(scan) == 4
+
+
+def test_each_date_failure_pair_is_parsed_once_per_file(tmp_path, monkeypatch):
+    """A daily file of three blocks with one failure row has two distinct
+    (date, failure) pairs, so two identity checks."""
+    calls = []
+    check = ds._row_identity
+    monkeypatch.setattr(ds, "_row_identity", lambda *args: calls.append(args[2]) or check(*args))
+    rows = _daily_rows(3000, failed={1700})
+    text = "\n".join([",".join(SNAPSHOT_COLUMNS)] + rows) + "\n"
+    assert 2 * ds._BLOCK < len(text) < 3 * ds._BLOCK
+    path = tmp_path / "2020-01-05.csv"
+    path.write_text(text)
+    kept = ds.KeptRows()
+    scan = ds.read_snapshot_csv(path, {"S02999": (date(2020, 1, 5), date(2020, 1, 5))}, kept)
+    assert [rec.serial for rec in scan.failures] == ["S01700"] and len(scan) == 1
+    assert len(calls) == 2
 
 
 def test_read_failure_rows_streams(tmp_path):

@@ -5,6 +5,7 @@ Usage (from the repository root)::
     python3 tools/bench_e2e.py                        # acceptance config, 1x and 10x ingest
     python3 tools/bench_e2e.py --paper                # and the paper-scale config (about 2.5 min more)
     python3 tools/bench_e2e.py --tree ../parent       # time another checkout's src/
+    python3 tools/bench_e2e.py --cases ingest_1x,ingest_10x   # only these cases
 
 Cases:
 
@@ -16,6 +17,9 @@ Cases:
   one with ten times its drives (about 10^6 rows, 267 MB);
 * ``paper``, only with ``--paper``: the same four stages as ``acceptance`` at
   the default config (78/71/133 drives, 1000 trees).
+
+``--cases`` picks which of these a run times (default: all of them); a
+snapshot corpus is generated only for the ingest cases picked.
 
 Each stage is its own child process, ``python -m hddrul.cli`` with the BLAS
 thread variables at 1, so one thread does the work as in the benchmark. The
@@ -191,7 +195,12 @@ def append_entry(record: Path, entry: dict) -> None:
     os.replace(partial, record)
 
 
-def measure(tree: Path, workdir: Path, record: Path, paper: bool) -> dict:
+def case_names(paper: bool) -> list[str]:
+    """The cases a run times, in the order it runs them."""
+    return ["acceptance", *(f"ingest_{name}" for name in CORPORA)] + (["paper"] if paper else [])
+
+
+def measure(tree: Path, workdir: Path, record: Path, cases: list[str]) -> dict:
     sha, dirty = git_state(tree, record)
     entry = {
         "sha": sha,
@@ -204,15 +213,17 @@ def measure(tree: Path, workdir: Path, record: Path, paper: bool) -> dict:
         "cases": {},
     }
     corpora = {name: generate_corpus(workdir / f"snapshots_{name}", fields)
-               for name, fields in CORPORA.items()}  # before any stage runs
-    cases = entry["cases"]
-    cases["acceptance"] = run_case(tree, workdir, "acceptance", ACCEPTANCE, PIPELINE)
+               for name, fields in CORPORA.items()
+               if f"ingest_{name}" in cases}  # before any stage runs
+    timed = entry["cases"]
+    if "acceptance" in cases:
+        timed["acceptance"] = run_case(tree, workdir, "acceptance", ACCEPTANCE, PIPELINE)
     for name, corpus in corpora.items():
         case = run_case(tree, workdir, f"ingest_{name}",
                         ingest_config(workdir / f"snapshots_{name}", corpus), INGEST)
-        cases[f"ingest_{name}"] = {"corpus_rows": corpus["rows"], **case}
-    if paper:
-        cases["paper"] = run_case(tree, workdir, "paper", PAPER, PIPELINE)
+        timed[f"ingest_{name}"] = {"corpus_rows": corpus["rows"], **case}
+    if "paper" in cases:
+        timed["paper"] = run_case(tree, workdir, "paper", PAPER, PIPELINE)
     return entry
 
 
@@ -226,14 +237,24 @@ def main(argv: list[str] | None = None) -> int:
                         help="JSON list the entry is appended to")
     parser.add_argument("--paper", action="store_true",
                         help="also run the paper-scale config")
+    parser.add_argument("--cases", metavar="NAME[,NAME...]",
+                        help="time only these of the run's cases (default: all)")
     args = parser.parse_args(argv)
+    cases = case_names(args.paper)
+    if args.cases is not None:
+        picked = args.cases.split(",")
+        unknown = [name for name in picked if name not in cases]
+        if unknown:
+            parser.error(f"--cases: unknown {', '.join(map(repr, unknown))}; "
+                         f"this run's cases are {', '.join(cases)}")
+        cases = [name for name in cases if name in picked]
     tree = args.tree.resolve()
     if args.workdir is None:
         with tempfile.TemporaryDirectory(prefix="bench_e2e_") as tmp:
-            entry = measure(tree, Path(tmp), args.record, args.paper)
+            entry = measure(tree, Path(tmp), args.record, cases)
     else:
         args.workdir.mkdir(parents=True, exist_ok=True)
-        entry = measure(tree, args.workdir.resolve(), args.record, args.paper)
+        entry = measure(tree, args.workdir.resolve(), args.record, cases)
     append_entry(args.record, entry)
     print(json.dumps(entry, indent=1))
     return 0
