@@ -195,11 +195,6 @@ def append_entry(record: Path, entry: dict) -> None:
     os.replace(partial, record)
 
 
-def case_names(paper: bool) -> list[str]:
-    """The cases a run times, in the order it runs them."""
-    return ["acceptance", *(f"ingest_{name}" for name in CORPORA)] + (["paper"] if paper else [])
-
-
 def measure(tree: Path, workdir: Path, record: Path, cases: list[str]) -> dict:
     sha, dirty = git_state(tree, record)
     entry = {
@@ -240,7 +235,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--cases", metavar="NAME[,NAME...]",
                         help="time only these of the run's cases (default: all)")
     args = parser.parse_args(argv)
-    cases = case_names(args.paper)
+    cases = ["acceptance", *(f"ingest_{name}" for name in CORPORA)]
+    if args.paper:
+        cases.append("paper")
     if args.cases is not None:
         picked = args.cases.split(",")
         unknown = [name for name in picked if name not in cases]
