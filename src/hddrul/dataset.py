@@ -12,26 +12,28 @@ dict is built per row.
 one :func:`read_snapshot_csv` call: it checks every row's identity cells,
 keeps the failure rows, and adds the rows inside the windows it is given to
 the run's one :class:`KeptRows`. Each file is read once, last path first
-(newest first for daily files), with the windows of the failures known so
-far. When a file ends, each failure of the model in it registers its drive's
-window (the failure day and the lookback before it, from 0001-01-01 at the
-earliest), and each file read so far whose days meet new windows gives their
-rows (:meth:`SnapshotScan.add_rows`):
-on daily files just the failure-day file, from the text its read kept, and
-from disk if it holds a quote or a CR, is over ``_RETAIN`` bytes, or was read
-before. A later-found earlier failure of a drive replaces its window and
-drops its rows kept so far, so memory scales with the failed drives, not
-the corpus; a drive failing on several days failed on the earliest
+(newest first for daily files), with the windows of the failures known so far.
+When a file ends, each failure of the model in it registers its drive's window
+(the failure day and the lookback before it, from 0001-01-01 at the earliest),
+and each file read so far whose days meet new windows gives their rows
+(:meth:`SnapshotScan.add_rows`). On daily files that is just the failure-day
+file, whose read serves them from the failure rows it kept in full when its
+serial index (the stripped serial cell of each row) shows that a wanted drive
+has no other row there. A file where one has (a same-day twin, another day's
+row), a file with a quote, a CR or a blank line, and a file read before are
+read again from disk. A later-found earlier failure of a drive replaces its
+window and drops its rows kept so far, so memory scales with the failed
+drives, not the corpus; a drive failing on several days failed on the earliest
 (:func:`scan_failures`). A read takes 64K characters at a time, split at
-``\\n``, and reads line by line from the first block with a quote or a CR.
-It checks a block's rows together, column by column: it splits each line
-up to its identity cells, parses each distinct (``date``, ``failure``)
-cell pair once per file, and looks the stripped serials up in the windows.
-A block with a blank or short line or a pair that does not parse, and every
-line from the first quote or CR on, go through a line loop, which raises
-every row error and sends a line holding a quote through ``csv.reader``.
-A whole block is decoded before its rows are checked, so of a malformed
-row and bytes that are not UTF-8 in one block, the UTF-8 error is reported.
+``\\n``, and reads line by line from the first block with a quote or a CR. It
+checks a block's rows together, column by column: it splits each line up to
+its identity cells, parses each distinct (``date``, ``failure``) cell pair
+once per file, and looks the stripped serials up in the windows. A block with
+a blank or short line or a pair that does not parse, and every line from the
+first quote or CR on, go through a line loop, which raises every row error and
+sends a line holding a quote through ``csv.reader``. A whole block is decoded
+before its rows are checked, so of a malformed row and bytes that are not
+UTF-8 in one block, the UTF-8 error is reported.
 
 A failed drive's history is turned into a :class:`LabeledSeries`: the rows
 covering the lookback window before failure, each labeled with its remaining
@@ -54,7 +56,6 @@ import csv
 import io
 import itertools
 import math
-import os
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -338,10 +339,9 @@ def _snapshot_layout(path: str | Path, fh) -> _Layout | None:
 
 
 _BLOCK = 1 << 16  # characters a snapshot read takes from its file at once
-_RETAIN = 1 << 20  # bytes of a snapshot file up to which its read keeps its text
 
 
-def _snapshot_lines(fh, retained: list[str] | None):
+def _snapshot_lines(fh):
     """The lines of an open snapshot file from where it stands, in groups to chain.
 
     While the file's blocks of ``_BLOCK`` characters, each completed to its
@@ -349,23 +349,18 @@ def _snapshot_lines(fh, retained: list[str] | None):
     without their ``\\n``. From the first block that holds either on, the
     lines come as iterating the file gives them: with their ends, a line ending
     at ``\\n``, ``\\r`` or ``\\r\\n``, so csv.reader sees a quoted cell's line
-    breaks. When ``retained`` is a list, each block of the first kind is
-    appended to it, and the first block that holds a quote or a CR empties it.
+    breaks.
     """
     while True:
         text = fh.read(_BLOCK)
         if not text.endswith("\n"):
             text += fh.readline()
         if '"' in text or "\r" in text:
-            if retained:
-                retained.clear()
             yield io.StringIO(text, newline="")
             yield fh
             return
         if not text:
             return
-        if retained is not None:
-            retained.append(text)
         lines = text.split("\n")
         if not lines[-1]:
             del lines[-1]  # after the block's last line end
@@ -431,17 +426,23 @@ class SnapshotScan:
     """What one read of a snapshot file gives (see :func:`read_snapshot_csv`);
     ``len()`` counts the rows it added to the caller's :class:`KeptRows`.
 
-    A read of a file of at most ``_RETAIN`` bytes with LF line ends and no
-    quotes also keeps the file's text after its header, so that
-    :meth:`add_rows` can serve further windows without reading it again.
+    ``index`` holds the stripped serial cell of every row, one string per
+    block, ``"\\n" + "\\n\\n".join(serials) + "\\n"``, so that :meth:`add_rows`
+    can count a serial's rows without reading the file again. The delimiters
+    are doubled so that adjacent rows of one serial both count. A read that
+    sent any line through its line loop keeps no index. ``failure_rows``
+    holds the cells of each failure row in full, for :meth:`add_rows` to
+    serve; :func:`read_failed_drives` drops both once the file's windows are
+    registered.
     """
 
     path: str | Path  # the file read
     failures: list[DriveRecord]  # the failure rows, without attributes
+    failure_rows: list[list[str]] | None  # the cells of each failure row; None once dropped
     days: tuple[Date, Date] | None  # first and last day of its rows; None without rows
     n_kept: int  # the rows inside ``windows``
     layout: _Layout | None  # None for an empty file
-    text: list[str] | None  # the blocks after the header, or None when not kept in full
+    index: list[str] | None  # the serials of each block's rows; None without an index
 
     def __len__(self) -> int:
         return self.n_kept
@@ -450,33 +451,24 @@ class SnapshotScan:
         """Add the rows in ``windows`` to ``kept``, in file order, as a read of
         the file with ``windows`` would; the number added.
 
-        A scan without ``text`` reads its file again (:func:`read_snapshot_csv`).
-        From the text: the read checked every row, so each line that holds a
-        wanted serial is split and kept if its stripped serial cell is that
-        serial and its day lies in the window.
+        The index never counts a serial fewer times than the file has rows of
+        it, and counts one that is not empty and holds no line break exactly.
+        So when it counts each wanted serial as many times as the file has
+        failure rows of it, all their rows here are failure rows, and those
+        inside the windows come from ``failure_rows``. Otherwise, or without
+        an index, the file is read again (:func:`read_snapshot_csv`).
         """
-        if self.text is None:
+        if self.index is None or any(
+                sum(block.count(f"\n{serial}\n") for block in self.index)
+                != sum(rec.serial == serial for rec in self.failures) for serial in windows):
             return len(read_snapshot_csv(self.path, windows, kept))
-        layout = self.layout
-        hits = []  # (block, line start, day, row)
-        for serial, (first, last) in windows.items():
-            for b, text in enumerate(self.text):
-                pos = text.find(serial)
-                while pos >= 0:
-                    start = text.rfind("\n", 0, pos) + 1
-                    end = text.find("\n", pos)
-                    if end < 0:
-                        end = len(text)
-                    row = text[start:end].split(",")
-                    if len(row) >= layout.width and row[layout.serial].strip() == serial:
-                        day = Date.fromisoformat(row[layout.date].strip())
-                        if first <= day <= last:
-                            hits.append((b, start, day, row))
-                    pos = text.find(serial, end + 1)
-        hits.sort(key=lambda hit: hit[:2])
-        for _, _, day, row in hits:
-            kept.add(layout, row, day)
-        return len(hits)
+        n_added = 0
+        for rec, row in zip(self.failures, self.failure_rows):
+            window = windows.get(rec.serial)
+            if window is not None and window[0] <= rec.date <= window[1]:
+                kept.add(self.layout, row, rec.date)
+                n_added += 1
+        return n_added
 
 
 def read_snapshot_csv(path: str | Path, windows: dict[str, tuple[Date, Date]],
@@ -492,10 +484,10 @@ def read_snapshot_csv(path: str | Path, windows: dict[str, tuple[Date, Date]],
     ``windows`` maps a serial to its first and last wanted day; a row of
     such a serial inside them is added to ``kept`` in full, after the rows
     already there (a read that raises may have added some). Every other
-    unquoted line is split only up to its identity cells, so unquoted cells
-    have no size limit. A line holding a quote is parsed by csv, with any
-    following lines a quoted cell spans; a csv error there is a
-    :class:`SnapshotParseError`.
+    unquoted line but a failure row is split only up to its identity cells,
+    so unquoted cells have no size limit. A line holding a quote is parsed
+    by csv, with any following lines a quoted cell spans; a csv error there
+    is a :class:`SnapshotParseError`.
 
     The lines come a ``_BLOCK`` at a time (:func:`_snapshot_lines`), line by
     line from the first block that holds a quote or a CR on. A block's rows
@@ -504,22 +496,23 @@ def read_snapshot_csv(path: str | Path, windows: dict[str, tuple[Date, Date]],
     loop, which alone raises row errors. A block is decoded whole before its
     rows are checked: bytes that are not UTF-8 are a DataError naming the
     file even after a malformed row of the same block.
-    The scan keeps the blocks when the file is at most ``_RETAIN`` bytes and
-    every block took the block path; then :meth:`SnapshotScan.add_rows`
-    serves more windows from them, and the file need not be read again. A
-    larger file, or one with a quote or a CR, is read again for them.
+    The scan keeps each failure row's cells in full and, while every block
+    takes the block path, an index of the rows' serials; with them
+    :meth:`SnapshotScan.add_rows` serves a window of a drive whose every row
+    here is a failure row without reading the file again.
     """
     failures: list[DriveRecord] = []
+    failure_rows: list[list[str]] = []
+    index: list[str] | None = []
     n_kept = 0
     with _text_file(path) as fh:
         layout = _snapshot_layout(path, fh)
         if layout is None:
-            return SnapshotScan(path, failures, None, 0, None, None)
+            return SnapshotScan(path, failures, failure_rows, None, 0, None, None)
         width, serial_col = layout.width, layout.serial
         date_col, failure_col = layout.date, layout.failure
         seen: dict[tuple[str, str] | None, tuple[Date, bool]] = {}  # see _row_identity
-        retained = [] if os.fstat(fh.fileno()).st_size <= _RETAIN else None
-        groups = _snapshot_lines(fh, retained)
+        groups = _snapshot_lines(fh)
         row_index = 0  # of the last row before the group
         for lines in groups:
             if isinstance(lines, list):  # a block: its rows are checked together
@@ -540,9 +533,13 @@ def read_snapshot_csv(path: str | Path, windows: dict[str, tuple[Date, Date]],
                     else:
                         failed = {key for key in pairs if seen[key][1]}
                         if failed:
-                            failures += [_failure_record(layout, row, seen[key][0])
-                                         for row, key in zip(rows, zip(dates, flags)) if key in failed]
-                        serials = list(map(str.strip, cells[serial_col])) if windows else ()
+                            for line, row, key in zip(lines, rows, zip(dates, flags)):
+                                if key in failed:
+                                    failures.append(_failure_record(layout, row, seen[key][0]))
+                                    failure_rows.append(line.split(","))
+                        serials = list(map(str.strip, cells[serial_col]))
+                        if index is not None:
+                            index.append("\n" + "\n\n".join(serials) + "\n")
                         for k in [k for k, serial in enumerate(serials) if serial in windows]:
                             window = windows[serials[k]]
                             day = seen[dates[k], flags[k]][0]
@@ -553,6 +550,7 @@ def read_snapshot_csv(path: str | Path, windows: dict[str, tuple[Date, Date]],
                         continue
             else:  # a quote or a CR: line by line from here on
                 lines = itertools.chain.from_iterable(itertools.chain([lines], groups))
+            index = None  # the line loop keeps no index; add_rows reads the file again
             for row_index, line in enumerate(lines, start=row_index + 1):
                 if '"' in line:
                     try:
@@ -572,14 +570,15 @@ def read_snapshot_csv(path: str | Path, windows: dict[str, tuple[Date, Date]],
                 day, failed = identity
                 if failed:
                     failures.append(_failure_record(layout, row, day))
+                    failure_rows.append(row if line is None else line.split(","))
                 if windows:
                     window = windows.get(row[serial_col].strip())
                     if window is not None and window[0] <= day <= window[1]:
                         kept.add(layout, row if line is None else line.split(","), day)
                         n_kept += 1
     days = [day for day, _ in seen.values()]
-    return SnapshotScan(path, failures, (min(days), max(days)) if days else None, n_kept,
-                        layout, retained or None)
+    return SnapshotScan(path, failures, failure_rows, (min(days), max(days)) if days else None,
+                        n_kept, layout, index)
 
 
 def read_failed_drives(paths: Iterable[str | Path], model_filter: str, lookback: int
@@ -616,7 +615,7 @@ def read_failed_drives(paths: Iterable[str | Path], model_filter: str, lookback:
             wanted = {serial: w for serial, w in new.items() if w[0] <= last and first <= w[1]}
             if wanted:
                 old.add_rows(wanted, kept)
-        scan.text = None  # dropped before the next read; add_rows then reads the file again
+        scan.index = scan.failure_rows = None  # from the next read on, add_rows reads the file again
     return kept.drives(), scan_failures(failures, model_filter)
 
 

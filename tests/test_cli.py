@@ -781,7 +781,8 @@ def test_streaming_ingest_matches_one_pass_oracle(tmp_path, monkeypatch, load_pe
 
     _assert_same_cohorts(tmp_path)
     # the reads keep the rows in the windows but the failure-day rows, which
-    # come from the failure-day files' kept text, one per failed drive
+    # come from the failure rows the failure-day files' reads kept, one per
+    # failed drive
     assert sum(n for _, n in reads) == _rows_in_windows(corpus, truth) - len(truth.failed)
     assert sum(n for _, n in served) == len(truth.failed) < truth.rows_total / 2
     # every file is read once, newest first, and no file again
@@ -792,7 +793,8 @@ def test_streaming_ingest_matches_one_pass_oracle(tmp_path, monkeypatch, load_pe
 
 def _count_reads(monkeypatch):
     """Record (file name, rows kept) of each snapshot read, and of each time a
-    read's scan serves more rows, from its kept text or a second read; the two lists."""
+    read's scan serves more rows, from the rows its read kept or a second read;
+    the two lists."""
     reads, served = [], []
     read_snapshot_csv = ds.read_snapshot_csv
 
@@ -810,7 +812,8 @@ def _count_reads(monkeypatch):
 def test_traced_ingest_times_every_snapshot_read(tmp_path, load_perfbench):
     """The benchmark's tracer sees every snapshot read of an ingest: one span per
     file, and the rows those reads keep as ``dataset.rows_parsed``. The
-    failure-day rows come from the reads' kept text, which it does not see."""
+    failure-day rows come from the failure rows the reads kept, which it does
+    not see."""
     corpus, tracer = load_perfbench("corpus"), load_perfbench("tracer")
     cfg, truth = _small_corpus(tmp_path, corpus, 1)
     traced = tracer.Tracer()
@@ -821,14 +824,16 @@ def test_traced_ingest_times_every_snapshot_read(tmp_path, load_perfbench):
     assert traced.counts["dataset.rows_parsed"] == _rows_in_windows(corpus, truth) - len(truth.failed)
 
 
-def _kept_text_corpus(snapshot_dir, case):
+def _failure_day_corpus(snapshot_dir, case):
     """Daily files for days 0..24 of drives whose serials and models hold each
     other: S1 and S10 fail on day 20, P2 (its serial cell padded with spaces
     on even days) on day 22 and D on day 18, among healthy drives S11, S100
     and H0..H11 of model XS1. The files of days 18 and 22 end without a line
     end. ``case`` adds a same-day row of D before or after its failure row
-    (``dup_before``, ``dup_after``), or a quote or a CR in the last line of
-    every file (``quote``, ``cr``)."""
+    (``dup_before``, ``dup_after``), a quote or a CR in the last line of
+    every file (``quote``, ``cr``), or 32K rows of healthy XS1 drives S100000
+    and on before the rows of day 20, which take its file past 1 MiB
+    (``large``)."""
     snapshot_dir.mkdir()
     fails = {"S10": 20, "S1": 20, "P2": 22, "D": 18}
     healthy = [(f"H{k}", "XS1") for k in range(12)]
@@ -843,6 +848,8 @@ def _kept_text_corpus(snapshot_dir, case):
             value = "" if (day + k) % 7 == 0 else str(day * 100 + k)
             rows.append(f"{date(2021, 1, 1) + timedelta(days=day)},{cell},{model},"
                         f"{int(day == fails.get(serial))},{value},{day + k}")
+        if day == 20 and case == "large":
+            rows = [f"2021-01-21,S{100_000 + k},XS1,0,{k},{k % 97}" for k in range(32_000)] + rows
         if day == 18 and case.startswith("dup"):
             twin = rows[-1].replace(",1,", ",0,")
             rows = [twin] + rows if case == "dup_before" else rows + [twin]
@@ -855,20 +862,22 @@ def _kept_text_corpus(snapshot_dir, case):
             text if day % 4 == 2 else text + "\n")
 
 
-@pytest.mark.parametrize("case", ["plain", "dup_before", "dup_after", "quote", "cr", "over_budget"])
-def test_failure_day_rows_from_kept_text_match_one_pass_oracle(tmp_path, monkeypatch, capsys, case):
-    """Ingest takes a failure-day file's wanted rows from the text its read kept,
-    whatever other serials and models hold the wanted serial, and gives the
-    cohorts of the one-pass oracle. A file that holds a quote or a CR in a
-    later block, or is over ``_RETAIN`` bytes, is read again from disk instead."""
+@pytest.mark.parametrize("case", ["plain", "dup_before", "dup_after", "quote", "cr", "large"])
+def test_failure_day_rows_from_the_read_match_one_pass_oracle(tmp_path, monkeypatch, capsys, case):
+    """Ingest takes a failure-day file's wanted rows from the failure rows its
+    read kept, at any file size, whatever other serials and models hold the
+    wanted serial, and gives the cohorts of the one-pass oracle. A file whose
+    wanted drive has another row there (D's twin), or that holds a quote or a
+    CR in a later block, is read again from disk instead."""
     snapshot_dir = tmp_path / "snapshots"
-    _kept_text_corpus(snapshot_dir, case)
+    _failure_day_corpus(snapshot_dir, case)
+    if case == "large":
+        assert (snapshot_dir / "2021-01-21.csv").stat().st_size > 1 << 20
+    else:
+        monkeypatch.setattr(ds, "_BLOCK", 256)  # every file takes three blocks or more
     cfg = _config_file(tmp_path, tmp_path / "out", extra=(
         f"snapshot_dir {snapshot_dir}\nmodel_filter M\nfeatures 5,9\n"
         "lookback_train 6\nlookback_test 6\nlookback_extrap 8\n"))
-    monkeypatch.setattr(ds, "_BLOCK", 256)  # every file takes three blocks or more
-    if case == "over_budget":
-        monkeypatch.setattr(ds, "_RETAIN", 300)
     with monkeypatch.context() as patch:
         reads, served = _count_reads(patch)
         assert main(["ingest", "--config", cfg, "--out", str(tmp_path / "stream")]) == 0
@@ -887,11 +896,11 @@ def test_failure_day_rows_from_kept_text_match_one_pass_oracle(tmp_path, monkeyp
     # S1 and S10 fail on day 20, and D's twin is kept with its failure row
     served_rows = {"2021-01-21.csv": 2, "2021-01-19.csv": 2 if case.startswith("dup") else 1}
     assert served == [(name, served_rows.get(name, 1)) for name in failure_days]
-    if case in ("plain", "dup_before", "dup_after"):
-        assert [name for name, _ in reads] == files
-    else:  # add_rows served these from a second read of the file
-        assert [name for name, _ in reads] == [n for name in files
-                                              for n in [name] * (1 + (name in failure_days))]
+    # add_rows served these from a second read of the file
+    read_again = {"plain": [], "large": [], "dup_before": ["2021-01-19.csv"],
+                  "dup_after": ["2021-01-19.csv"]}.get(case, failure_days)
+    assert [name for name, _ in reads] == [n for name in files
+                                          for n in [name] * (1 + (name in read_again))]
 
 
 @pytest.mark.parametrize("command", ["synth", "ingest"])

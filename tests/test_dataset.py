@@ -5,7 +5,7 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -162,7 +162,8 @@ def _kept_csv(records):
 
 def _assert_read_matches_oracle(path, text, windows):
     """A read of ``text`` gives the failure rows and the rows in ``windows``, or
-    the error, of a csv.reader over every row."""
+    the error, of a csv.reader over every row, and its scan's ``add_rows`` gives
+    those rows again, from memory or from disk; the scan, or None after an error."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(text)
     kept = ds.KeptRows()
@@ -170,19 +171,14 @@ def _assert_read_matches_oracle(path, text, windows):
     failures = _outcome(oracles.read_failure_rows_csv, path)
     if failures[0] != "ok":
         assert scan == failures
-        return
+        return None
     assert scan[1].failures == failures[1]
     want = _kept_csv(oracles.read_snapshot_csv_csv(path, windows))
     assert _kept(kept) == want
-    # the text a read keeps serves the same rows; a file without a quote or a
-    # CR is always kept (these are far under _RETAIN)
-    text_kept = scan[1].text is not None
-    assert text_kept or scan[1].days is None or '"' in text or "\r" in text
-    if text_kept:
-        assert '"' not in "".join(scan[1].text) and "\r" not in "".join(scan[1].text)
-        served = ds.KeptRows()
-        assert scan[1].add_rows(windows, served) == len(want)
-        assert _kept(served) == want
+    served = ds.KeptRows()
+    assert scan[1].add_rows(windows, served) == len(want)
+    assert _kept(served) == want
+    return scan[1]
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -203,8 +199,8 @@ def test_block_reads_match_csv_reader_oracle(tmp_path, monkeypatch, text, window
 @st.composite
 def _lf_snapshot_text(draw):
     """A header and up to 30 well-formed rows with LF ends and no quotes, as a
-    read keeps them, some blank; the last line may lack its LF, or hold a
-    quote or a CR, which stops the keeping."""
+    read indexes them, some blank; the last line may lack its LF, or hold a
+    quote or a CR."""
     columns = draw(st.permutations(SNAPSHOT_COLUMNS))
     common = {
         "date": st.sampled_from(["2020-01-04", "2020-01-05", "2020-01-06", " 2020-01-09 "]),
@@ -220,13 +216,36 @@ def _lf_snapshot_text(draw):
     return "\n".join(lines) + draw(st.sampled_from(["\n", "", '"', "\r\n"]))
 
 
+_WEEK = (date(2020, 1, 1), date(2020, 1, 7))
+# B's rows all fail; A's failure row has a healthy twin right after it
+_TWINS = "\n".join([",".join(SNAPSHOT_COLUMNS), "2020-01-05,B,M,0,1,1,,2", "2020-01-05,A,M,0,1,7,,9",
+                    "2020-01-05,A,M,0,0,8,,10", "2020-01-06,B,M,0,1,3,,4"]) + "\n"
+
+
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=_lf_snapshot_text(), windows=_WINDOWS, block=st.sampled_from([1, 7, 64, 256]))
-def test_kept_text_serves_rows_of_csv_reader_oracle(tmp_path, monkeypatch, text, windows, block):
-    """The text a read keeps, over one block or many, serves the rows in the
-    windows; a quote or a CR at the end stops the keeping."""
+@example(text=_TWINS, windows={"B": _WEEK}, block=256)
+@example(text=_TWINS, windows={"A": _WEEK, "B": _WEEK}, block=256)
+def test_serial_index_serves_rows_of_csv_reader_oracle(tmp_path, monkeypatch, text, windows, block):
+    """A read's serial index, over one block or many, lets ``add_rows`` serve
+    the windows of drives whose every row is a failure row without reading the
+    file again; a blank line, or a quote or a CR at the end, drops the index."""
     monkeypatch.setattr(ds, "_BLOCK", block)
-    _assert_read_matches_oracle(tmp_path / "day.csv", text, windows)
+    path = tmp_path / "day.csv"
+    reads = []
+    read = ds.read_snapshot_csv
+    with monkeypatch.context() as patch:  # undone after each example
+        patch.setattr(ds, "read_snapshot_csv", lambda *args: reads.append(args) or read(*args))
+        scan = _assert_read_matches_oracle(path, text, windows)
+    if scan is None:
+        return
+    body = "\n" + text.partition("\n")[2]  # the lines after the header
+    assert (scan.index is None) == any(mark in body for mark in ("\n\n", '"', "\r"))
+    every_row_fails = all(rec.failed for rec in oracles.read_snapshot_csv_csv(
+        path, {serial: (date.min, date.max) for serial in windows}))
+    from_memory = scan.index is not None and every_row_fails
+    # the index may count the empty serial more often than it has rows
+    assert len(reads) == 2 - from_memory or ("" in windows and len(reads) == 2)
 
 
 def test_quoted_cell_spanning_blocks_matches_csv_reader_oracle(tmp_path, monkeypatch):
