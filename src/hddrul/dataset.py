@@ -20,20 +20,19 @@ and each file read so far whose days meet new windows gives their rows
 file, whose read serves them from the failure rows it kept in full when its
 serial index (the stripped serial cell of each row) shows that a wanted drive
 has no other row there. A file where one has (a same-day twin, another day's
-row), a file with a quote, a CR or a blank line, and a file read before are
-read again from disk. A later-found earlier failure of a drive replaces its
-window and drops its rows kept so far, so memory scales with the failed
-drives, not the corpus; a drive failing on several days failed on the earliest
-(:func:`scan_failures`). A read takes 64K characters at a time, split at
-``\\n``, and reads line by line from the first block with a quote or a CR. It
-checks a block's rows together, column by column: it splits each line up to
-its identity cells, parses each distinct (``date``, ``failure``) cell pair
-once per file, and looks the stripped serials up in the windows. A block with
-a blank or short line or a pair that does not parse, and every line from the
-first quote or CR on, go through a line loop, which raises every row error and
-sends a line holding a quote through ``csv.reader``. A whole block is decoded
-before its rows are checked, so of a malformed row and bytes that are not
-UTF-8 in one block, the UTF-8 error is reported.
+row) and a file read before are read again from disk. A later-found earlier
+failure of a drive replaces its window and drops its rows kept so far, so
+memory scales with the failed drives, not the corpus; a drive failing on
+several days failed on the earliest (:func:`scan_failures`). A read takes the
+rows in groups: blocks of 64K characters split at line ends (CRLF and CR read
+as LF) until the line of the first quote, and from there rows of
+``csv.reader``, 64 at a time. It checks a group's rows together, column by
+column: it takes each row's identity cells, parses each distinct (``date``,
+``failure``) cell pair once per file, and looks the stripped serials up in the
+windows. Only a group with a blank or short row or a pair that does not parse
+is checked row by row, which raises the first row error in file order. A
+whole group is decoded before its rows are checked, so of a malformed row and
+bytes that are not UTF-8 in one group, the UTF-8 error is reported.
 
 A failed drive's history is turned into a :class:`LabeledSeries`: the rows
 covering the lookback window before failure, each labeled with its remaining
@@ -303,9 +302,8 @@ def _row_identity(layout: _Layout, row: Sequence[str], row_index: int,
     A row too short to hold the identity cells, a malformed date or a
     non-numeric failure flag raises :class:`SnapshotParseError`. The snapshot
     reads call it once per distinct (date cell, failure cell) pair of a file
-    and keep its result in a dict under that pair. They look a row too short
-    for the pair up under None, which is never stored, so such a row always
-    comes here and raises.
+    and keep its result in a dict under that pair; a row too short for the
+    pair always comes here (:func:`_check_rows`) and raises.
     """
     if len(row) < layout.width:
         raise SnapshotParseError(row_index, f"truncated row ({len(row)} fields)", path)
@@ -341,30 +339,61 @@ def _snapshot_layout(path: str | Path, fh) -> _Layout | None:
 _BLOCK = 1 << 16  # characters a snapshot read takes from its file at once
 
 
-def _snapshot_lines(fh):
-    """The lines of an open snapshot file from where it stands, in groups to chain.
-
-    While the file's blocks of ``_BLOCK`` characters, each completed to its
-    last line end, hold no ``"`` and no ``\\r``, a group is a block's lines
-    without their ``\\n``. From the first block that holds either on, the
-    lines come as iterating the file gives them: with their ends, a line ending
-    at ``\\n``, ``\\r`` or ``\\r\\n``, so csv.reader sees a quoted cell's line
-    breaks.
+def _snapshot_rows(fh, width: int):
+    """The records of an open snapshot file from where it stands, in groups of
+    two lists: the records split up to their first ``width`` cells (a short
+    row has fewer), and the records. Until the line of the first ``"``, a group is a block of
+    ``_BLOCK`` characters completed to its last line end, CRLF and CR ends
+    read as LF, and a record is a line without its end. From that line on, a
+    group is ``_BLOCK >> 10`` (at least one) rows of csv.reader, and a csv
+    error is raised after the group of the rows before it.
     """
-    while True:
+    quote = -1
+    while quote < 0:
         text = fh.read(_BLOCK)
-        if not text.endswith("\n"):
-            text += fh.readline()
-        if '"' in text or "\r" in text:
-            yield io.StringIO(text, newline="")
-            yield fh
-            return
         if not text:
             return
+        if not text.endswith("\n"):
+            text += fh.readline()
+        quote = text.find('"')
+        if quote >= 0:  # csv.reader reads on from the start of its line
+            start = max(text.rfind("\n", 0, quote), text.rfind("\r", 0, quote)) + 1
+            text, rest = text[:start], text[start:]
+        if "\r" in text:  # a join of a split is a third faster than replace("\r\n", "\n")
+            text = "\n".join(text.split("\r\n")).replace("\r", "\n")
         lines = text.split("\n")
         if not lines[-1]:
             del lines[-1]  # after the block's last line end
-        yield lines
+        yield [line.split(",", width) for line in lines], lines  # a last cell holds the rest
+    # the lines of rest as a list: a StringIO would hold four bytes a character to the end
+    reader = csv.reader(itertools.chain(io.StringIO(rest, newline="").readlines(), fh))
+    while True:
+        rows = []
+        try:
+            for row in itertools.islice(reader, _BLOCK >> 10 or 1):
+                rows.append(row)
+        except csv.Error:
+            yield [row[:width] for row in rows], rows
+            raise
+        if not rows:
+            return
+        yield [row[:width] for row in rows], rows
+
+
+def _full_cells(record: str | list[str]) -> list[str]:
+    """The cells of a record of :func:`_snapshot_rows`: a line split at commas, or a csv row."""
+    return record.split(",") if isinstance(record, str) else record
+
+
+def _check_rows(layout: _Layout, seen: dict, rows: list, records: list, first: int,
+                path: str | Path) -> None:
+    """Check a group's rows that are not blank one by one, in file order, from
+    row number ``first``, adding new pairs to ``seen``: raises at the first
+    short row or rejected pair."""
+    date_col, failure_col = layout.date, layout.failure
+    for number, row, record in zip(itertools.count(first), rows, records):
+        if record and (len(row) < layout.width or (row[date_col], row[failure_col]) not in seen):
+            seen[row[date_col], row[failure_col]] = _row_identity(layout, row, number, path)
 
 
 class _Block(NamedTuple):
@@ -427,13 +456,12 @@ class SnapshotScan:
     ``len()`` counts the rows it added to the caller's :class:`KeptRows`.
 
     ``index`` holds the stripped serial cell of every row, one string per
-    block, ``"\\n" + "\\n\\n".join(serials) + "\\n"``, so that :meth:`add_rows`
-    can count a serial's rows without reading the file again. The delimiters
-    are doubled so that adjacent rows of one serial both count. A read that
-    sent any line through its line loop keeps no index. ``failure_rows``
-    holds the cells of each failure row in full, for :meth:`add_rows` to
-    serve; :func:`read_failed_drives` drops both once the file's windows are
-    registered.
+    group of rows, ``"\\n" + "\\n\\n".join(serials) + "\\n"``, so that
+    :meth:`add_rows` can count a serial's rows without reading the file again.
+    The delimiters are doubled so that adjacent rows of one serial both count.
+    ``failure_rows`` holds the cells of each failure row in full, for
+    :meth:`add_rows` to serve; :func:`read_failed_drives` drops both once the
+    file's windows are registered.
     """
 
     path: str | Path  # the file read
@@ -483,27 +511,23 @@ def read_snapshot_csv(path: str | Path, windows: dict[str, tuple[Date, Date]],
     failure rows come back without attributes (an empty ``smart`` map).
     ``windows`` maps a serial to its first and last wanted day; a row of
     such a serial inside them is added to ``kept`` in full, after the rows
-    already there (a read that raises may have added some). Every other
-    unquoted line but a failure row is split only up to its identity cells,
-    so unquoted cells have no size limit. A line holding a quote is parsed
-    by csv, with any following lines a quoted cell spans; a csv error there
-    is a :class:`SnapshotParseError`.
+    already there (a read that raises may have added some). Before the line
+    of the first quote, any other line but a failure row is split only up to
+    its identity cells, so its cells have no size limit. From that line on
+    csv.reader reads the rows, so every cell is subject to
+    ``csv.field_size_limit()``, and a csv error is a :class:`SnapshotParseError`.
 
-    The lines come a ``_BLOCK`` at a time (:func:`_snapshot_lines`), line by
-    line from the first block that holds a quote or a CR on. A block's rows
-    are checked together, column by column; a block with a blank or short
-    line, or with a pair :func:`_row_identity` rejects, goes through the line
-    loop, which alone raises row errors. A block is decoded whole before its
-    rows are checked: bytes that are not UTF-8 are a DataError naming the
-    file even after a malformed row of the same block.
-    The scan keeps each failure row's cells in full and, while every block
-    takes the block path, an index of the rows' serials; with them
-    :meth:`SnapshotScan.add_rows` serves a window of a drive whose every row
-    here is a failure row without reading the file again.
+    The rows come in groups (:func:`_snapshot_rows`), each checked together,
+    column by column; only a group with a blank or short row, or with a pair
+    :func:`_row_identity` rejects, is checked row by row (:func:`_check_rows`),
+    which raises the first row error in file order. A group is decoded whole
+    before its rows are checked: bytes that are not UTF-8 are a DataError
+    naming the file even after a malformed row of the same group. The scan
+    keeps what :meth:`SnapshotScan.add_rows` needs to serve failure rows.
     """
     failures: list[DriveRecord] = []
     failure_rows: list[list[str]] = []
-    index: list[str] | None = []
+    index: list[str] = []
     n_kept = 0
     with _text_file(path) as fh:
         layout = _snapshot_layout(path, fh)
@@ -511,71 +535,46 @@ def read_snapshot_csv(path: str | Path, windows: dict[str, tuple[Date, Date]],
             return SnapshotScan(path, failures, failure_rows, None, 0, None, None)
         width, serial_col = layout.width, layout.serial
         date_col, failure_col = layout.date, layout.failure
-        seen: dict[tuple[str, str] | None, tuple[Date, bool]] = {}  # see _row_identity
-        groups = _snapshot_lines(fh)
+        seen: dict[tuple[str, str], tuple[Date, bool]] = {}  # see _row_identity
         row_index = 0  # of the last row before the group
-        for lines in groups:
-            if isinstance(lines, list):  # a block: its rows are checked together
-                rows = [line.split(",", width) for line in lines]  # a last cell holds the rest
+        try:
+            for rows, records in _snapshot_rows(fh, width):
+                first, row_index = row_index + 1, row_index + len(rows)
                 cells = list(zip(*rows))  # column by column, as far as every row reaches
-                if len(cells) >= width:  # no blank or short line
-                    dates, flags = cells[date_col], cells[failure_col]
-                    date_set, flag_set = set(dates), set(flags)
-                    pairs = set(itertools.product(date_set, flag_set)  # exact if either has one
-                                if min(len(date_set), len(flag_set)) == 1 else zip(dates, flags))
-                    probe = [""] * width  # a row of just a pair's cells
-                    try:
-                        for key in pairs.difference(seen):
-                            probe[date_col], probe[failure_col] = key
-                            seen[key] = _row_identity(layout, probe, row_index + 1, path)
-                    except SnapshotParseError:
-                        pass  # the loop below reaches the row and raises
-                    else:
-                        failed = {key for key in pairs if seen[key][1]}
-                        if failed:
-                            for line, row, key in zip(lines, rows, zip(dates, flags)):
-                                if key in failed:
-                                    failures.append(_failure_record(layout, row, seen[key][0]))
-                                    failure_rows.append(line.split(","))
-                        serials = list(map(str.strip, cells[serial_col]))
-                        if index is not None:
-                            index.append("\n" + "\n\n".join(serials) + "\n")
-                        for k in [k for k, serial in enumerate(serials) if serial in windows]:
-                            window = windows[serials[k]]
-                            day = seen[dates[k], flags[k]][0]
-                            if window[0] <= day <= window[1]:
-                                kept.add(layout, lines[k].split(","), day)
-                                n_kept += 1
-                        row_index += len(rows)
+                if len(cells) < width:  # a blank or short row
+                    _check_rows(layout, seen, rows, records, first, path)  # raises at a short one
+                    rows = [row for row, record in zip(rows, records) if record]
+                    records = [record for record in records if record]
+                    if not rows:
                         continue
-            else:  # a quote or a CR: line by line from here on
-                lines = itertools.chain.from_iterable(itertools.chain([lines], groups))
-            index = None  # the line loop keeps no index; add_rows reads the file again
-            for row_index, line in enumerate(lines, start=row_index + 1):
-                if '"' in line:
-                    try:
-                        row = next(csv.reader(itertools.chain([line], lines)))
-                    except csv.Error as exc:
-                        raise SnapshotParseError(row_index, str(exc), path) from exc
-                    line = None
-                else:
-                    line = line.rstrip("\r\n")
-                    if not line:
-                        continue
-                    row = line.split(",", width)
-                key = (row[date_col], row[failure_col]) if len(row) >= width else None
-                identity = seen.get(key)
-                if identity is None:
-                    identity = seen[key] = _row_identity(layout, row, row_index, path)
-                day, failed = identity
+                    cells = list(zip(*rows))
+                dates, flags = cells[date_col], cells[failure_col]
+                date_set, flag_set = set(dates), set(flags)
+                pairs = set(itertools.product(date_set, flag_set)  # exact if either has one
+                            if min(len(date_set), len(flag_set)) == 1 else zip(dates, flags))
+                probe = [""] * width  # a row of just a pair's cells
+                try:
+                    for key in pairs.difference(seen):
+                        probe[date_col], probe[failure_col] = key
+                        seen[key] = _row_identity(layout, probe, first, path)
+                except SnapshotParseError:  # a group with a blank row checked its pairs above
+                    _check_rows(layout, seen, rows, records, first, path)  # raises at its first row
+                failed = {key for key in pairs if seen[key][1]}
                 if failed:
-                    failures.append(_failure_record(layout, row, day))
-                    failure_rows.append(row if line is None else line.split(","))
-                if windows:
-                    window = windows.get(row[serial_col].strip())
-                    if window is not None and window[0] <= day <= window[1]:
-                        kept.add(layout, row if line is None else line.split(","), day)
+                    for row, record, key in zip(rows, records, zip(dates, flags)):
+                        if key in failed:
+                            failures.append(_failure_record(layout, row, seen[key][0]))
+                            failure_rows.append(_full_cells(record))
+                serials = list(map(str.strip, cells[serial_col]))
+                index.append("\n" + "\n\n".join(serials) + "\n")
+                for k in [k for k, serial in enumerate(serials) if serial in windows]:
+                    window = windows[serials[k]]
+                    day = seen[dates[k], flags[k]][0]
+                    if window[0] <= day <= window[1]:
+                        kept.add(layout, _full_cells(records[k]), day)
                         n_kept += 1
+        except csv.Error as exc:  # in the row after the last group
+            raise SnapshotParseError(row_index + 1, str(exc), path) from exc
     days = [day for day, _ in seen.values()]
     return SnapshotScan(path, failures, failure_rows, (min(days), max(days)) if days else None,
                         n_kept, layout, index)

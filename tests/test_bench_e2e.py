@@ -37,7 +37,13 @@ def test_bench_e2e_appends_one_full_entry(tmp_path, monkeypatch):
     first, entry = json.loads(record.read_text())
     assert first == {"sha": "earlier"}
     assert {"sha", "dirty", "date", "nproc", "python", "numpy", "threads"} <= entry.keys()
-    assert entry["sha"] and entry["nproc"] >= 1 and entry["threads"] == 1
+    assert entry["nproc"] >= 1 and entry["threads"] == 1
+    head = subprocess.run(["git", "-C", str(tool.REPO), "rev-parse", "HEAD"],
+                          capture_output=True, text=True)
+    if head.returncode == 0:  # a git checkout
+        assert entry["sha"] == head.stdout.strip()
+    else:  # a source export
+        assert entry["sha"] is None and entry["dirty"] is None
     cases = entry["cases"]
     assert list(cases) == ["acceptance", "ingest_tiny"]
     assert list(cases["acceptance"]["stages"]) == ["synth", "features", "train", "evaluate"]

@@ -831,8 +831,9 @@ def _failure_day_corpus(snapshot_dir, case):
     and H0..H11 of model XS1. The files of days 18 and 22 end without a line
     end. ``case`` adds a same-day row of D before or after its failure row
     (``dup_before``, ``dup_after``), a quote or a CR in the last line of
-    every file (``quote``, ``cr``), or 32K rows of healthy XS1 drives S100000
-    and on before the rows of day 20, which take its file past 1 MiB
+    every file (``quote``, ``cr``), a CRLF end to every line of every file,
+    the last ones included (``crlf``), or 32K rows of healthy XS1 drives
+    S100000 and on before the rows of day 20, which take its file past 1 MiB
     (``large``)."""
     snapshot_dir.mkdir()
     fails = {"S10": 20, "S1": 20, "P2": 22, "D": 18}
@@ -855,20 +856,21 @@ def _failure_day_corpus(snapshot_dir, case):
             rows = [twin] + rows if case == "dup_before" else rows + [twin]
         if case == "quote":
             rows[-1] = rows[-1].replace(",XS1,", ',"XS1",').replace(",M,", ',"M",')
-        text = "\n".join(["date,serial_number,model,failure,smart_5_raw,smart_9_raw"] + rows)
+        end = "\r\n" if case == "crlf" else "\n"
+        text = end.join(["date,serial_number,model,failure,smart_5_raw,smart_9_raw"] + rows)
         if case == "cr":
             text += "\r"
         (snapshot_dir / f"{date(2021, 1, 1) + timedelta(days=day)}.csv").write_text(
-            text if day % 4 == 2 else text + "\n")
+            text if day % 4 == 2 and case != "crlf" else text + end)
 
 
-@pytest.mark.parametrize("case", ["plain", "dup_before", "dup_after", "quote", "cr", "large"])
+@pytest.mark.parametrize("case", ["plain", "dup_before", "dup_after", "quote", "cr", "crlf", "large"])
 def test_failure_day_rows_from_the_read_match_one_pass_oracle(tmp_path, monkeypatch, capsys, case):
     """Ingest takes a failure-day file's wanted rows from the failure rows its
     read kept, at any file size, whatever other serials and models hold the
-    wanted serial, and gives the cohorts of the one-pass oracle. A file whose
-    wanted drive has another row there (D's twin), or that holds a quote or a
-    CR in a later block, is read again from disk instead."""
+    wanted serial, and gives the cohorts of the one-pass oracle, whatever
+    quotes or line ends the files hold. A file whose wanted drive has another
+    row there (D's twin) is read again from disk instead."""
     snapshot_dir = tmp_path / "snapshots"
     _failure_day_corpus(snapshot_dir, case)
     if case == "large":
@@ -897,8 +899,7 @@ def test_failure_day_rows_from_the_read_match_one_pass_oracle(tmp_path, monkeypa
     served_rows = {"2021-01-21.csv": 2, "2021-01-19.csv": 2 if case.startswith("dup") else 1}
     assert served == [(name, served_rows.get(name, 1)) for name in failure_days]
     # add_rows served these from a second read of the file
-    read_again = {"plain": [], "large": [], "dup_before": ["2021-01-19.csv"],
-                  "dup_after": ["2021-01-19.csv"]}.get(case, failure_days)
+    read_again = ["2021-01-19.csv"] if case.startswith("dup") else []
     assert [name for name, _ in reads] == [n for name in files
                                           for n in [name] * (1 + (name in read_again))]
 

@@ -229,7 +229,7 @@ _TWINS = "\n".join([",".join(SNAPSHOT_COLUMNS), "2020-01-05,B,M,0,1,1,,2", "2020
 def test_serial_index_serves_rows_of_csv_reader_oracle(tmp_path, monkeypatch, text, windows, block):
     """A read's serial index, over one block or many, lets ``add_rows`` serve
     the windows of drives whose every row is a failure row without reading the
-    file again; a blank line, or a quote or a CR at the end, drops the index."""
+    file again, whatever blank lines, quotes or CRs the file holds."""
     monkeypatch.setattr(ds, "_BLOCK", block)
     path = tmp_path / "day.csv"
     reads = []
@@ -239,11 +239,9 @@ def test_serial_index_serves_rows_of_csv_reader_oracle(tmp_path, monkeypatch, te
         scan = _assert_read_matches_oracle(path, text, windows)
     if scan is None:
         return
-    body = "\n" + text.partition("\n")[2]  # the lines after the header
-    assert (scan.index is None) == any(mark in body for mark in ("\n\n", '"', "\r"))
-    every_row_fails = all(rec.failed for rec in oracles.read_snapshot_csv_csv(
+    assert scan.index is not None
+    from_memory = all(rec.failed for rec in oracles.read_snapshot_csv_csv(
         path, {serial: (date.min, date.max) for serial in windows}))
-    from_memory = scan.index is not None and every_row_fails
     # the index may count the empty serial more often than it has rows
     assert len(reads) == 2 - from_memory or ("" in windows and len(reads) == 2)
 
@@ -312,25 +310,38 @@ def test_each_date_failure_pair_is_parsed_once_per_file(tmp_path, monkeypatch):
     assert len(calls) == 2
 
 
-def test_read_failure_rows_streams(tmp_path):
-    """A read holds a few lines of a file at a time, never the whole file."""
-    path = tmp_path / "day.csv"
+def _streamed_failures(path, model):
+    """The failure rows of a read of a 20 MB file of 44K rows with 90 attribute
+    columns and ``model`` in every model cell, and the read's traced peak."""
     header = ",".join(SNAPSHOT_COLUMNS[:5] + [f"smart_{i}_raw" for i in range(90)])
     tail = ",".join(str(1000 + i) for i in range(90))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(header + "\n")
         for k in range(44_000):
-            fh.write(f"2020-01-05,S{k:06d},M,4000787030016,{int(k % 10_000 == 0)},{tail}\n")
-    size = path.stat().st_size
-    assert size > 20_000_000
+            fh.write(f"2020-01-05,S{k:06d},{model},4000787030016,{int(k % 10_000 == 0)},{tail}\n")
+    assert path.stat().st_size > 20_000_000
     tracemalloc.start()
     try:
         failures = ds.read_snapshot_csv(path, {}, ds.KeptRows()).failures
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return failures, peak
+
+
+def test_read_failure_rows_streams(tmp_path):
+    """A read holds a few lines of a file at a time, never the whole file."""
+    failures, peak = _streamed_failures(tmp_path / "day.csv", "M")
     assert [rec.serial for rec in failures] == ["S000000", "S010000", "S020000", "S030000", "S040000"]
-    assert peak < 2_000_000, f"traced peak {peak} B for a {size} B file"
+    assert peak < 2_000_000, f"traced peak {peak} B for a 20 MB file"
+
+
+def test_read_failure_rows_streams_quoted(tmp_path):
+    """From the first quote on, csv.reader's rows come a bounded group at a
+    time too, and give the failure rows of the same file unquoted."""
+    failures, peak = _streamed_failures(tmp_path / "day.csv", '"M"')
+    assert failures == _streamed_failures(tmp_path / "plain.csv", "M")[0]
+    assert peak < 2_000_000, f"traced peak {peak} B for a 20 MB file"
 
 
 def test_kept_rows_take_a_float64_row_each(tmp_path):
