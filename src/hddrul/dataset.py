@@ -513,7 +513,7 @@ def read_snapshot_csv(path: str | Path, windows: dict[str, tuple[Date, Date]],
     such a serial inside them is added to ``kept`` in full, after the rows
     already there (a read that raises may have added some). Before the line
     of the first quote, any other line but a failure row is split only up to
-    its identity cells, so its cells have no size limit. From that line on
+    its identity cells, and no cell there has a size limit. From that line on
     csv.reader reads the rows, so every cell is subject to
     ``csv.field_size_limit()``, and a csv error is a :class:`SnapshotParseError`.
 

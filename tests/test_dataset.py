@@ -198,9 +198,8 @@ def test_block_reads_match_csv_reader_oracle(tmp_path, monkeypatch, text, window
 
 @st.composite
 def _lf_snapshot_text(draw):
-    """A header and up to 30 well-formed rows with LF ends and no quotes, as a
-    read indexes them, some blank; the last line may lack its LF, or hold a
-    quote or a CR."""
+    """A header and up to 30 well-formed rows with LF ends and no quotes, some
+    blank; the last line may lack its LF, or hold a quote or a CR."""
     columns = draw(st.permutations(SNAPSHOT_COLUMNS))
     common = {
         "date": st.sampled_from(["2020-01-04", "2020-01-05", "2020-01-06", " 2020-01-09 "]),
@@ -267,8 +266,8 @@ def _daily_rows(n_rows, failed=()):
 
 
 def test_row_error_in_a_later_block_names_the_file_wide_row(tmp_path):
-    """At the real ``_BLOCK``: a blank line in the first block sends that block
-    line by line, and a malformed date in the third block sends it there too.
+    """At the real ``_BLOCK``: a blank line in the first block has that block
+    checked row by row, and a malformed date in the third block has it too.
     The error names the file and the row as ``enumerate(csv.reader)`` counts
     it, the blank line included; the file fixed reads as the oracle does."""
     rows = _daily_rows(5000, failed={3, 1403, 2900, 4600})
