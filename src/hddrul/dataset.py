@@ -342,11 +342,11 @@ _BLOCK = 1 << 16  # characters a snapshot read takes from its file at once
 def _snapshot_rows(fh, width: int):
     """The records of an open snapshot file from where it stands, in groups of
     two lists: the records split up to their first ``width`` cells (a short
-    row has fewer), and the records. Until the line of the first ``"``, a group is a block of
-    ``_BLOCK`` characters completed to its last line end, CRLF and CR ends
-    read as LF, and a record is a line without its end. From that line on, a
-    group is ``_BLOCK >> 10`` (at least one) rows of csv.reader, and a csv
-    error is raised after the group of the rows before it.
+    row has fewer), and the records. Until the line of the first ``"``, a
+    group is a block of ``_BLOCK`` characters completed to its last line end,
+    CRLF and CR ends read as LF, and a record is a line without its end. From
+    that line on, a group is ``_BLOCK >> 10`` (at least one) rows of
+    csv.reader, and a csv error is raised after the group of the rows before it.
     """
     quote = -1
     while quote < 0:
